@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .diffusion import AnisoDiffusionProblem, solve_micro_macro
+from .diffusion import AnisoDiffusionProblem, SolverError, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, node_average
 from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
@@ -201,6 +201,32 @@ def assemble_S(state: PlasmaState, n_new: np.ndarray, field: MagneticField,
         - (fv["i"]["mass"] - r * fv["e"]["mass"]) / dt)
 
 
+def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
+                      p: PhysParams, grid: Grid) -> dict:
+    """Node-coupled stiff pressure + electric force at one time level.
+
+    With n_star = node_average(n), returns per species a the triple
+    (s, F_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
+    the parallel force F_par = cell average of b s, and the cell average
+    of the perpendicular term b x (q_a T_a grad n + n_star grad phi) / |B|.
+    """
+    n_star = node_average(n, grid)
+    dh_n = apply_dh(n, field, grid, zero_boundary=True)
+    dh_phi = apply_dh(phi, field, grid, zero_boundary=True)
+    grad_n = apply_grad_star(n, grid)
+    grad_phi = apply_grad_star(phi, grid)
+    b_n = field.b_nodes
+    terms = {}
+    for a in SPECIES:
+        qa, Ta = p.charge(a), p.T_a(a)
+        s = Ta * dh_n + qa * n_star * dh_phi
+        F_par = cell_from_nodes(b_n * s[..., None], grid)
+        P_node = _cross(b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
+            / field.bmag_nodes[..., None]
+        terms[a] = (s, F_par, cell_from_nodes(P_node, grid))
+    return terms
+
+
 class APStepper:
     """Stateful stepper: caches grid operators and warm starts the inner
     Krylov solves across steps (the potentials vary slowly in time)."""
@@ -238,45 +264,42 @@ class APStepper:
         fv = species_fv_divergence(state, field, grid)
 
         R = assemble_R(state, field, p, grid, fv)
-        sol_n = self._solve("n", np.ones(grid.shape_nodes), p.lam1, R, field)
-        n_new = sol_n.p
-        if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
-            diag.diverged, diag.note = True, "density lost positivity"
-            return state, diag
+        try:
+            sol_n = self._solve("n", np.ones(grid.shape_nodes), p.lam1, R,
+                                field)
+            n_new = sol_n.p
+            if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
+                diag.diverged, diag.note = True, "density lost positivity"
+                return state, diag
 
-        S = assemble_S(state, n_new, field, p, grid, fv)
-        n_star = node_average(n_new, grid)
-        sol_phi = self._solve("phi", n_star, p.lam2, S, field)
+            S = assemble_S(state, n_new, field, p, grid, fv)
+            sol_phi = self._solve("phi", node_average(n_new, grid), p.lam2, S,
+                                  field)
+        except SolverError as exc:
+            # recorded as divergence, so one stalled solve ends only this run
+            diag.diverged, diag.note = True, str(exc)
+            return state, diag
         phi_new = sol_phi.p
         if not np.all(np.isfinite(phi_new)):
             diag.diverged, diag.note = True, "potential diverged"
             return state, diag
 
-        grad_n = apply_grad_star(n_new, grid)
-        grad_phi = apply_grad_star(phi_new, grid)
-        dh_n = apply_dh(n_new, field, grid, zero_boundary=True)
-        dh_phi = apply_dh(phi_new, field, grid, zero_boundary=True)
-        b_c, b_n = field.b_cells, field.b_nodes
-        bmag_c, bmag_n = field.bmag_cells, field.bmag_nodes
+        forces = stiff_force_terms(n_new, phi_new, field, p, grid)
+        b_c, bmag_c = field.b_cells, field.bmag_cells
 
         q_new = {}
         for a in SPECIES:
-            qa, Ta = p.charge(a), p.T_a(a)
-            eta = p.eps_a(a) * p.tau
+            qa, eta = p.charge(a), p.eps_a(a) * p.tau
+            _, F_par, P_c = forces[a]
 
             # parallel update; stiff force via the node coupling
-            s = Ta * dh_n + qa * n_star * dh_phi
-            F_par = cell_from_nodes(b_n * s[..., None], grid)
             q_par = (_parallel(state.q(a), b_c)
                      - p.dt * _parallel(fv[a]["mom"], b_c)
                      - (p.dt / eta) * F_par)
 
             # perpendicular update; electric/pressure term node-coupled
-            P_node = _cross(b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
-                / bmag_n[..., None]
-            r = cell_from_nodes(P_node, grid) \
-                + (qa * eta / bmag_c)[..., None] * _cross(
-                    b_c, -state.q(a) / p.dt + fv[a]["mom"])
+            r = P_c + (qa * eta / bmag_c)[..., None] * _cross(
+                b_c, -state.q(a) / p.dt + fv[a]["mom"])
             r_perp = r - _parallel(r, b_c)
             gamma = qa * eta / (p.dt * bmag_c)
             q_perp = solve_perp_rotation(r_perp, b_c, gamma)
@@ -296,12 +319,6 @@ class APStepper:
         return new, diag
 
 
-def step_ap(state: PlasmaState, field_provider, p: PhysParams,
-            grid: Grid) -> tuple[PlasmaState, StepDiagnostics]:
-    """Single AP step without cross-step warm starting."""
-    return APStepper(p, grid, field_provider).step(state)
-
-
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
                    field: MagneticField, p: PhysParams, grid: Grid,
                    fv: dict = None) -> StepDiagnostics:
@@ -318,18 +335,14 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     diag = StepDiagnostics()
     dt = p.dt
     b_c, b_n = field.b_cells, field.b_nodes
-    n_star = node_average(state_new.n, grid)
-    dh_n = apply_dh(state_new.n, field, grid, zero_boundary=True)
-    dh_phi = apply_dh(state_new.phi, field, grid, zero_boundary=True)
-    grad_n = apply_grad_star(state_new.n, grid)
-    grad_phi = apply_grad_star(state_new.phi, grid)
+    forces = stiff_force_terms(state_new.n, state_new.phi, field, p, grid)
 
     def l2(x):
         return float(np.linalg.norm(x))
 
     for a in SPECIES:
         qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
-        s = Ta * dh_n + qa * n_star * dh_phi
+        s, F_par, P_c = forces[a]
 
         # continuity
         expl_par = _parallel(state_m.q(a) - dt * fv[a]["mom"], b_c)
@@ -348,10 +361,6 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         diag.continuity_floor[a] = floor / scale if scale > 0 else 0.0
 
         # momentum
-        F_par = cell_from_nodes(b_n * s[..., None], grid)
-        P_node = _cross(b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
-            / field.bmag_nodes[..., None]
-        P_c = cell_from_nodes(P_node, grid)
         F_perp = -qa * field.bmag_cells[..., None] * _cross(b_c, P_c)
         B_c = b_c * field.bmag_cells[..., None]
         mterms = [(state_new.q(a) - state_m.q(a)) / dt,

@@ -23,7 +23,6 @@ from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics, \
     resolve_field
 from .flux import fv_divergence
 from .grid import Grid, pad_cells
-from .stencil import MagneticField
 
 
 def stable_dt(state: PlasmaState, p: PhysParams, grid: Grid,
@@ -125,10 +124,3 @@ class BlowupDetector:
         qmax = max(float(np.abs(state.q_i).max()),
                    float(np.abs(state.q_e).max()))
         return qmax > self.factor * self.q_ref
-
-
-def detect_blowup(state: PlasmaState, reference: PlasmaState = None) -> bool:
-    """Convenience wrapper; without a reference only finiteness is checked."""
-    if reference is None:
-        return not state.is_finite()
-    return BlowupDetector(reference)(state)

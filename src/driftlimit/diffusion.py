@@ -22,10 +22,10 @@ K_perp = range of dhstar over interior-supported node fields:
 4.                      p = pi + q.
 
 At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
-The node potential l with q = dhstar(l) exists by construction and can be
-recovered on request; nothing downstream depends on it except through
-dhstar(l) = q.  ``solve_direct`` provides the independent tau > 0 oracle
-on the assembled cell system.
+Step 3 is ``solve_micro``.  A node potential l with q = dhstar(l) exists
+by construction, but nothing downstream needs it, so it is never formed.
+``solve_direct`` provides the independent tau > 0 oracle on the assembled
+cell system.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class MicroMacroSolution:
     pi: np.ndarray
     q: np.ndarray
     h: np.ndarray
-    l: np.ndarray = None       # recovered only on request
     iterations: dict = dataclass_field(default_factory=dict)
     kernel_residual: float = 0.0
 
@@ -131,10 +130,23 @@ def _stiffness_matvec(field: MagneticField, coeff: np.ndarray, grid: Grid):
     return matvec
 
 
+def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
+                rhs: np.ndarray, grid: Grid, rtol: float = SOLVER_RTOL,
+                x0: np.ndarray = None) -> tuple[np.ndarray, int]:
+    """Cell field w with (A_H + shift) w = rhs, A_H = -dhstar(coeff dh(.)).
+
+    The micro step of the decomposition, with shift = tau*lam and rhs in
+    K_perp; returns w and the CG iteration count.
+    """
+    av = _stiffness_matvec(field, coeff, grid)
+    M = spla.LinearOperator((grid.num_cells, grid.num_cells),
+                            matvec=lambda v: av(v) + shift * v)
+    w, iters = _cg_solve(M, rhs.ravel(), rtol, x0=x0, label="micro part")
+    return w.reshape(grid.shape_cells), iters
+
+
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                       rtol: float = SOLVER_RTOL,
-                      micro_form: str = "single",
-                      recover_l: bool = False,
                       x0_h: np.ndarray = None,
                       x0_w: np.ndarray = None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
@@ -164,39 +176,15 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                           f"({kernel_resid:.3e} > {kernel_tol:.3e}); "
                           "operator assembly inconsistent")
 
-    l = np.zeros(grid.shape_nodes)
     if tau == 0.0:
         q = np.zeros(grid.shape_cells)
         it_w = 0
-    elif micro_form == "single":
-        av = _stiffness_matvec(prob.field, prob.coeff, grid)
-        M = spla.LinearOperator((grid.num_cells, grid.num_cells),
-                                matvec=lambda v: av(v) + tau * lam * v)
-        w, it_w = _cg_solve(M, -dstar_h.ravel(), rtol, x0=x0_w,
-                            label="micro part")
-        q = tau * w.reshape(grid.shape_cells)
-        if recover_l:
-            rhs_l = -apply_dh(w.reshape(grid.shape_cells), prob.field,
-                              grid).ravel()[ops.interior]
-            l_int, _ = _cg_solve(ops.N1, rhs_l, rtol, label="micro potential")
-            l = tau * _embed_nodes(l_int, ops, grid)
-    elif micro_form == "paired":
-        # Literal two-stage node-potential route; equivalent to the single
-        # form only for a unit coefficient, so restricted to that case.
-        H_int = prob.coeff.ravel()[ops.interior]
-        if np.max(np.abs(H_int - 1.0)) > 1e-14:
-            raise ValueError("paired micro form requires a unit coefficient")
-        rhs_h = apply_dh(prob.rhs, prob.field, grid).ravel()[ops.interior]
-        M = ops.N1 + tau * lam * sp.eye(len(ops.interior), format="csr")
-        L_int, it1 = _cg_solve(M, -tau * rhs_h, rtol, label="micro stage 1")
-        l_int, it2 = _cg_solve(ops.N1, L_int, rtol, label="micro stage 2")
-        it_w = it1 + it2
-        l = _embed_nodes(l_int, ops, grid)
-        q = apply_dhstar(l, prob.field, grid)
     else:
-        raise ValueError(f"unknown micro_form {micro_form!r}")
+        w, it_w = solve_micro(prob.field, prob.coeff, tau * lam, -dstar_h,
+                              grid, rtol, x0=x0_w)
+        q = tau * w
 
-    return MicroMacroSolution(p=pi + q, pi=pi, q=q, h=h, l=l,
+    return MicroMacroSolution(p=pi + q, pi=pi, q=q, h=h,
                               iterations={"macro": it_h, "micro": it_w},
                               kernel_residual=kernel_resid)
 
@@ -214,7 +202,7 @@ def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:
     """Sparse direct solve of (A_H + tau*lam*I) p = tau*f; requires tau > 0."""
     if prob.tau <= 0.0:
         raise ValueError("direct solve requires tau > 0 (system singular at 0)")
-    A = assemble_operator("cell", prob.field, prob.coeff, grid)
+    A = assemble_operator(prob.field, prob.coeff, grid)
     M = (A + prob.tau * prob.lam * sp.eye(grid.num_cells)).tocsc()
     b = prob.tau * prob.rhs.ravel()
     lu = spla.splu(M)

@@ -85,8 +85,6 @@ def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
         root = np.sqrt(kappa.astype(complex))
         rad = np.maximum(np.abs(ua), np.maximum(np.abs(ua + root), np.abs(ua - root)))
         rad = rad.real
-    elif method == "bound":
-        rad = np.abs(ua) + np.sqrt((u * u).sum(axis=-1)) + 1.0
     elif method == "acoustic":
         rad = np.abs(ua)
     else:

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,27 +90,9 @@ class Grid:
         return tuple(np.meshgrid(*self.node_axes, indexing="ij"))
 
 
-def build_grid(spec: GridSpec) -> Grid:
-    return Grid(spec)
-
-
 def grid_2d(lo: tuple[float, float], hi: tuple[float, float],
             nx: int, ny: int) -> Grid:
     return Grid(GridSpec(lo=tuple(lo), hi=tuple(hi), cells=(nx, ny)))
-
-
-def cell_field(grid: Grid, fill: float = 0.0) -> np.ndarray:
-    return np.full(grid.shape_cells, fill, dtype=float)
-
-
-def cell_vec_field(grid: Grid, fill=(0.0, 0.0, 0.0)) -> np.ndarray:
-    out = np.empty(grid.shape_cells + (3,), dtype=float)
-    out[...] = np.asarray(fill, dtype=float)
-    return out
-
-
-def node_field(grid: Grid, fill: float = 0.0) -> np.ndarray:
-    return np.full(grid.shape_nodes, fill, dtype=float)
 
 
 def _check_cell_shape(u: np.ndarray, grid: Grid):

@@ -18,12 +18,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-import scipy.sparse.linalg as spla
-
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import BlowupDetector, stable_dt, step_classical
-from .diffusion import AnisoDiffusionProblem, _cg_solve, _stiffness_matvec, \
-    macro_potential
+from .diffusion import AnisoDiffusionProblem, macro_potential, solve_micro
 from .grid import Grid, GridSpec, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar
 
@@ -129,25 +126,16 @@ class ManufacturedDiffusion:
 
     def solve_deviation(self, tau: float) -> np.ndarray:
         """p_app - P0 by superposition; every term scales exactly with tau."""
-        grid, lam = self.grid, self.lam
+        lam = self.lam
         pi = tau * self.p1_kernel
-        av = _stiffness_matvec(self.field, self.H_nodes, grid)
-        M = spla.LinearOperator(
-            (grid.num_cells, grid.num_cells),
-            matvec=lambda v: av(v) + tau * lam * v)
         rhs = -apply_dhstar(lam * tau * self.h_p + self.h_g,
-                            self.field, grid)
-        w, _ = _cg_solve(M, rhs.ravel(), self.rtol, label="sweep micro")
-        return pi + tau * w.reshape(grid.shape_cells)
+                            self.field, self.grid)
+        w, _ = solve_micro(self.field, self.H_nodes, tau * lam, rhs,
+                           self.grid, self.rtol)
+        return pi + tau * w
 
     def exact_deviation(self, tau: float) -> np.ndarray:
         return tau * self.p1
-
-
-def make_diffusion_problem(grid: Grid, tau: float, lam: float = 1.0):
-    """Convenience wrapper: (problem, exact deviation, field)."""
-    m = ManufacturedDiffusion(grid, lam)
-    return m.problem(tau), m.exact_deviation(tau), m.field
 
 
 def fit_slope(values, errors) -> float:
@@ -190,6 +178,28 @@ class ConvergenceTable:
 _TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2
+
+
+def _matches(value, default) -> bool:
+    """True when value has the type of a key's default: a finite number for
+    a float, an integer for an int, a list of such for a tuple."""
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _matches(v, default[0]) for v in value)
+    return True
+
+
 @dataclass
 class RunConfig:
     """Flat configuration; defaults reproduce the reference two-fluid setup
@@ -230,6 +240,28 @@ class RunConfig:
     band_frac: float = 0.08
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _matches(value, f.default):
+                raise ValueError(f"config key {f.name!r}: expected a value "
+                                 f"like {f.default!r}, got {value!r}")
+        for key in ("nx", "ny"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"config key {key!r}: need at least 2 cells")
+        if not (_is_pair(self.domain)
+                and all(_is_pair(ax) and ax[0] < ax[1] for ax in self.domain)):
+            raise ValueError("config key 'domain': expected two increasing "
+                             f"pairs [[x0, x1], [y0, y1]], got {self.domain!r}")
+        if not 0.0 < self.sigma <= 1.0:
+            raise ValueError("config key 'sigma': must lie in (0, 1]")
+        if not (self.classical_dt in (None, "stable")
+                or (_is_number(self.classical_dt) and self.classical_dt > 0.0)):
+            raise ValueError("config key 'classical_dt': expected null, "
+                             f"\"stable\" or a positive number, got "
+                             f"{self.classical_dt!r}")
+        if len(self.c_values) != len(self.c_horizons):
+            raise ValueError("config keys 'c_values' and 'c_horizons' must "
+                             "have the same length")
         if self.experiment not in ("simulate", "diffusion-validate", "c-study"):
             raise ValueError(f"config key 'experiment': unknown value "
                              f"{self.experiment!r}")
@@ -295,7 +327,10 @@ def parse_config(path=None, overrides=(), **fixed) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    doc = json.dumps(cfg.as_dict(), sort_keys=True, default=list)
+    """Hash of the resolved parameters; the output directory is not one."""
+    params = cfg.as_dict()
+    del params["out_dir"]
+    doc = json.dumps(params, sort_keys=True, default=list)
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
@@ -454,11 +489,14 @@ def run_two_fluid(cfg: RunConfig) -> dict:
 
 def run_diffusion_validation(cfg: RunConfig) -> dict:
     lam = cfg.lam
+    problems = {}                       # cells per side -> (grid, problem)
 
     def make(ncells):
         n = max(4, round(ncells * cfg.scale))
-        grid = Grid(GridSpec(lo=(1.0, 1.0), hi=(2.0, 2.0), cells=(n, n)))
-        return grid, ManufacturedDiffusion(grid, lam)
+        if n not in problems:
+            grid = Grid(GridSpec(lo=(1.0, 1.0), hi=(2.0, 2.0), cells=(n, n)))
+            problems[n] = grid, ManufacturedDiffusion(grid, lam)
+        return problems[n]
 
     h_tables = {}
     ladder = [make(nc) for nc in cfg.grids]
@@ -518,7 +556,7 @@ def run_c_study(cfg: RunConfig) -> dict:
     background = math.sin(cfg.alpha)    # uniform part of q_i,x
     verdicts = {}
     runs = {}
-    for C, horizon in zip(cfg.c_values, cfg.c_horizons):
+    for C, horizon in zip(cfg.c_values, cfg.c_horizons, strict=True):
         ref_dt = min(cfg.dt_values)
         for dt in sorted(cfg.dt_values):   # reference (smallest dt) first
             sub = dataclasses.replace(cfg, C=C, dt=dt, t_end=horizon)
@@ -543,9 +581,3 @@ def run_c_study(cfg: RunConfig) -> dict:
             for (C, dt), verdict in sorted(verdicts.items(), reverse=True):
                 fh.write("%.17g,%.17g,%s\n" % (C, dt, verdict))
     return {"verdicts": verdicts, "runs": runs}
-
-
-def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / ||b||, plain Euclidean."""
-    denom = float(np.linalg.norm(b))
-    return float(np.linalg.norm(a - b)) / denom if denom > 0 else 0.0

@@ -194,40 +194,20 @@ def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def assemble_operator(kind: str, field: MagneticField, coeff: np.ndarray,
+def assemble_operator(field: MagneticField, coeff: np.ndarray,
                       grid: Grid) -> sp.csr_matrix:
-    """Composite diffusion operators with boundary conditions baked in.
+    """Cell diffusion operator A_c = -dhstar(coeff * dh(.)), cell -> cell.
 
-    kind "cell": A_c = -dhstar(coeff * dh(.)), cell -> cell, with the flux
-    coeff*dh zeroed on boundary nodes (coeff sampled at nodes).
-    kind "node": N_c = -dh(coeff * dhstar(.)), node -> node, with identity
-    rows on boundary nodes (Dirichlet w = 0; coeff sampled at cells).
+    The flux coeff*dh is zeroed on boundary nodes (coeff sampled at nodes),
+    which bakes in the homogeneous flux condition.
     """
     coeff = np.asarray(coeff, dtype=float)
     if not np.all(coeff > 0.0):
         raise ValueError("diffusion coefficient must be positive")
+    _check_node_shape(coeff, grid)
     ops = get_operator_set(field, grid)
-    if kind == "cell":
-        _check_node_shape(coeff, grid)
-        masked = np.where(grid.interior_node_mask, coeff, 0.0).ravel()
-        return (-ops.D @ sp.diags(masked) @ ops.G).tocsr()
-    if kind == "node":
-        _check_cell_shape(coeff, grid)
-        full = (-ops.G @ sp.diags(coeff.ravel()) @ ops.D).tolil()
-        boundary = np.flatnonzero(~grid.interior_node_mask.ravel())
-        for i in boundary:
-            full.rows[i] = [i]
-            full.data[i] = [1.0]
-        return full.tocsr()
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def write_operator_coo(path, mat: sp.spmatrix):
-    """Debug dump: one `row col value` line per stored entry."""
-    coo = mat.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
+    masked = np.where(grid.interior_node_mask, coeff, 0.0).ravel()
+    return (-ops.D @ sp.diags(masked) @ ops.G).tocsr()
 
 
 # Cached per (field, grid): assembled stencil matrices and the interior

@@ -17,7 +17,7 @@ from driftlimit.diffusion import solve_direct, solve_micro_macro
 from driftlimit.grid import Grid, GridSpec, discrete_norms, grid_2d
 from driftlimit.harness import ManufacturedDiffusion, RunConfig, \
     boundary_band_mask, classify_boundary_artifacts, make_two_fluid_setup, \
-    relative_l2, run_c_study, run_diffusion_validation, run_simulation
+    run_c_study, run_diffusion_validation, run_simulation
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar
 
 warnings.filterwarnings("ignore", message="tau\\*lam exceeds")
@@ -145,7 +145,7 @@ def _component_metrics(a_state, b_state):
             a = getattr(a_state, sp)[..., k]
             b = getattr(b_state, sp)[..., k]
             key = f"{sp},{comp}"
-            full[key] = relative_l2(a, b)
+            full[key] = float(np.linalg.norm(a - b) / np.linalg.norm(b))
             denom = np.linalg.norm(b - B_REF[k])
             pert[key] = float(np.linalg.norm(a - b)) / denom if denom else 0.0
     return full, pert

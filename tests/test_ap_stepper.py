@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlimit import ap_stepper
 from driftlimit.ap_stepper import APStepper, PhysParams, PlasmaState, \
     assemble_R, assemble_S, solve_perp_rotation, species_fv_divergence, \
-    step_ap, step_residuals
-from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup
+    step_residuals
+from driftlimit.diffusion import SolverError
+from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
+    run_c_study
 
 warnings.filterwarnings("ignore", message="tau\\*lam exceeds")
 
@@ -210,8 +213,23 @@ def test_no_tau_dependent_restriction():
 def test_divergence_flag_on_invalid_state():
     cfg, grid, field, s0 = stationary_setup()
     s0.n[3, 3] = np.nan
-    s1, diag = step_ap(s0, field, cfg.phys_params(), grid)
+    s1, diag = APStepper(cfg.phys_params(), grid, field).step(s0)
     assert diag.diverged
+
+
+def test_solver_failure_recorded_as_divergence(monkeypatch):
+    def stall(*args, **kwargs):
+        raise SolverError("micro part: no convergence")
+
+    monkeypatch.setattr(ap_stepper, "solve_micro_macro", stall)
+    cfg, grid, field, s0 = stationary_setup()
+    s1, diag = APStepper(cfg.phys_params(), grid, field).step(s0)
+    assert diag.diverged and s1 is s0
+    assert diag.note == "micro part: no convergence"
+    # a study records the failed runs instead of aborting
+    cfg = RunConfig(nx=8, ny=8, c_values=(1e-2,), dt_values=(1e-6, 1e-7),
+                    c_horizons=(2e-6,))
+    assert set(run_c_study(cfg)["verdicts"].values()) == {"diverged"}
 
 
 def test_step_residuals_on_stationary_pair():

@@ -5,7 +5,7 @@ from driftlimit.diffusion import AnisoDiffusionProblem, SolverError, \
     ap_limit_residual, macro_potential, reconstruction_residual, solve_direct, \
     solve_micro_macro
 from driftlimit.grid import grid_2d
-from driftlimit.harness import ManufacturedDiffusion, make_diffusion_problem
+from driftlimit.harness import ManufacturedDiffusion
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     assemble_dhstar, get_operator_set
 
@@ -44,15 +44,16 @@ def test_constant_solution(tau):
 
 def test_direct_rejects_tau_zero():
     g = grid_2d((1, 1), (2, 2), 5, 5)
-    prob, _, _ = make_diffusion_problem(g, tau=0.0)
+    prob = ManufacturedDiffusion(g).problem(0.0)
     with pytest.raises(ValueError):
         solve_direct(prob, g)
 
 
 def test_micro_macro_matches_direct_oracle():
     g = grid_2d((1, 1), (2, 2), 24, 24)
+    m = ManufacturedDiffusion(g)
     for tau in (1e-1, 1e-2, 1e-3):
-        prob, _, _ = make_diffusion_problem(g, tau)
+        prob = m.problem(tau)
         mm = solve_micro_macro(prob, g)
         direct = solve_direct(prob, g)
         rel = np.linalg.norm(mm.p - direct) / np.linalg.norm(direct + 2.0)
@@ -76,8 +77,8 @@ def test_reconstruction_residual_invariant(tau):
     # full form, constant background included: the residual bound is
     # stated against the total data and solution magnitudes
     g = grid_2d((1, 1), (2, 2), 24, 24)
-    dev, _, field = make_diffusion_problem(g, tau)
-    prob = AnisoDiffusionProblem(field=field, coeff=dev.coeff, lam=dev.lam,
+    dev = ManufacturedDiffusion(g).problem(tau)
+    prob = AnisoDiffusionProblem(field=dev.field, coeff=dev.coeff, lam=dev.lam,
                                  tau=tau, rhs=dev.lam * 2.0 + dev.rhs)
     sol = solve_micro_macro(prob, g)
     rr = reconstruction_residual(sol, prob, g)
@@ -87,7 +88,7 @@ def test_reconstruction_residual_invariant(tau):
 @pytest.mark.parametrize("tau", [1e-2, 1e-9])
 def test_deviation_form_residual_is_solver_quality(tau):
     g = grid_2d((1, 1), (2, 2), 24, 24)
-    prob, _, _ = make_diffusion_problem(g, tau)
+    prob = ManufacturedDiffusion(g).problem(tau)
     sol = solve_micro_macro(prob, g)
     rr = reconstruction_residual(sol, prob, g)
     # dust left by the Krylov solves on the tau-independent data part
@@ -96,12 +97,13 @@ def test_deviation_form_residual_is_solver_quality(tau):
 
 def test_micro_macro_decomposition_structure():
     g = grid_2d((1, 1), (2, 2), 20, 20)
-    prob, _, _ = make_diffusion_problem(g, 1e-3)
-    sol = solve_micro_macro(prob, g, recover_l=True)
+    prob = ManufacturedDiffusion(g).problem(1e-3)
+    sol = solve_micro_macro(prob, g)
     assert np.array_equal(sol.p, sol.pi + sol.q)
-    # recovered node potential reproduces the micro part through dhstar
-    q_from_l = apply_dhstar(sol.l, prob.field, g)
-    assert np.linalg.norm(q_from_l - sol.q) <= 1e-9 * (1 + np.linalg.norm(sol.q))
+    # the micro part lies in K_perp: its projection onto the kernel vanishes
+    h_q, _ = macro_potential(sol.q, prob.field, g)
+    q_kernel = sol.q + apply_dhstar(h_q, prob.field, g)
+    assert np.linalg.norm(q_kernel) <= 1e-9 * (1 + np.linalg.norm(sol.q))
     # kernel membership of the macro part
     inner = g.interior_node_mask
     dh_pi = apply_dh(sol.pi, prob.field, g)[inner]
@@ -110,10 +112,9 @@ def test_micro_macro_decomposition_structure():
 
 def test_tau_zero_gives_macro_only():
     g = grid_2d((1, 1), (2, 2), 16, 16)
-    prob, _, _ = make_diffusion_problem(g, 0.0)
+    prob = ManufacturedDiffusion(g).problem(0.0)
     sol = solve_micro_macro(prob, g)
     assert np.all(sol.q == 0.0)
-    assert np.all(sol.l == 0.0)
     assert np.array_equal(sol.p, sol.pi)
 
 
@@ -156,25 +157,6 @@ def test_macro_part_insensitive_to_solver_path():
                               x0_w=rng.standard_normal(g.num_cells))
     assert np.max(np.abs(sol_a.pi - sol_b.pi)) <= 1e-10 * (1 + np.max(np.abs(sol_a.pi)))
     assert np.max(np.abs(sol_a.p - sol_b.p)) <= 1e-9 * (1 + np.max(np.abs(sol_a.p)))
-
-
-def test_paired_micro_form_matches_single():
-    g = grid_2d((1, 1), (2, 2), 12, 12)
-    f = circular_field(g)
-    rng = np.random.default_rng(5)
-    prob = AnisoDiffusionProblem(field=f, coeff=np.ones(g.shape_nodes),
-                                 lam=1.5, tau=1e-2,
-                                 rhs=rng.standard_normal(g.shape_cells))
-    single = solve_micro_macro(prob, g)
-    paired = solve_micro_macro(prob, g, micro_form="paired")
-    assert np.linalg.norm(single.p - paired.p) <= 1e-9 * np.linalg.norm(single.p)
-
-
-def test_paired_micro_form_requires_unit_coeff():
-    g = grid_2d((1, 1), (2, 2), 8, 8)
-    prob, _, _ = make_diffusion_problem(g, 1e-2)  # H varies
-    with pytest.raises(ValueError):
-        solve_micro_macro(prob, g, micro_form="paired")
 
 
 def test_macro_potential_projects_onto_complement():

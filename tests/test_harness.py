@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlimit.grid import grid_2d
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
-    make_two_fluid_setup, parse_config, run_diffusion_validation, run_two_fluid
+    make_two_fluid_setup, parse_config, run_diffusion_validation, \
+    run_two_fluid, write_meta
 from driftlimit.cli import main as cli_main
 
 
@@ -65,6 +69,45 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(c)
 
 
+def test_config_hash_ignores_output_directory(tmp_path):
+    metas = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        write_meta(parse_config(out_dir=str(out)), out)
+        metas.append(json.loads((out / "meta.json").read_text()))
+    assert metas[0]["config_sha256"] == metas[1]["config_sha256"]
+    assert metas[0]["config"]["out_dir"] == str(tmp_path / "a")
+
+
+@pytest.mark.parametrize("override", [
+    "nx=abc", "nx=1", "ny=true", "domain=[1,2]", "domain=[[2,1],[1,2]]",
+    "sigma=2", "classical_dt=fast", "classical_dt=-1e-9",
+    "c_values=[1e-2,1e-3,1e-4,1e-5]"])
+def test_cli_rejects_bad_config_at_parse_time(override, capsys):
+    assert cli_main(["simulate", "--override", override]) == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+    _json_values.map(json.dumps) | st.text(max_size=8)), max_size=4))
+def test_parse_config_fuzz_returns_or_raises_value_error(items):
+    try:
+        parse_config(overrides=[f"{key}={raw}" for key, raw in items])
+    except ValueError:
+        pass
+
+
 def test_two_fluid_setup_initial_state():
     cfg = parse_config(overrides=["nx=20", "ny=20"])
     grid, field, state = make_two_fluid_setup(cfg)
@@ -109,7 +152,7 @@ def test_manufactured_source_against_symbolic_oracle():
     bx, by = y / r, -x / r
     flux = H * (bx * sympy.diff(p1, x) + by * sympy.diff(p1, y))
     div = sympy.diff(bx * flux, x) + sympy.diff(by * flux, y)
-    f = sympy.lambdify((x, y), sympy.simplify(div), "numpy")
+    f = sympy.lambdify((x, y), div, "numpy")
     xs = np.linspace(1.05, 1.95, 7)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     fd = div_aligned_flux(X, Y)
@@ -130,6 +173,21 @@ def test_diffusion_validation_desk_scale(tmp_path):
     assert (tmp_path / "convergence_tau.csv").exists()
     assert (tmp_path / "convergence_h_tau1e-02.csv").exists()
     assert (tmp_path / "meta.json").exists()
+
+
+def test_diffusion_validation_builds_each_grid_once(monkeypatch):
+    built = []
+    init = ManufacturedDiffusion.__init__
+
+    def counting_init(self, grid, *args, **kwargs):
+        built.append(grid.shape_cells[0])
+        init(self, grid, *args, **kwargs)
+
+    monkeypatch.setattr(ManufacturedDiffusion, "__init__", counting_init)
+    run_diffusion_validation(RunConfig(experiment="diffusion-validate",
+                                       scale=0.1))
+    # the tau sweep's grid (100 cells, scaled) is the ladder's own
+    assert built == [4, 5, 10, 20]
 
 
 def test_two_fluid_run_outputs_and_determinism(tmp_path):

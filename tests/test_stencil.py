@@ -7,7 +7,7 @@ from driftlimit.grid import Grid, GridSpec, grid_2d
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     apply_grad_star, assemble_dh, assemble_dhstar, assemble_operator, \
-    get_operator_set, write_operator_coo
+    get_operator_set
 
 
 def circular_field(grid):
@@ -113,7 +113,7 @@ def test_cell_operator_kernel_and_symmetry(small_grid):
     g = small_grid
     f = circular_field(g)
     xn, yn = g.node_coords()
-    A = assemble_operator("cell", f, 1.0 + 0.5 * np.sin(xn) ** 2 * np.sin(yn) ** 2, g)
+    A = assemble_operator(f, 1.0 + 0.5 * np.sin(xn) ** 2 * np.sin(yn) ** 2, g)
     const = np.full(g.num_cells, 2.0)
     assert np.max(np.abs(A @ const)) < 1e-12
     dense = A.toarray()
@@ -122,21 +122,11 @@ def test_cell_operator_kernel_and_symmetry(small_grid):
     assert eigs.min() >= -1e-10 * eigs.max()
 
 
-def test_node_operator_dirichlet_rows(small_grid):
-    g = small_grid
-    f = circular_field(g)
-    N = assemble_operator("node", f, np.ones(g.shape_cells), g)
-    boundary = np.flatnonzero(~g.interior_node_mask.ravel())
-    row = N[boundary[3]].toarray().ravel()
-    assert row[boundary[3]] == 1.0
-    assert np.count_nonzero(row) == 1
-
-
 def test_operator_rejects_nonpositive_coeff(small_grid):
     g = small_grid
     f = circular_field(g)
     with pytest.raises(ValueError):
-        assemble_operator("cell", f, np.zeros(g.shape_nodes), g)
+        assemble_operator(f, np.zeros(g.shape_nodes), g)
 
 
 def test_interior_normal_operator_is_spd(small_grid):
@@ -193,13 +183,3 @@ def test_sbp_property_random_fields(nx, ny, angle):
     lhs = np.sum(apply_dhstar(w, f, g) * p)
     rhs = -np.sum(w * apply_dh(p, f, g))
     assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(w) * np.linalg.norm(p))
-
-
-def test_coo_dump(tmp_path, small_grid):
-    f = circular_field(small_grid)
-    G = assemble_dh(f, small_grid)
-    path = tmp_path / "op.txt"
-    write_operator_coo(path, G)
-    line = path.read_text().split("\n")[0].split()
-    assert len(line) == 3
-    int(line[0]), int(line[1]), float(line[2])
