@@ -7,8 +7,7 @@ from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star, \
     assemble_operator
 from .diffusion import AnisoDiffusionProblem, MicroMacroSolution, SolverError, \
     ap_limit_residual, solve_direct, solve_micro_macro
-from .flux import explicit_flux_vector, fv_divergence, \
-    jacobian_spectral_radius, rusanov_interface_flux
+from .flux import explicit_flux_vector, fv_divergence
 from .ap_stepper import APStepper, PhysParams, PlasmaState, StepDiagnostics, \
     assemble_R, assemble_S, step_residuals
 from .classical import BlowupDetector, stable_dt, step_classical

@@ -131,13 +131,9 @@ class StepDiagnostics:
     # stored density is rounded to machine epsilon of its own magnitude,
     # and the identity divides that by dt (plus the stiff-force echo)
     continuity_floor: dict = dataclass_field(default_factory=dict)
+    regime: dict = dataclass_field(default_factory=dict)
     diverged: bool = False
     note: str = ""
-
-
-def resolve_field(provider, t: float) -> MagneticField:
-    """Accept a static MagneticField or a callable t -> MagneticField."""
-    return provider(t) if callable(provider) else provider
 
 
 def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -228,34 +224,23 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
 
 
 class APStepper:
-    """Stateful stepper: caches grid operators and warm starts the inner
-    Krylov solves across steps (the potentials vary slowly in time)."""
+    """AP stepper on a static field.  A step is a function of its input
+    state alone: no solve is warm-started from an earlier step.  Both
+    diffusion solves share the factor of the field's macro operator, which
+    the first solve builds and the operator cache keeps."""
 
-    def __init__(self, params: PhysParams, grid: Grid, field_provider):
+    def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         if params.tau <= 0.0:
             raise ValueError("the AP step evaluates the stiff force as written "
                              "and requires tau > 0")
         self.params = params
         self.grid = grid
-        self.provider = field_provider
-        self._warm = {}
-
-    def _solve(self, slot: str, coeff, lam, rhs, field):
-        prob = AnisoDiffusionProblem(field=field, coeff=coeff, lam=lam,
-                                     tau=self.params.tau, rhs=rhs)
-        sol = solve_micro_macro(prob, self.grid,
-                                x0_h=self._warm.get(slot + ":h"),
-                                x0_w=self._warm.get(slot + ":w"))
-        self._warm[slot + ":h"] = sol.h[self.grid.interior_node_mask]
-        # micro CG runs in the tau-rescaled cell variable q / tau
-        self._warm[slot + ":w"] = sol.q.ravel() / self.params.tau
-        return sol
+        self.field = field
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
-        p, grid = self.params, self.grid
+        p, grid, field = self.params, self.grid, self.field
         diag = StepDiagnostics()
         t_new = state.t + p.dt
-        field = resolve_field(self.provider, t_new)
 
         if not (state.is_finite() and np.all(state.n > 0.0)):
             diag.diverged, diag.note = True, "invalid input state"
@@ -265,16 +250,18 @@ class APStepper:
 
         R = assemble_R(state, field, p, grid, fv)
         try:
-            sol_n = self._solve("n", np.ones(grid.shape_nodes), p.lam1, R,
-                                field)
+            sol_n = solve_micro_macro(AnisoDiffusionProblem(
+                field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
+                tau=p.tau, rhs=R), grid)
             n_new = sol_n.p
             if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
                 diag.diverged, diag.note = True, "density lost positivity"
                 return state, diag
 
             S = assemble_S(state, n_new, field, p, grid, fv)
-            sol_phi = self._solve("phi", node_average(n_new, grid), p.lam2, S,
-                                  field)
+            sol_phi = solve_micro_macro(AnisoDiffusionProblem(
+                field=field, coeff=node_average(n_new, grid), lam=p.lam2,
+                tau=p.tau, rhs=S), grid)
         except SolverError as exc:
             # recorded as divergence, so one stalled solve ends only this run
             diag.diverged, diag.note = True, str(exc)
@@ -313,6 +300,7 @@ class APStepper:
             return new, diag
 
         diag.iterations = {"n": sol_n.iterations, "phi": sol_phi.iterations}
+        diag.regime = {"n": sol_n.regime, "phi": sol_phi.regime}
         res = step_residuals(state, new, field, p, grid, fv=fv)
         diag.continuity, diag.momentum = res.continuity, res.momentum
         diag.ap_node, diag.continuity_floor = res.ap_node, res.continuity_floor

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics, \
-    resolve_field
+from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics
 from .flux import fv_divergence
 from .grid import Grid, pad_cells
+from .stencil import MagneticField
 
 
 def stable_dt(state: PlasmaState, p: PhysParams, grid: Grid,
@@ -61,7 +61,7 @@ def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
     return (r + mu * rxB + mu * mu * rB * B) / (1.0 + mu * mu * B2)
 
 
-def step_classical(state: PlasmaState, field_provider, p: PhysParams,
+def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
                    grid: Grid, pointwise_pressure: bool = False
                    ) -> tuple[PlasmaState, StepDiagnostics]:
     """One explicit step; divergence is flagged, not raised."""
@@ -72,7 +72,6 @@ def step_classical(state: PlasmaState, field_provider, p: PhysParams,
         diag.diverged, diag.note = True, "invalid input state"
         return state, diag
     t_new = state.t + p.dt
-    field = resolve_field(field_provider, t_new)
 
     grad_phi = central_gradient(state.phi, grid)
     B_c = field.b_cells * field.bmag_cells[..., None]

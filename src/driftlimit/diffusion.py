@@ -26,11 +26,24 @@ Step 3 is ``solve_micro``.  A node potential l with q = dhstar(l) exists
 by construction, but nothing downstream needs it, so it is never formed.
 ``solve_direct`` provides the independent tau > 0 oracle on the assembled
 cell system.
+
+The normal operator N1 of step 1 depends only on the field and the grid.
+``solve_micro_macro``, the per-step solver of a time stepper, factors it
+once (sparse LU with a symmetric minimum-degree ordering) and keeps the
+factor on the cached operator set, so every later macro solve is one
+triangular solve plus one step of iterative refinement.  One-shot callers
+of ``macro_potential`` get unpreconditioned CG instead: two solves per
+grid do not repay a factor whose fill costs more memory than the solves.
+Step 3 always uses CG: its coefficient changes from solve to solve.  No
+solve is warm-started, so a solution depends only on its problem.
+
+``MicroMacroSolution.regime`` is tau*lam over the operator's eigenvalue
+scale; above 1 the shift dominates and a plain direct solve of the cell
+system would serve as well as the decomposition.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -75,10 +88,11 @@ class MicroMacroSolution:
     h: np.ndarray
     iterations: dict = dataclass_field(default_factory=dict)
     kernel_residual: float = 0.0
+    regime: float = 0.0        # tau*lam / operator eigenvalue scale
 
 
-def _cg_solve(A, b, rtol: float, x0=None, label: str = "cg") -> tuple[np.ndarray, int]:
-    """CG with iteration count; MINRES fallback for stagnation."""
+def _cg_solve(A, b, rtol: float, label: str = "cg") -> tuple[np.ndarray, int]:
+    """CG from a zero start, with iteration count."""
     if not np.any(b):
         return np.zeros_like(b), 0
     count = [0]
@@ -87,14 +101,32 @@ def _cg_solve(A, b, rtol: float, x0=None, label: str = "cg") -> tuple[np.ndarray
         count[0] += 1
 
     maxiter = max(200, 12 * b.size)
-    x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter, callback=cb)
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=cb)
     if info != 0:
-        x, info = spla.minres(A, b, x0=x, rtol=rtol, maxiter=maxiter, callback=cb)
-        if info != 0:
-            resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-            raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
-                              f" relative residual {resid:.3e}")
+        resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
+                          f" relative residual {resid:.3e}")
     return x, count[0]
+
+
+def _factor_spd(A):
+    """Sparse LU of an SPD matrix: a symmetric ordering without pivoting
+    keeps the fill low."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def _factored_solve(lu, A, b, rtol: float) -> tuple[np.ndarray, int]:
+    """Factor solve plus one refinement step; the count is refinement solves."""
+    if not np.any(b):
+        return np.zeros_like(b), 0
+    x = lu.solve(b)
+    x += lu.solve(b - A @ x)
+    resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    if resid > rtol:
+        raise SolverError(f"macro potential: factored solve left relative "
+                          f"residual {resid:.3e}")
+    return x, 1
 
 
 def _embed_nodes(values_int: np.ndarray, ops, grid: Grid) -> np.ndarray:
@@ -104,18 +136,21 @@ def _embed_nodes(values_int: np.ndarray, ops, grid: Grid) -> np.ndarray:
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
-                    rtol: float = SOLVER_RTOL,
-                    x0: np.ndarray = None) -> tuple[np.ndarray, int]:
+                    rtol: float = SOLVER_RTOL) -> tuple[np.ndarray, int]:
     """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary.
 
     -dhstar(h) is then the orthogonal projection of the cell field g onto
-    K_perp, and g + dhstar(h) its projection onto the kernel K.
+    K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved
+    through the factor of N1 when the operator set holds one, else by CG.
     """
     ops = get_operator_set(field, grid)
     # matrix-free stencil annihilates constants exactly, unlike the
     # assembled matrix whose merged entries round
     rhs = apply_dh(g, field, grid).ravel()[ops.interior]
-    h_int, iters = _cg_solve(ops.N1, rhs, rtol, x0=x0, label="macro potential")
+    if ops.N1_lu is None:
+        h_int, iters = _cg_solve(ops.N1, rhs, rtol, label="macro potential")
+    else:
+        h_int, iters = _factored_solve(ops.N1_lu, ops.N1, rhs, rtol)
     return _embed_nodes(h_int, ops, grid), iters
 
 
@@ -131,8 +166,8 @@ def _stiffness_matvec(field: MagneticField, coeff: np.ndarray, grid: Grid):
 
 
 def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
-                rhs: np.ndarray, grid: Grid, rtol: float = SOLVER_RTOL,
-                x0: np.ndarray = None) -> tuple[np.ndarray, int]:
+                rhs: np.ndarray, grid: Grid,
+                rtol: float = SOLVER_RTOL) -> tuple[np.ndarray, int]:
     """Cell field w with (A_H + shift) w = rhs, A_H = -dhstar(coeff dh(.)).
 
     The micro step of the decomposition, with shift = tau*lam and rhs in
@@ -141,29 +176,24 @@ def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
     av = _stiffness_matvec(field, coeff, grid)
     M = spla.LinearOperator((grid.num_cells, grid.num_cells),
                             matvec=lambda v: av(v) + shift * v)
-    w, iters = _cg_solve(M, rhs.ravel(), rtol, x0=x0, label="micro part")
+    w, iters = _cg_solve(M, rhs.ravel(), rtol, label="micro part")
     return w.reshape(grid.shape_cells), iters
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
-                      rtol: float = SOLVER_RTOL,
-                      x0_h: np.ndarray = None,
-                      x0_w: np.ndarray = None) -> MicroMacroSolution:
+                      rtol: float = SOLVER_RTOL) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
-    x0_h / x0_w warm-start the Krylov solves (x0_w in the micro cell
-    variable q / tau).
+    Factors the macro operator of (field, grid) on first use; later calls
+    on the same field and grid reuse the factor.
     """
     ops = get_operator_set(prob.field, grid)
+    if ops.N1_lu is None:
+        ops.N1_lu = _factor_spd(ops.N1)
     lam, tau = prob.lam, prob.tau
-
-    # operator-scale guard: beyond this the decomposition has no advantage
     op_scale = 4.0 * sum(1.0 / d**2 for d in grid.spacing) * float(prob.coeff.max())
-    if tau * lam > op_scale:
-        warnings.warn("tau*lam exceeds the operator eigenvalue scale; "
-                      "a direct solve would serve as well", stacklevel=2)
 
-    h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol, x0=x0_h)
+    h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol)
     dstar_h = apply_dhstar(h, prob.field, grid)
 
     pi = (prob.rhs + dstar_h) / lam
@@ -181,12 +211,13 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_w = 0
     else:
         w, it_w = solve_micro(prob.field, prob.coeff, tau * lam, -dstar_h,
-                              grid, rtol, x0=x0_w)
+                              grid, rtol)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q, h=h,
                               iterations={"macro": it_h, "micro": it_w},
-                              kernel_residual=kernel_resid)
+                              kernel_residual=kernel_resid,
+                              regime=tau * lam / op_scale)
 
 
 def reconstruction_residual(sol: MicroMacroSolution, prob: AnisoDiffusionProblem,

@@ -12,8 +12,8 @@ of the flux above (b held fixed) has eigenvalues
 
     u_a (twice)  and  u_a +/- sqrt(u_a * b_a * (b . u)),   u = q / n,
 
-which the vectorised radius evaluates directly; ``jacobian_spectral_radius``
-keeps the dense 4x4 eigensolve as the reference.
+which the vectorised radius evaluates directly (the tests check it
+against a dense 4x4 eigensolve).
 
 Boundary interfaces use zero-gradient (copy) ghost cells on all sides.
 The classical scheme reuses this machinery with the full mass flux
@@ -49,32 +49,6 @@ def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b_cells: np.ndarray,
     return out
 
 
-def flux_jacobian(u: np.ndarray, b: np.ndarray, axis: int,
-                  mass_mode: str = "perp") -> np.ndarray:
-    """4x4 Jacobian of the explicit flux at one state, u = q/n."""
-    u = np.asarray(u, dtype=float)
-    b = np.asarray(b, dtype=float)
-    J = np.zeros((4, 4))
-    if mass_mode == "perp":
-        J[0, 1:] = np.eye(3)[axis] - b[axis] * b
-    else:
-        J[0, 1:] = np.eye(3)[axis]
-    J[1:, 0] = -u[axis] * u
-    J[1:, 1:] = u[axis] * np.eye(3)
-    J[1:, 1 + axis] += u
-    return J
-
-
-def jacobian_spectral_radius(n: float, q: np.ndarray, b: np.ndarray,
-                             axis: int) -> float:
-    """max |eigenvalue| of the 4x4 flux Jacobian, dense eigensolve."""
-    if n <= 0.0:
-        raise FloatingPointError("non-positive density")
-    u = np.asarray(q, dtype=float) / n
-    lams = np.linalg.eigvals(flux_jacobian(u, b, axis))
-    return float(np.max(np.abs(lams)))
-
-
 def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
                   method: str = "jacobian", extra_speed: float = 0.0) -> np.ndarray:
     """Vectorised per-cell viscosity speed along one axis."""
@@ -90,21 +64,6 @@ def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
     else:
         raise ValueError(f"unknown viscosity method {method!r}")
     return rad + extra_speed
-
-
-def rusanov_interface_flux(W_L: tuple, W_R: tuple, b_L: np.ndarray,
-                           b_R: np.ndarray, axis: int) -> np.ndarray:
-    """Single-interface flux F = (f_L + f_R)/2 - D (W_R - W_L)/2."""
-    nL, qL = W_L
-    nR, qR = W_R
-    fL = explicit_flux_vector(np.asarray([nL]), np.asarray([qL]),
-                              np.asarray([b_L]), axis)[0]
-    fR = explicit_flux_vector(np.asarray([nR]), np.asarray([qR]),
-                              np.asarray([b_R]), axis)[0]
-    D = max(jacobian_spectral_radius(nL, qL, b_L, axis),
-            jacobian_spectral_radius(nR, qR, b_R, axis))
-    dW = np.concatenate(([nR - nL], np.asarray(qR) - np.asarray(qL)))
-    return 0.5 * (fL + fR) - 0.5 * D * dW
 
 
 def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,

@@ -259,6 +259,18 @@ class RunConfig:
             raise ValueError("config key 'classical_dt': expected null, "
                              f"\"stable\" or a positive number, got "
                              f"{self.classical_dt!r}")
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise ValueError("config key 'out_dir': expected a path string "
+                             f"or null, got {self.out_dir!r}")
+        for key in ("grids", "tau_sweep"):
+            if len(getattr(self, key)) < 3:
+                raise ValueError(f"config key {key!r}: the slope fit needs "
+                                 "at least 3 entries")
+        for key in ("h_sweep_taus", "tau_sweep"):
+            taus = getattr(self, key)
+            if not taus or min(taus) <= 0.0:
+                raise ValueError(f"config key {key!r}: expected a nonempty "
+                                 "list of positive values")
         if len(self.c_values) != len(self.c_horizons):
             raise ValueError("config keys 'c_values' and 'c_horizons' must "
                              "have the same length")
@@ -415,6 +427,8 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
         for slot, its in diag.iterations.items():
             for part, k in its.items():
                 row[f"iters_{slot}_{part}"] = k
+        for slot, r in diag.regime.items():
+            row[f"regime_{slot}"] = r
         result.diag_rows.append(row)
         if diag.continuity:
             maxres["continuity"] = max(maxres["continuity"],
@@ -444,7 +458,7 @@ def _write_diagnostics(out_dir, results: list):
             "continuity_floor_i", "continuity_floor_e",
             "momentum_i", "momentum_e", "ap_node_i", "ap_node_e",
             "iters_n_macro", "iters_n_micro", "iters_phi_macro",
-            "iters_phi_micro", "diverged"]
+            "iters_phi_micro", "regime_n", "regime_phi", "diverged"]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w") as fh:
         fh.write(",".join(keys) + "\n")
         for res in results:
@@ -478,8 +492,11 @@ def run_two_fluid(cfg: RunConfig) -> dict:
             "diverged_step": {s: r.diverged_step for s, r in results.items()}})
         _write_diagnostics(cfg.out_dir, list(results.values()))
         for scheme, res in results.items():
-            _dump_state(cfg.out_dir, f"{scheme}_t{res.final_state.t:.9e}",
-                        res.final_state, grid)
+            # the last step's interval dump already holds the final state
+            if not (cfg.output_interval
+                    and res.steps % cfg.output_interval == 0):
+                _dump_state(cfg.out_dir, f"{scheme}_t{res.final_state.t:.9e}",
+                            res.final_state, grid)
     return {"grid": grid, "field": field, "initial": state0, "results": results}
 
 

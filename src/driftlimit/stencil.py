@@ -210,9 +210,10 @@ def assemble_operator(field: MagneticField, coeff: np.ndarray,
     return (-ops.D @ sp.diags(masked) @ ops.G).tocsr()
 
 
-# Cached per (field, grid): assembled stencil matrices and the interior
-# normal operator used by the diffusion solver.  Static fields dominate
-# usage, so assembly happens once per configuration.
+# Cached per (field, grid): assembled stencil matrices, the interior
+# normal operator used by the diffusion solver and the slot for its
+# factor, which the solver fills on its first per-step solve.  Fields are
+# static, so assembly happens once per configuration.
 _cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -225,6 +226,7 @@ def get_operator_set(field: MagneticField, grid: Grid) -> SimpleNamespace:
         interior = np.flatnonzero(grid.interior_node_mask.ravel())
         DE = D[:, interior].tocsr()
         N1 = (DE.T @ DE).tocsr()  # -dh(dhstar(.)) on interior nodes, SPD form
-        ops = SimpleNamespace(G=G, D=D, interior=interior, DE=DE, N1=N1)
+        ops = SimpleNamespace(G=G, D=D, interior=interior, DE=DE, N1=N1,
+                              N1_lu=None)
         per_field[grid] = ops
     return ops

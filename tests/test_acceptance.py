@@ -7,7 +7,6 @@ this implementation; see the companion shifted-map test and the decisions
 ledger entry)."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from driftlimit.harness import ManufacturedDiffusion, RunConfig, \
     run_c_study, run_diffusion_validation, run_simulation
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar
 
-warnings.filterwarnings("ignore", message="tau\\*lam exceeds")
 
 B_REF = (math.sin(2 * math.pi / 3), -math.cos(2 * math.pi / 3), 0.0)
 

@@ -140,23 +140,35 @@ def test_macro_part_insensitive_to_solver_path():
     # potential reaching the same projection gives the same macro part.
     # On 2D grids the interior-node count (n-1)^2 is below the cell count
     # n^2, so dhstar restricted there is injective and the potential is
-    # unique anyway; verify that, then check warm-start independence.
+    # unique anyway.
     g = grid_2d((1, 1), (2, 2), 6, 6)
     f = circular_field(g)
     ops = get_operator_set(f, g)
     D = assemble_dhstar(f, g).toarray()[:, ops.interior]
     assert np.linalg.svd(D, compute_uv=False).min() > 1e-8
 
-    rng = np.random.default_rng(4)
-    prob = AnisoDiffusionProblem(field=f, coeff=np.ones(g.shape_nodes),
-                                 lam=1.0, tau=1e-2,
-                                 rhs=rng.standard_normal(g.shape_cells))
-    sol_a = solve_micro_macro(prob, g)
-    sol_b = solve_micro_macro(prob, g,
-                              x0_h=rng.standard_normal(len(ops.interior)),
-                              x0_w=rng.standard_normal(g.num_cells))
-    assert np.max(np.abs(sol_a.pi - sol_b.pi)) <= 1e-10 * (1 + np.max(np.abs(sol_a.pi)))
-    assert np.max(np.abs(sol_a.p - sol_b.p)) <= 1e-9 * (1 + np.max(np.abs(sol_a.p)))
+
+def test_factored_macro_potential_matches_cg():
+    g = grid_2d((1, 1), (2, 2), 40, 40)
+    f = circular_field(g)
+    rng = np.random.default_rng(6)
+    gfield = rng.standard_normal(g.shape_cells)
+    ops = get_operator_set(f, g)
+    assert ops.N1_lu is None
+    h_cg, iters_cg = macro_potential(gfield, f, g)
+    # a per-step solve factors the operator set; later projections reuse it
+    solve_micro_macro(AnisoDiffusionProblem(
+        field=f, coeff=np.ones(g.shape_nodes), lam=1.0, tau=1e-2,
+        rhs=gfield), g)
+    assert ops.N1_lu is not None
+    h_lu, iters_lu = macro_potential(gfield, f, g)
+    assert iters_cg > 1 and iters_lu == 1
+    ref = apply_dhstar(h_cg, f, g)
+    gap = np.linalg.norm(apply_dhstar(h_lu, f, g) - ref)
+    assert gap <= 1e-10 * np.linalg.norm(ref)
+    # the factored path keeps the residual check
+    with pytest.raises(SolverError, match="relative residual"):
+        macro_potential(gfield, f, g, rtol=0.0)
 
 
 def test_macro_potential_projects_onto_complement():
@@ -172,11 +184,12 @@ def test_macro_potential_projects_onto_complement():
     assert abs(ip) <= 1e-8 * np.linalg.norm(kernel_part) * np.linalg.norm(w)
 
 
-def test_tau_max_guard_warns():
+def test_regime_flags_shift_dominated_problem():
     g = grid_2d((1, 1), (2, 2), 8, 8)
     f = circular_field(g)
     prob = AnisoDiffusionProblem(field=f, coeff=np.ones(g.shape_nodes),
                                  lam=1.0, tau=1e9,
                                  rhs=np.ones(g.shape_cells))
-    with pytest.warns(UserWarning):
-        solve_micro_macro(prob, g)
+    assert solve_micro_macro(prob, g).regime > 1.0
+    prob.tau = 1e-3
+    assert solve_micro_macro(prob, g).regime < 1.0

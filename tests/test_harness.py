@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlimit import harness
 from driftlimit.grid import grid_2d
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
@@ -83,7 +84,9 @@ def test_config_hash_ignores_output_directory(tmp_path):
 @pytest.mark.parametrize("override", [
     "nx=abc", "nx=1", "ny=true", "domain=[1,2]", "domain=[[2,1],[1,2]]",
     "sigma=2", "classical_dt=fast", "classical_dt=-1e-9",
-    "c_values=[1e-2,1e-3,1e-4,1e-5]"])
+    "c_values=[1e-2,1e-3,1e-4,1e-5]", "out_dir=5", "grids=[8,16]",
+    "tau_sweep=[1e-2,1e-4]", "h_sweep_taus=[]", "h_sweep_taus=[1e-2,-1e-9]",
+    "tau_sweep=[1e-2,0,1e-4]"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
@@ -221,6 +224,30 @@ def test_two_fluid_run_outputs_and_determinism(tmp_path):
         assert res.diverged_step == -1
         final = res.final_state
         assert np.max(np.abs(final.n - out1["initial"].n)) <= 1e-9
+
+
+def test_final_state_dumped_once(tmp_path, monkeypatch):
+    written = []
+    write = harness.write_field_csv
+
+    def counting(path, *args):
+        written.append(path)
+        write(path, *args)
+
+    monkeypatch.setattr(harness, "write_field_csv", counting)
+    cfg = parse_config(overrides=["nx=8", "ny=8", "t_end=1e-7",
+                                  "output_interval=10"],
+                       out_dir=str(tmp_path))
+    run_two_fluid(cfg)
+    # 20 steps per scheme: dumps after steps 10 and 20, the last of which
+    # is the final state; 4 fields each
+    assert len(written) == len(set(written)) == 2 * 2 * 4
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    ap_row = dict(zip(header, rows[1].split(",")))
+    assert ap_row["scheme"] == "ap"
+    # the reference parameters put both AP solves in the shift-dominated regime
+    assert float(ap_row["regime_n"]) > 1.0 and float(ap_row["regime_phi"]) > 1.0
 
 
 def test_boundary_band_mask_width():
