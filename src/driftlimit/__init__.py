@@ -6,7 +6,7 @@ from .grid import Grid, GridSpec, cell_from_nodes, discrete_norms, grid_2d, \
 from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star, \
     assemble_operator
 from .diffusion import AnisoDiffusionProblem, MicroMacroSolution, SolverError, \
-    ap_limit_residual, solve_direct, solve_micro_macro
+    solve_direct, solve_micro_macro
 from .flux import explicit_flux_vector, fv_divergence
 from .ap_stepper import APStepper, PhysParams, PlasmaState, StepDiagnostics, \
     assemble_R, assemble_S, step_residuals

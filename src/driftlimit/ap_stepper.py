@@ -132,6 +132,7 @@ class StepDiagnostics:
     # and the identity divides that by dt (plus the stiff-force echo)
     continuity_floor: dict = dataclass_field(default_factory=dict)
     regime: dict = dataclass_field(default_factory=dict)
+    kernel: dict = dataclass_field(default_factory=dict)
     diverged: bool = False
     note: str = ""
 
@@ -301,6 +302,8 @@ class APStepper:
 
         diag.iterations = {"n": sol_n.iterations, "phi": sol_phi.iterations}
         diag.regime = {"n": sol_n.regime, "phi": sol_phi.regime}
+        diag.kernel = {"n": sol_n.kernel_residual,
+                       "phi": sol_phi.kernel_residual}
         res = step_residuals(state, new, field, p, grid, fv=fv)
         diag.continuity, diag.momentum = res.continuity, res.momentum
         diag.ap_node, diag.continuity_floor = res.ap_node, res.continuity_floor

@@ -5,10 +5,7 @@ hydrodynamic block, isothermal pressure included, goes through the Rusanov
 flux with wave speed |u_a| + sqrt(T_a/(eps_a tau)); the electric force
 stays a pointwise source.  The stability constraint then scales like
 dt = O(h sqrt(tau)); demonstrating that restriction (and the blow-up when
-it is violated) is this scheme's purpose.  pointwise_pressure=True moves
-the pressure gradient out of the flux into a central-difference source,
-which smears the acoustic instability under heavy Rusanov viscosity and
-postpones the blow-up.
+it is violated) is this scheme's purpose.
 
 phi is updated by subtracting the two species continuity equations, which
 isolates (C_i - C_e) d_t phi; n follows from either one.  The momentum
@@ -62,8 +59,7 @@ def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
 
 
 def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
-                   grid: Grid, pointwise_pressure: bool = False
-                   ) -> tuple[PlasmaState, StepDiagnostics]:
+                   grid: Grid) -> tuple[PlasmaState, StepDiagnostics]:
     """One explicit step; divergence is flagged, not raised."""
     diag = StepDiagnostics()
     if p.tau <= 0.0:
@@ -79,11 +75,10 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
     fv = {}
     try:
         for a in SPECIES:
-            c_a = np.sqrt(p.T_a(a) / (p.eps_a(a) * p.tau))
-            pcoef = 0.0 if pointwise_pressure else p.T_a(a) / (p.eps_a(a) * p.tau)
+            c2 = p.T_a(a) / (p.eps_a(a) * p.tau)
             div4 = fv_divergence(state.n, state.q(a), field, grid,
                                  mass_mode="full", viscosity="acoustic",
-                                 extra_speed=c_a, pressure_coeff=pcoef)
+                                 extra_speed=np.sqrt(c2), pressure_coeff=c2)
             fv[a] = {"mass": div4[..., 0], "mom": div4[..., 1:]}
     except FloatingPointError as exc:
         diag.diverged, diag.note = True, str(exc)
@@ -96,8 +91,6 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
     for a in SPECIES:
         qa, eta = p.charge(a), p.eps_a(a) * p.tau
         expl = fv[a]["mom"] + (qa / eta) * state.n[..., None] * grad_phi
-        if pointwise_pressure:
-            expl = expl + (p.T_a(a) / eta) * central_gradient(state.n, grid)
         r = state.q(a) - p.dt * expl
         q_new[a] = solve_momentum_rotation(r, B_c, p.dt * qa / eta)
 

@@ -177,14 +177,9 @@ def write_field_csv(path, u: np.ndarray, grid: Grid):
         raise ValueError("CSV field dump is defined for 2D grids")
     _check_cell_shape(u, grid)
     x, y = grid.cell_coords()
-    vector = u.ndim == 3
+    table = np.column_stack((x.ravel(), y.ravel(),
+                             u.reshape(grid.num_cells, -1)))
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("x,y,vx,vy,vz\n" if vector else "x,y,value\n")
-        nx, ny = grid.shape_cells
-        for i in range(nx):
-            for j in range(ny):
-                if vector:
-                    vals = ",".join("%.17g" % v for v in u[i, j])
-                    fh.write("%.17g,%.17g,%s\n" % (x[i, j], y[i, j], vals))
-                else:
-                    fh.write("%.17g,%.17g,%.17g\n" % (x[i, j], y[i, j], u[i, j]))
+        fh.write("x,y,vx,vy,vz\n" if u.ndim == 3 else "x,y,value\n")
+        fh.write((row_fmt * grid.num_cells) % tuple(table.ravel().tolist()))

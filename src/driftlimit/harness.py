@@ -421,14 +421,13 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
         if dump_dir and cfg.output_interval and m % cfg.output_interval == 0:
             _dump_state(dump_dir, f"{scheme}_t{state.t:.9e}", state, grid)
         row = {"step": m, "time": state.t, "diverged": diag.diverged}
-        for key in ("continuity", "momentum", "ap_node", "continuity_floor"):
+        for key in ("continuity", "momentum", "ap_node", "continuity_floor",
+                    "regime", "kernel"):
             for a, v in getattr(diag, key).items():
                 row[f"{key}_{a}"] = v
         for slot, its in diag.iterations.items():
             for part, k in its.items():
                 row[f"iters_{slot}_{part}"] = k
-        for slot, r in diag.regime.items():
-            row[f"regime_{slot}"] = r
         result.diag_rows.append(row)
         if diag.continuity:
             maxres["continuity"] = max(maxres["continuity"],
@@ -458,7 +457,8 @@ def _write_diagnostics(out_dir, results: list):
             "continuity_floor_i", "continuity_floor_e",
             "momentum_i", "momentum_e", "ap_node_i", "ap_node_e",
             "iters_n_macro", "iters_n_micro", "iters_phi_macro",
-            "iters_phi_micro", "regime_n", "regime_phi", "diverged"]
+            "iters_phi_micro", "regime_n", "regime_phi", "kernel_n",
+            "kernel_phi", "diverged"]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w") as fh:
         fh.write(",".join(keys) + "\n")
         for res in results:

@@ -16,13 +16,14 @@ Three stencils are provided, all second-order on uniform meshes:
 Raw stencils are defined at every node via edge-replicated ghost cells
 (one-sided at the boundary layer).  The homogeneous flux condition of the
 diffusion problems (b-derivative zero on the boundary node layer) is not
-part of the raw stencils: assembled operators and the time stepper impose
-it by zeroing the flux on boundary nodes (``zero_boundary=True`` /
-the mask baked into assembled matrices).
+part of the raw stencils: the time stepper imposes it by zeroing the flux
+on boundary nodes (``zero_boundary=True``), the assembled operators by
+keeping only the interior node columns of dhstar.
 
-Sparse assembly builds every operator as a Kronecker product of 1D
-difference/average/padding factors, so the assembled matrices match the
-matrix-free stencils to round-off by construction.
+Only dhstar is assembled, as a Kronecker product of 1D difference/average
+factors.  Its interior-column block DE determines the rest: by the SBP
+identity the interior rows of dh are exactly -DE^T, so the masked cell
+operator is DE diag(H) DE^T and the macro normal operator is DE^T DE.
 """
 
 from __future__ import annotations
@@ -132,13 +133,6 @@ def apply_dhstar(w: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
 # Sparse assembly: 1D factors combined with Kronecker products.
 # ---------------------------------------------------------------------------
 
-def _pad_matrix(n: int) -> sp.csr_matrix:
-    """(n+2) x n edge-replication."""
-    rows = np.concatenate(([0], np.arange(1, n + 1), [n + 1]))
-    cols = np.concatenate(([0], np.arange(n), [n - 1]))
-    return sp.csr_matrix((np.ones(n + 2), (rows, cols)), shape=(n + 2, n))
-
-
 def _diff_matrix(m: int, d: float) -> sp.csr_matrix:
     """(m-1) x m forward difference / d."""
     return sp.diags([-np.ones(m - 1) / d, np.ones(m - 1) / d], [0, 1],
@@ -156,27 +150,6 @@ def _kron_all(factors) -> sp.csr_matrix:
     for f in factors[1:]:
         out = sp.kron(out, f, format="csr")
     return out
-
-
-def assemble_grad_star(grid: Grid) -> list[sp.csr_matrix]:
-    """Per-axis node-gradient matrices (num_nodes x num_cells each)."""
-    mats = []
-    for a in range(grid.dim):
-        factors = []
-        for b in range(grid.dim):
-            n = grid.shape_cells[b]
-            core = _diff_matrix(n + 2, grid.spacing[a]) if b == a else _avg_matrix(n + 2)
-            factors.append(core @ _pad_matrix(n))
-        mats.append(_kron_all(factors))
-    return mats
-
-
-def assemble_dh(field: MagneticField, grid: Grid) -> sp.csr_matrix:
-    """Cell -> node matrix of the b-directional derivative (raw stencil)."""
-    Gs = assemble_grad_star(grid)
-    b = field.b_nodes.reshape(-1, 3)
-    out = sum(sp.diags(b[:, a]) @ Gs[a] for a in range(grid.dim))
-    return out.tocsr()
 
 
 def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
@@ -199,21 +172,22 @@ def assemble_operator(field: MagneticField, coeff: np.ndarray,
     """Cell diffusion operator A_c = -dhstar(coeff * dh(.)), cell -> cell.
 
     The flux coeff*dh is zeroed on boundary nodes (coeff sampled at nodes),
-    which bakes in the homogeneous flux condition.
+    which bakes in the homogeneous flux condition: A_c = DE diag(coeff) DE^T
+    over the interior nodes.
     """
     coeff = np.asarray(coeff, dtype=float)
     if not np.all(coeff > 0.0):
         raise ValueError("diffusion coefficient must be positive")
     _check_node_shape(coeff, grid)
     ops = get_operator_set(field, grid)
-    masked = np.where(grid.interior_node_mask, coeff, 0.0).ravel()
-    return (-ops.D @ sp.diags(masked) @ ops.G).tocsr()
+    return (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DEt).tocsr()
 
 
-# Cached per (field, grid): assembled stencil matrices, the interior
-# normal operator used by the diffusion solver and the slot for its
-# factor, which the solver fills on its first per-step solve.  Fields are
-# static, so assembly happens once per configuration.
+# Cached per (field, grid): the interior block DE of the assembled dhstar,
+# its transpose (the interior rows of -dh, stored in CSR for fast products),
+# the macro normal operator N1 and the slot for its factor, which the
+# solver fills on its first per-step solve.  Fields are static, so assembly
+# happens once per configuration.
 _cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -221,12 +195,10 @@ def get_operator_set(field: MagneticField, grid: Grid) -> SimpleNamespace:
     per_field = _cache.setdefault(field, weakref.WeakKeyDictionary())
     ops = per_field.get(grid)
     if ops is None:
-        G = assemble_dh(field, grid)
-        D = assemble_dhstar(field, grid)
         interior = np.flatnonzero(grid.interior_node_mask.ravel())
-        DE = D[:, interior].tocsr()
+        DE = assemble_dhstar(field, grid)[:, interior].tocsr()
         N1 = (DE.T @ DE).tocsr()  # -dh(dhstar(.)) on interior nodes, SPD form
-        ops = SimpleNamespace(G=G, D=D, interior=interior, DE=DE, N1=N1,
-                              N1_lu=None)
+        ops = SimpleNamespace(interior=interior, DE=DE, DEt=DE.T.tocsr(),
+                              N1=N1, N1_lu=None)
         per_field[grid] = ops
     return ops

@@ -87,14 +87,6 @@ def test_stationary_state_preserved():
     assert drift <= 1e-7
 
 
-def test_pointwise_pressure_variant_runs():
-    cfg = RunConfig(nx=12, ny=12)
-    grid, field, s0 = make_two_fluid_setup(cfg)
-    p = cfg.phys_params(dt=stable_dt(s0, cfg.phys_params(), grid))
-    s, diag = step_classical(s0, field, p, grid, pointwise_pressure=True)
-    assert not diag.diverged
-
-
 def test_blowup_detector():
     cfg = RunConfig(nx=8, ny=8, eta=0.0)
     _, _, s0 = make_two_fluid_setup(cfg)

@@ -104,7 +104,10 @@ def test_csv_dump_format(tmp_path):
 
     vpath = tmp_path / "vec.csv"
     write_field_csv(vpath, np.ones(g.shape_cells + (3,)), g)
-    assert vpath.read_text().startswith("x,y,vx,vy,vz\n")
+    vlines = vpath.read_text().split("\n")
+    assert vlines[0] == "x,y,vx,vy,vz"
+    assert vlines[1] == lines[1].rsplit(",", 1)[0] + ",1,1,1"
+    assert len(vlines) == 8 and vlines[-1] == ""
 
 
 def test_csv_full_precision(tmp_path):

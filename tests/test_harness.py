@@ -248,6 +248,13 @@ def test_final_state_dumped_once(tmp_path, monkeypatch):
     assert ap_row["scheme"] == "ap"
     # the reference parameters put both AP solves in the shift-dominated regime
     assert float(ap_row["regime_n"]) > 1.0 and float(ap_row["regime_phi"]) > 1.0
+    # the macro parts stay in the discrete kernel, below the absolute floor
+    # 1e-12 of the solver's kernel tolerance, on every AP step
+    for line in rows[1:]:
+        row = dict(zip(header, line.split(",")))
+        if row["scheme"] == "ap":
+            assert 0.0 <= float(row["kernel_n"]) < 1e-12
+            assert 0.0 <= float(row["kernel_phi"]) < 1e-12
 
 
 def test_boundary_band_mask_width():
