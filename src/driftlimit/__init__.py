@@ -3,10 +3,9 @@ plasma under a strong magnetic field at low Mach number."""
 
 from .grid import Grid, GridSpec, cell_from_nodes, discrete_norms, grid_2d, \
     node_average
-from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star, \
-    assemble_operator
+from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
 from .diffusion import AnisoDiffusionProblem, MicroMacroSolution, SolverError, \
-    solve_direct, solve_micro_macro
+    solve_micro_macro
 from .flux import explicit_flux_vector, fv_divergence
 from .ap_stepper import APStepper, PhysParams, PlasmaState, StepDiagnostics, \
     assemble_R, assemble_S, step_residuals

@@ -141,15 +141,11 @@ def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * np.einsum("...k,...k->...", b, v)[..., None]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.cross(a, b)
-
-
 def solve_perp_rotation(r_perp: np.ndarray, b: np.ndarray,
                         gamma) -> np.ndarray:
     """Closed form of (I - gamma b x) v = r_perp on the plane normal to b."""
     g = np.asarray(gamma, dtype=float)[..., None]
-    return (r_perp + g * _cross(b, r_perp)) / (1.0 + g * g)
+    return (r_perp + g * np.cross(b, r_perp)) / (1.0 + g * g)
 
 
 def species_fv_divergence(state: PlasmaState, field: MagneticField,
@@ -157,7 +153,7 @@ def species_fv_divergence(state: PlasmaState, field: MagneticField,
     """Explicit FV divergences per species: mass (perp flux) and momentum."""
     out = {}
     for a in SPECIES:
-        div4 = fv_divergence(state.n, state.q(a), field, grid, mass_mode="perp")
+        div4 = fv_divergence(state.n, state.q(a), field, grid)
         out[a] = {"mass": div4[..., 0], "mom": div4[..., 1:]}
     return out
 
@@ -170,10 +166,9 @@ def _div_parallel(v_cells: np.ndarray, field: MagneticField,
 
 
 def assemble_R(state: PlasmaState, field: MagneticField, p: PhysParams,
-               grid: Grid, fv: dict = None) -> np.ndarray:
-    """Source of the density diffusion equation (explicit data only)."""
-    if fv is None:
-        fv = species_fv_divergence(state, field, grid)
+               grid: Grid, fv: dict) -> np.ndarray:
+    """Source of the density diffusion equation (explicit data only); fv
+    is ``species_fv_divergence`` of the state."""
     dt, eps = p.dt, p.eps
     arg = (-(state.q_i + eps * state.q_e) / dt
            + fv["i"]["mom"] + eps * fv["e"]["mom"])
@@ -183,10 +178,9 @@ def assemble_R(state: PlasmaState, field: MagneticField, p: PhysParams,
 
 
 def assemble_S(state: PlasmaState, n_new: np.ndarray, field: MagneticField,
-               p: PhysParams, grid: Grid, fv: dict = None) -> np.ndarray:
-    """Source of the potential diffusion equation (needs the new density)."""
-    if fv is None:
-        fv = species_fv_divergence(state, field, grid)
+               p: PhysParams, grid: Grid, fv: dict) -> np.ndarray:
+    """Source of the potential diffusion equation (needs the new density);
+    fv is ``species_fv_divergence`` of the state."""
     dt, eps, Te = p.dt, p.eps, p.T_e
     r = eps / Te
     arg = (-(state.q_i - r * state.q_e) / dt
@@ -218,7 +212,8 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
         qa, Ta = p.charge(a), p.T_a(a)
         s = Ta * dh_n + qa * n_star * dh_phi
         F_par = cell_from_nodes(b_n * s[..., None], grid)
-        P_node = _cross(b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
+        P_node = np.cross(
+            b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
             / field.bmag_nodes[..., None]
         terms[a] = (s, F_par, cell_from_nodes(P_node, grid))
     return terms
@@ -286,7 +281,7 @@ class APStepper:
                      - (p.dt / eta) * F_par)
 
             # perpendicular update; electric/pressure term node-coupled
-            r = P_c + (qa * eta / bmag_c)[..., None] * _cross(
+            r = P_c + (qa * eta / bmag_c)[..., None] * np.cross(
                 b_c, -state.q(a) / p.dt + fv[a]["mom"])
             r_perp = r - _parallel(r, b_c)
             gamma = qa * eta / (p.dt * bmag_c)
@@ -300,33 +295,31 @@ class APStepper:
             diag.diverged, diag.note = True, "momentum diverged"
             return new, diag
 
+        diag = step_residuals(state, new, field, p, grid, fv, forces)
         diag.iterations = {"n": sol_n.iterations, "phi": sol_phi.iterations}
         diag.regime = {"n": sol_n.regime, "phi": sol_phi.regime}
         diag.kernel = {"n": sol_n.kernel_residual,
                        "phi": sol_phi.kernel_residual}
-        res = step_residuals(state, new, field, p, grid, fv=fv)
-        diag.continuity, diag.momentum = res.continuity, res.momentum
-        diag.ap_node, diag.continuity_floor = res.ap_node, res.continuity_floor
         return new, diag
 
 
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
                    field: MagneticField, p: PhysParams, grid: Grid,
-                   fv: dict = None) -> StepDiagnostics:
+                   fv: dict, forces: dict) -> StepDiagnostics:
     """Plug both time levels into the discrete equations.
 
-    Continuity uses the same realisations the eliminations used: explicit
-    parallel flux via dhstar(b . node_average(.)), stiff force via the
-    three-point composite dhstar(s).  Momentum recombines the parallel and
-    perpendicular force realisations into the full equation.  Residual
-    norms are reported relative to the largest constituent term.
+    fv is ``species_fv_divergence`` of state_m and forces is
+    ``stiff_force_terms`` of (state_new.n, state_new.phi): the terms the
+    step itself used.  Continuity uses the same realisations the
+    eliminations used: explicit parallel flux via dhstar(b .
+    node_average(.)), stiff force via the three-point composite
+    dhstar(s).  Momentum recombines the parallel and perpendicular force
+    realisations into the full equation.  Residual norms are reported
+    relative to the largest constituent term.
     """
-    if fv is None:
-        fv = species_fv_divergence(state_m, field, grid)
     diag = StepDiagnostics()
     dt = p.dt
     b_c, b_n = field.b_cells, field.b_nodes
-    forces = stiff_force_terms(state_new.n, state_new.phi, field, p, grid)
 
     def l2(x):
         return float(np.linalg.norm(x))
@@ -352,12 +345,12 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         diag.continuity_floor[a] = floor / scale if scale > 0 else 0.0
 
         # momentum
-        F_perp = -qa * field.bmag_cells[..., None] * _cross(b_c, P_c)
+        F_perp = -qa * field.bmag_cells[..., None] * np.cross(b_c, P_c)
         B_c = b_c * field.bmag_cells[..., None]
         mterms = [(state_new.q(a) - state_m.q(a)) / dt,
                   fv[a]["mom"],
                   (F_par + F_perp) / eta,
-                  -(qa / eta) * _cross(state_new.q(a), B_c)]
+                  -(qa / eta) * np.cross(state_new.q(a), B_c)]
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust
         mscale = max(max(l2(t) for t in mterms),

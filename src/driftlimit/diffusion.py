@@ -24,8 +24,8 @@ K_perp = range of dhstar over interior-supported node fields:
 At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
 Step 3 is ``solve_micro``.  A node potential l with q = dhstar(l) exists
 by construction, but nothing downstream needs it, so it is never formed.
-``solve_direct`` provides the independent tau > 0 oracle on the assembled
-cell system.
+The tests check the decomposition against an independent tau > 0 oracle,
+a sparse direct solve of the assembled cell system.
 
 The normal operator N1 of step 1 depends only on the field and the grid.
 ``solve_micro_macro``, the per-step solver of a time stepper, factors it
@@ -54,12 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .stencil import MagneticField, apply_dh, apply_dhstar, assemble_operator, \
-    get_operator_set
+from .stencil import MagneticField, apply_dh, apply_dhstar, get_operator_set
 
 SOLVER_RTOL = 1e-12
 
@@ -92,7 +90,6 @@ class MicroMacroSolution:
     p: np.ndarray
     pi: np.ndarray
     q: np.ndarray
-    h: np.ndarray
     iterations: dict = dataclass_field(default_factory=dict)
     kernel_residual: float = 0.0
     regime: float = 0.0        # tau*lam / operator eigenvalue scale
@@ -213,29 +210,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                               grid, rtol)
         q = tau * w
 
-    return MicroMacroSolution(p=pi + q, pi=pi, q=q, h=h,
+    return MicroMacroSolution(p=pi + q, pi=pi, q=q,
                               iterations={"macro": it_h, "micro": it_w},
                               kernel_residual=kernel_resid,
                               regime=tau * lam / op_scale)
-
-
-def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:
-    """Sparse direct solve of (A_H + tau*lam*I) p = tau*f; requires tau > 0."""
-    if prob.tau <= 0.0:
-        raise ValueError("direct solve requires tau > 0 (system singular at 0)")
-    A = assemble_operator(prob.field, prob.coeff, grid)
-    M = (A + prob.tau * prob.lam * sp.eye(grid.num_cells)).tocsc()
-    b = prob.tau * prob.rhs.ravel()
-    lu = spla.splu(M)
-    p = lu.solve(b)
-    scale = np.linalg.norm(b)
-    for _ in range(3):  # iterative refinement to a firm 1e-12
-        r = b - M @ p
-        if np.linalg.norm(r) <= 1e-13 * scale:
-            break
-        p = p + lu.solve(r)
-    resid = np.linalg.norm(M @ p - b)
-    if scale > 0.0 and resid > 1e-12 * scale:
-        raise SolverError(f"direct solve residual {resid / scale:.3e} above 1e-12")
-    return p.reshape(grid.shape_cells)
-

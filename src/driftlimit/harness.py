@@ -384,7 +384,6 @@ class SimulationResult:
     diverged_step: int = -1             # -1: completed
     note: str = ""
     diag_rows: list = dataclass_field(default_factory=list)
-    max_residuals: dict = dataclass_field(default_factory=dict)
 
 
 def _num_steps(t_end: float, dt: float) -> int:
@@ -410,7 +409,6 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
     detector = BlowupDetector(state0)
     result = SimulationResult(scheme=scheme, dt=dt, final_state=state, steps=0)
     stepper = APStepper(params, grid, field) if scheme == "ap" else None
-    maxres = {"continuity": 0.0, "momentum": 0.0}
 
     for m in range(1, steps + 1):
         if scheme == "ap":
@@ -429,11 +427,6 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
             for part, k in its.items():
                 row[f"iters_{slot}_{part}"] = k
         result.diag_rows.append(row)
-        if diag.continuity:
-            maxres["continuity"] = max(maxres["continuity"],
-                                       *diag.continuity.values())
-            maxres["momentum"] = max(maxres["momentum"],
-                                     *diag.momentum.values())
         result.steps = m
         if diag.diverged or detector(state):
             result.diverged_step = m
@@ -441,7 +434,6 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
             break
 
     result.final_state = state
-    result.max_residuals = maxres
     return result
 
 

@@ -23,7 +23,9 @@ keeping only the interior node columns of dhstar.
 Only dhstar is assembled, as a Kronecker product of 1D difference/average
 factors.  Its interior-column block DE determines the rest: by the SBP
 identity the interior rows of dh are exactly -DE^T, so the masked cell
-operator is DE diag(H) DE^T and the macro normal operator is DE^T DE.
+operator -dhstar(H dh(.)) is DE diag(H) DE^T (which the micro solve
+applies and the tests' direct oracle assembles) and the macro normal
+operator is DE^T DE.
 """
 
 from __future__ import annotations
@@ -165,22 +167,6 @@ def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
         term = _kron_all(factors) @ sp.diags(b[:, a])
         out = term if out is None else out + term
     return out.tocsr()
-
-
-def assemble_operator(field: MagneticField, coeff: np.ndarray,
-                      grid: Grid) -> sp.csr_matrix:
-    """Cell diffusion operator A_c = -dhstar(coeff * dh(.)), cell -> cell.
-
-    The flux coeff*dh is zeroed on boundary nodes (coeff sampled at nodes),
-    which bakes in the homogeneous flux condition: A_c = DE diag(coeff) DE^T
-    over the interior nodes.
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    if not np.all(coeff > 0.0):
-        raise ValueError("diffusion coefficient must be positive")
-    _check_node_shape(coeff, grid)
-    ops = get_operator_set(field, grid)
-    return (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DEt).tocsr()
 
 
 # Cached per (field, grid): the interior block DE of the assembled dhstar,

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import driftlimit as dl
-from driftlimit.diffusion import solve_direct, solve_micro_macro
-from driftlimit.grid import Grid, GridSpec, discrete_norms, grid_2d
+from driftlimit.diffusion import solve_micro_macro
+from driftlimit.grid import grid_2d
 from driftlimit.harness import ManufacturedDiffusion, RunConfig, \
-    boundary_band_mask, classify_boundary_artifacts, make_two_fluid_setup, \
-    run_c_study, run_diffusion_validation, run_simulation
-from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar
+    classify_boundary_artifacts, make_two_fluid_setup, run_c_study, \
+    run_diffusion_validation, run_simulation
+from driftlimit.stencil import apply_dh, apply_dhstar
+from oracles import solve_direct
 
 
 B_REF = (math.sin(2 * math.pi / 3), -math.cos(2 * math.pi / 3), 0.0)

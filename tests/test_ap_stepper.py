@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit import ap_stepper, diffusion
-from driftlimit.ap_stepper import APStepper, PhysParams, PlasmaState, \
-    assemble_R, assemble_S, solve_perp_rotation, species_fv_divergence, \
-    step_residuals
+from driftlimit.ap_stepper import APStepper, PhysParams, assemble_R, \
+    assemble_S, solve_perp_rotation, species_fv_divergence, \
+    step_residuals, stiff_force_terms
 from driftlimit.diffusion import SolverError
 from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
     run_c_study
@@ -57,7 +57,7 @@ def test_assemble_R_stationary_value():
     # R survives since every stencil annihilates the constant state
     cfg, grid, field, s = stationary_setup()
     p = cfg.phys_params()
-    R = assemble_R(s, field, p, grid)
+    R = assemble_R(s, field, p, grid, species_fv_divergence(s, field, grid))
     expect = (1 + p.eps) * s.n[0, 0] / ((1 + p.T_e) * p.dt**2)
     assert np.max(np.abs(R - expect)) <= 1e-12 * abs(expect)
 
@@ -67,7 +67,7 @@ def test_assemble_R_zero_momentum_keeps_density_term_only():
     p = cfg.phys_params()
     s.q_i[...] = 0.0
     s.q_e[...] = 0.0
-    R = assemble_R(s, field, p, grid)
+    R = assemble_R(s, field, p, grid, species_fv_divergence(s, field, grid))
     expect = (1 + p.eps) * s.n / ((1 + p.T_e) * p.dt**2)
     assert np.max(np.abs(R - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -78,15 +78,17 @@ def test_assemble_R_dt_scaling():
     s.q_e[...] = 0.0
     p1 = cfg.phys_params(dt=1e-6)
     p2 = cfg.phys_params(dt=2e-6)
-    R1 = assemble_R(s, field, p1, grid)
-    R2 = assemble_R(s, field, p2, grid)
+    fv = species_fv_divergence(s, field, grid)
+    R1 = assemble_R(s, field, p1, grid, fv)
+    R2 = assemble_R(s, field, p2, grid, fv)
     assert np.allclose(R2, R1 / 4.0, rtol=1e-12)
 
 
 def test_assemble_S_stationary_is_zero():
     cfg, grid, field, s = stationary_setup()
     p = cfg.phys_params()
-    S = assemble_S(s, s.n, field, p, grid)
+    S = assemble_S(s, s.n, field, p, grid,
+                   species_fv_divergence(s, field, grid))
     assert np.max(np.abs(S)) <= 1e-9  # scales ~1/dt^2, zero to round-off
 
 
@@ -95,7 +97,8 @@ def test_assemble_S_constant_phi_consistency():
     p = cfg.phys_params()
     phi0 = 0.37
     s.phi[...] = phi0
-    S = assemble_S(s, s.n, field, p, grid)
+    S = assemble_S(s, s.n, field, p, grid,
+                   species_fv_divergence(s, field, grid))
     assert np.allclose(S, p.lam2 * phi0, rtol=1e-12)
     # and the phi solve then reproduces phi0
     stepper = APStepper(p, grid, field)
@@ -233,11 +236,43 @@ def test_step_residuals_on_stationary_pair():
     p = cfg.phys_params()
     stepper = APStepper(p, grid, field)
     s1, _ = stepper.step(s0)
-    diag = step_residuals(s0, s1, field, p, grid)
+    diag = step_residuals(s0, s1, field, p, grid,
+                          species_fv_divergence(s0, field, grid),
+                          stiff_force_terms(s1.n, s1.phi, field, p, grid))
     for a in ("i", "e"):
         assert diag.continuity[a] <= 1e-8
         assert diag.momentum[a] <= 1e-8
         assert diag.ap_node[a] <= 1e-10
+
+
+def test_step_diagnostics_match_fresh_residuals():
+    # the step hands its own FV divergences and stiff force to the
+    # residuals; recomputing both from the two states gives the same bits
+    cfg, grid, field, s0, s1, diag = perturbed_step(1e-8, nx=16)
+    p = cfg.phys_params()
+    fresh = step_residuals(s0, s1, field, p, grid,
+                           species_fv_divergence(s0, field, grid),
+                           stiff_force_terms(s1.n, s1.phi, field, p, grid))
+    assert not diag.diverged
+    for key in ("continuity", "momentum", "ap_node", "continuity_floor"):
+        assert getattr(diag, key) == getattr(fresh, key), key
+
+
+def test_stiff_force_evaluated_once_per_step(monkeypatch):
+    calls = []
+    forces = ap_stepper.stiff_force_terms
+
+    def counting(*args):
+        calls.append(args)
+        return forces(*args)
+
+    monkeypatch.setattr(ap_stepper, "stiff_force_terms", counting)
+    cfg, grid, field, s0 = stationary_setup()
+    stepper = APStepper(cfg.phys_params(), grid, field)
+    s1, diag = stepper.step(s0)
+    stepper.step(s1)
+    assert not diag.diverged and diag.continuity
+    assert len(calls) == 2
 
 
 def test_step_is_a_function_of_its_input_state():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlimit.ap_stepper import PhysParams, PlasmaState
+from driftlimit.ap_stepper import PhysParams
 from driftlimit.classical import BlowupDetector, central_gradient, \
     solve_momentum_rotation, stable_dt, step_classical
 from driftlimit.harness import RunConfig, make_two_fluid_setup

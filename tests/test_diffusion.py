@@ -3,11 +3,12 @@ import pytest
 
 from driftlimit import diffusion
 from driftlimit.diffusion import AnisoDiffusionProblem, SolverError, \
-    macro_potential, solve_direct, solve_micro_macro
+    macro_potential, solve_micro_macro
 from driftlimit.grid import grid_2d
 from driftlimit.harness import ManufacturedDiffusion
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
+from oracles import solve_direct
 
 
 def circular_field(grid):

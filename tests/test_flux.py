@@ -197,16 +197,32 @@ def test_divergence_flags_invalid_state():
 
 
 def test_pressure_flux_and_bound_options():
-    g = grid_2d((0, 0), (1, 1), 4, 4)
+    # a number c2 selects the classical full flux: mass flux q_a, pressure
+    # c2 * n on the axis momentum row and speed |u_a| + sqrt(c2); the AP
+    # split flux (c2 None) keeps only the perpendicular mass flux
+    n = np.array([2.0])
+    q = np.array([[1.0, 0.5, -1.0]])
+    b = np.array([[0.6, 0.0, 0.8]])
+    assert np.allclose(explicit_flux_vector(n, q, b, 0, c2=9.0)[0],
+                       [1.0, 18.5, 0.25, -0.5], rtol=0, atol=1e-15)
+    assert np.allclose(explicit_flux_vector(n, q, b, 1, c2=9.0)[0],
+                       [0.5, 0.25, 18.125, -0.25], rtol=0, atol=1e-15)
+    assert np.allclose(explicit_flux_vector(n, q, b, 0)[0],
+                       [1.12, 0.5, 0.25, -0.5], rtol=0, atol=1e-15)
+    assert _radius_field(n, q, b, 0, c2=9.0)[0] == 3.5
+    assert _radius_field(n, q, b, 1, c2=9.0)[0] == 3.25
+
+    # the 1D step of test_divergence_1d_step_hand_computed with c2 = 4:
+    # left flux (1, 1 + 4, 0, 0), right flux (0, 4, 0, 0), D = 1 + 2
+    g = grid_2d((0, 0), (4, 2), 4, 2)
     f = MagneticField.uniform(g, (0.0, 0.0, 1.0))
-    rng = np.random.default_rng(1)
-    n = 1.0 + 0.2 * rng.random(g.shape_cells)
-    q = 0.1 * rng.standard_normal(g.shape_cells + (3,))
-    base = fv_divergence(n, q, f, g, mass_mode="full", viscosity="acoustic",
-                         extra_speed=3.0)
-    withp = fv_divergence(n, q, f, g, mass_mode="full", viscosity="acoustic",
-                          extra_speed=3.0, pressure_coeff=9.0)
-    assert not np.allclose(base[..., 1:3], withp[..., 1:3])
-    assert np.allclose(base[..., 0], withp[..., 0])
-    with pytest.raises(ValueError):
-        fv_divergence(n, q, f, g, viscosity="bound")
+    nc = np.ones(g.shape_cells)
+    qc = np.zeros(g.shape_cells + (3,))
+    qc[:2, :, 0] = 1.0
+    div = fv_divergence(nc, qc, f, g, c2=4.0)
+    F_jump = 0.5 * np.array([1.0, 9.0, 0, 0]) \
+        - 0.5 * 3.0 * np.array([0.0, -1.0, 0, 0])
+    assert np.allclose(div[1, 0], F_jump - [1.0, 5.0, 0, 0], atol=1e-14)
+    assert np.allclose(div[2, 0], [0.0, 4.0, 0, 0] - F_jump, atol=1e-14)
+    assert np.allclose(div[0, :], 0.0, atol=1e-14)
+    assert np.allclose(div[3, :], 0.0, atol=1e-14)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from driftlimit.grid import Grid, GridSpec, grid_2d
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
-    apply_grad_star, assemble_dhstar, assemble_operator, get_operator_set
+    apply_grad_star, assemble_dhstar, get_operator_set
+from oracles import assemble_operator
 
 
 def circular_field(grid):
