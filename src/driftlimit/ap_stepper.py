@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .diffusion import AnisoDiffusionProblem, SolverError, solve_micro_macro
+from .diffusion import AnisoDiffusionProblem, SolverError, micro_factor, \
+    solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, node_average
 from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
@@ -223,7 +224,14 @@ class APStepper:
     """AP stepper on a static field.  A step is a function of its input
     state alone: no solve is warm-started from an earlier step.  Both
     diffusion solves share the factor of the field's macro operator, which
-    the first solve builds and the operator cache keeps."""
+    the first solve builds and the operator cache keeps.
+
+    The stepper owns one more factor, of the unit-coefficient potential
+    micro operator A_1 + tau*lam2, built here when that solve's regime is
+    below 1: it depends on tau, dt and C, and it preconditions the micro
+    CG of every phi solve, whose coefficient node_average(n) stays close
+    to 1.  The density micro solve (unit coefficient, shift tau*lam1)
+    stays plain CG."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         if params.tau <= 0.0:
@@ -232,6 +240,7 @@ class APStepper:
         self.params = params
         self.grid = grid
         self.field = field
+        self.phi_lu = micro_factor(field, grid, params.tau * params.lam2)
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
         p, grid, field = self.params, self.grid, self.field
@@ -257,7 +266,7 @@ class APStepper:
             S = assemble_S(state, n_new, field, p, grid, fv)
             sol_phi = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=node_average(n_new, grid), lam=p.lam2,
-                tau=p.tau, rhs=S), grid)
+                tau=p.tau, rhs=S), grid, micro_lu=self.phi_lu)
         except SolverError as exc:
             # recorded as divergence, so one stalled solve ends only this run
             diag.diverged, diag.note = True, str(exc)

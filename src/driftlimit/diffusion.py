@@ -34,8 +34,15 @@ factor on the cached operator set, so every later macro solve is one
 triangular solve plus one step of iterative refinement.  One-shot callers
 of ``macro_potential`` get unpreconditioned CG instead: two solves per
 grid do not repay a factor whose fill costs more memory than the solves.
-Step 3 always uses CG: its coefficient changes from solve to solve.  No
-solve is warm-started, so a solution depends only on its problem.
+Step 3 uses CG, since its coefficient changes from solve to solve.  A
+caller that solves many micro problems with one shift can precondition
+that CG with ``micro_factor``, a factor of the unit-coefficient operator
+A_1 + shift: the AP stepper does so for its potential, whose coefficient
+(the node-averaged density) stays close to 1, so the two operators are
+spectrally equivalent and PCG converges in a few iterations.  The factor
+is built only below regime 1 (see below), where the micro condition
+number on K_perp, at most 1 + 1/regime, makes plain CG slow.  No solve is
+warm-started, so a solution depends only on its problem.
 
 Both Krylov operators are products with the cached interior block DE of
 the assembled dhstar: N1 = DE^T DE and A_H = DE diag(H) DE^T, which is
@@ -54,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
@@ -95,8 +103,10 @@ class MicroMacroSolution:
     regime: float = 0.0        # tau*lam / operator eigenvalue scale
 
 
-def _cg_solve(A, b, rtol: float, label: str = "cg") -> tuple[np.ndarray, int]:
-    """CG from a zero start, with iteration count."""
+def _cg_solve(A, b, rtol: float, label: str = "cg",
+              M=None) -> tuple[np.ndarray, int]:
+    """CG from a zero start, preconditioned by M if given, with iteration
+    count."""
     if not np.any(b):
         return np.zeros_like(b), 0
     count = [0]
@@ -105,7 +115,8 @@ def _cg_solve(A, b, rtol: float, label: str = "cg") -> tuple[np.ndarray, int]:
         count[0] += 1
 
     maxiter = max(200, 12 * b.size)
-    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=cb)
+    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M,
+                      callback=cb)
     if info != 0:
         resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
@@ -131,6 +142,21 @@ def _factored_solve(lu, A, b, rtol: float) -> tuple[np.ndarray, int]:
         raise SolverError(f"macro potential: factored solve left relative "
                           f"residual {resid:.3e}")
     return x, 1
+
+
+def operator_scale(grid: Grid, coeff_max: float = 1.0) -> float:
+    """Eigenvalue scale of A_H, the denominator of the regime tau*lam / scale."""
+    return 4.0 * sum(1.0 / d**2 for d in grid.spacing) * coeff_max
+
+
+def micro_factor(field: MagneticField, grid: Grid, shift: float):
+    """Factor of the unit-coefficient micro operator A_1 + shift on cells,
+    the preconditioner of ``solve_micro``; None at regime >= 1, where plain
+    CG already converges in a few iterations."""
+    if shift >= operator_scale(grid):
+        return None
+    ops = get_operator_set(field, grid)
+    return _factor_spd(ops.DE @ ops.DEt + shift * sp.identity(grid.num_cells))
 
 
 def _embed_nodes(values_int: np.ndarray, ops, grid: Grid) -> np.ndarray:
@@ -159,35 +185,39 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
 
 
 def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
-                rhs: np.ndarray, grid: Grid,
-                rtol: float = SOLVER_RTOL) -> tuple[np.ndarray, int]:
+                rhs: np.ndarray, grid: Grid, rtol: float = SOLVER_RTOL,
+                lu=None) -> tuple[np.ndarray, int]:
     """Cell field w with (A_H + shift) w = rhs, A_H = -dhstar(coeff dh(.)).
 
     The micro step of the decomposition, with shift = tau*lam and rhs in
     K_perp; returns w and the CG iteration count.  A_H is applied as
-    DE diag(coeff) DE^T over the interior nodes.
+    DE diag(coeff) DE^T over the interior nodes.  lu, a ``micro_factor``
+    of the same shift, preconditions the CG.
     """
     ops = get_operator_set(field, grid)
     c = coeff.ravel()[ops.interior]
-    M = spla.LinearOperator(
-        (grid.num_cells, grid.num_cells),
-        matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
-    w, iters = _cg_solve(M, rhs.ravel(), rtol, label="micro part")
+    shape = (grid.num_cells, grid.num_cells)
+    A = spla.LinearOperator(
+        shape, matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
+    M = None if lu is None else spla.LinearOperator(shape, matvec=lu.solve)
+    w, iters = _cg_solve(A, rhs.ravel(), rtol, label="micro part", M=M)
     return w.reshape(grid.shape_cells), iters
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
-                      rtol: float = SOLVER_RTOL) -> MicroMacroSolution:
+                      rtol: float = SOLVER_RTOL,
+                      micro_lu=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
     Factors the macro operator of (field, grid) on first use; later calls
-    on the same field and grid reuse the factor.
+    on the same field and grid reuse the factor.  micro_lu, a
+    ``micro_factor`` of shift tau*lam, preconditions the micro CG.
     """
     ops = get_operator_set(prob.field, grid)
     if ops.N1_lu is None:
         ops.N1_lu = _factor_spd(ops.N1)
     lam, tau = prob.lam, prob.tau
-    op_scale = 4.0 * sum(1.0 / d**2 for d in grid.spacing) * float(prob.coeff.max())
+    op_scale = operator_scale(grid, float(prob.coeff.max()))
 
     h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol)
     dstar_h = apply_dhstar(h, prob.field, grid)
@@ -207,7 +237,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_w = 0
     else:
         w, it_w = solve_micro(prob.field, prob.coeff, tau * lam, -dstar_h,
-                              grid, rtol)
+                              grid, rtol, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q,

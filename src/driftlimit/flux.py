@@ -58,9 +58,12 @@ def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
     if c2 is not None:
         return np.abs(ua) + np.sqrt(c2)
     kappa = ua * b[..., axis] * np.einsum("...k,...k->...", b, u)
-    root = np.sqrt(kappa.astype(complex))
-    rad = np.maximum(np.abs(ua), np.maximum(np.abs(ua + root), np.abs(ua - root)))
-    return rad.real
+    # real roots u_a +/- sqrt(kappa) for kappa >= 0, a complex pair of
+    # modulus sqrt(u_a^2 - kappa) otherwise; the clamps keep the branch
+    # np.where discards free of square roots of negatives
+    return np.where(kappa >= 0.0,
+                    np.abs(ua) + np.sqrt(np.maximum(kappa, 0.0)),
+                    np.sqrt(ua * ua - np.minimum(kappa, 0.0)))
 
 
 def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,

@@ -276,12 +276,18 @@ def test_stiff_force_evaluated_once_per_step(monkeypatch):
 
 
 def test_step_is_a_function_of_its_input_state():
-    # a fresh stepper and one that has already stepped give the same bits
+    # a fresh stepper and one that has already stepped give the same bits;
+    # at dt = 1e-6 each builds its own phi micro factor and preconditions
+    # with it
     cfg, grid, field, s0, s1, _ = perturbed_step(1e-8, nx=16, dt=1e-6)
     stepper = APStepper(cfg.phys_params(), grid, field)
     stepper.step(s0)
-    warm, _ = stepper.step(s1)
-    fresh, _ = APStepper(cfg.phys_params(), grid, field).step(s1)
+    warm, diag = stepper.step(s1)
+    fresh_stepper = APStepper(cfg.phys_params(), grid, field)
+    fresh, _ = fresh_stepper.step(s1)
+    assert fresh_stepper.phi_lu is not None
+    assert fresh_stepper.phi_lu is not stepper.phi_lu
+    assert diag.iterations["phi"]["micro"] <= 3
     for name in ("n", "phi", "q_i", "q_e"):
         assert np.array_equal(getattr(warm, name), getattr(fresh, name)), name
 
@@ -295,10 +301,28 @@ def test_steps_share_one_macro_factor(monkeypatch):
         return factor(A)
 
     monkeypatch.setattr(diffusion, "_factor_spd", counting)
-    cfg, grid, field, s0 = stationary_setup()
-    stepper = APStepper(cfg.phys_params(), grid, field)
-    s1, _ = stepper.step(s0)
-    stepper.step(s1)
-    # the n and phi solves of both steps use one operator set
-    assert len(factored) == 1
-    assert diffusion.get_operator_set(field, grid).N1_lu is not None
+    # dt = 1e-6 puts the phi solve at regime ~0.065, where the stepper
+    # also factors the phi micro operator; at dt = 5e-9 (regime ~2600) not
+    for dt, factors in ((1e-6, 2), (5e-9, 1)):
+        factored.clear()
+        cfg, grid, field, s0 = stationary_setup(dt=dt)
+        stepper = APStepper(cfg.phys_params(), grid, field)
+        s1, diag = stepper.step(s0)
+        stepper.step(s1)
+        assert (diag.regime["phi"] < 1.0) == (factors == 2)
+        # the n and phi solves of both steps use one operator set
+        assert len(factored) == factors
+        assert diffusion.get_operator_set(field, grid).N1_lu is not None
+        if factors == 2:
+            assert factored[0] == (grid.num_cells, grid.num_cells)
+
+
+def test_phi_micro_preconditioned_at_large_dt():
+    _, _, _, _, _, diag = perturbed_step(1e-8, nx=24, dt=1e-6)
+    assert not diag.diverged
+    assert diag.regime["phi"] < 1.0
+    assert diag.iterations["phi"]["micro"] <= 3
+    # the criterion-9 residual bounds
+    for a in ("i", "e"):
+        assert diag.momentum[a] <= 1e-6
+        assert diag.continuity[a] <= max(1e-6, 8.0 * diag.continuity_floor[a])

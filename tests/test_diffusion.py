@@ -167,7 +167,7 @@ def test_micro_operator_matches_matrix_free(monkeypatch):
     shift = 0.37
     captured = {}
 
-    def capture(A, b, rtol, label="cg"):
+    def capture(A, b, rtol, label="cg", M=None):
         captured["A"] = A
         return np.zeros_like(b), 0
 
@@ -179,6 +179,27 @@ def test_micro_operator_matches_matrix_free(monkeypatch):
         ref = (stiffness_matrix_free(v, f, coeff, g) + shift * v).ravel()
         got = captured["A"] @ v.ravel()
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_preconditioned_micro_matches_cg():
+    # a factor of the unit-coefficient operator preconditions a micro solve
+    # whose coefficient is far from 1; the answer is the plain CG answer
+    g = grid_2d((1, 1), (2, 2), 16, 16)
+    f = circular_field(g)
+    xn, yn = g.node_coords()
+    coeff = 1.0 + 0.5 * np.sin(3 * xn + 2 * yn)
+    shift = 0.05 * diffusion.operator_scale(g)
+    rng = np.random.default_rng(12)
+    # a right-hand side in K_perp, as the decomposition hands it over
+    rhs = -apply_dhstar(rng.standard_normal(g.shape_nodes)
+                        * g.interior_node_mask, f, g)
+    lu = diffusion.micro_factor(f, g, shift)
+    assert lu is not None
+    assert diffusion.micro_factor(f, g, diffusion.operator_scale(g)) is None
+    w_cg, it_cg = diffusion.solve_micro(f, coeff, shift, rhs, g)
+    w_pcg, it_pcg = diffusion.solve_micro(f, coeff, shift, rhs, g, lu=lu)
+    assert it_pcg <= 30 < it_cg
+    assert np.linalg.norm(w_pcg - w_cg) <= 1e-10 * np.linalg.norm(w_cg)
 
 
 def test_macro_part_insensitive_to_solver_path():

@@ -106,6 +106,26 @@ def test_radius_closed_form_matches_eigensolve(n, q, braw, axis):
     assert fast == pytest.approx(dense, rel=5e-4, abs=5e-4)
 
 
+def test_radius_complex_root_cells_match_eigensolve():
+    # kappa = u_a b_a (b . u) < 0 gives a complex root pair; evaluated as
+    # one array with real-root cells, and with no square root of a
+    # negative in either np.where branch
+    rng = np.random.default_rng(11)
+    n = rng.uniform(0.2, 5.0, 200)
+    q = rng.uniform(-3.0, 3.0, (200, 3))
+    b = rng.standard_normal((200, 3))
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    for axis in range(3):
+        u = q / n[:, None]
+        kappa = u[:, axis] * b[:, axis] * np.einsum("ik,ik->i", b, u)
+        assert np.any(kappa < 0.0) and np.any(kappa > 0.0)
+        with np.errstate(invalid="raise"):
+            fast = _radius_field(n, q, b, axis)
+        dense = [jacobian_spectral_radius(n[i], q[i], b[i], axis)
+                 for i in range(n.size)]
+        assert fast == pytest.approx(dense, rel=5e-4, abs=5e-4)
+
+
 def test_rusanov_consistency():
     b = np.array([0.0, 0.6, 0.8])
     W = (1.3, np.array([0.2, -0.4, 1.0]))
