@@ -13,7 +13,8 @@ A step advances (n, q_i, q_e, phi) by:
    electric force coupled through the node gradient and averaged back to
    cells;
 5. updating the perpendicular momentum per species through the closed-form
-   rotation solve (I - gamma b x) q_perp = r_perp.
+   Lorentz rotation v - mu v x B = r with B = b, mu = -gamma, which is
+   (I - gamma b x) q_perp = r_perp.
 
 Divergence composites of parallel vector fields, written div(b (b . v)),
 are realised as dhstar(b_nodes . node_average(v)); applied to the implicit
@@ -31,8 +32,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .diffusion import AnisoDiffusionProblem, SolverError, micro_factor, \
-    solve_micro_macro
+from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
+    micro_factor, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, node_average
 from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
@@ -54,7 +55,6 @@ class PhysParams:
     T_e: float
     C: float
     dt: float
-    T_i: float = 1.0
 
     def __post_init__(self):
         if self.tau < 0.0:
@@ -96,7 +96,7 @@ class PhysParams:
         return 1.0 if a == "i" else -1.0
 
     def T_a(self, a: str) -> float:
-        return self.T_i if a == "i" else self.T_e
+        return 1.0 if a == "i" else self.T_e
 
     def C_a(self, a: str) -> float:
         return self.C_i if a == "i" else self.C_e
@@ -142,11 +142,13 @@ def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * np.einsum("...k,...k->...", b, v)[..., None]
 
 
-def solve_perp_rotation(r_perp: np.ndarray, b: np.ndarray,
-                        gamma) -> np.ndarray:
-    """Closed form of (I - gamma b x) v = r_perp on the plane normal to b."""
-    g = np.asarray(gamma, dtype=float)[..., None]
-    return (r_perp + g * np.cross(b, r_perp)) / (1.0 + g * g)
+def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
+    """Closed form of v - mu v x B = r."""
+    mu = np.asarray(mu, dtype=float)[..., None]
+    rxB = np.cross(r, B)
+    rB = np.einsum("...k,...k->...", r, B)[..., None]
+    B2 = np.einsum("...k,...k->...", B, B)[..., None]
+    return (r + mu * rxB + mu * mu * rB * B) / (1.0 + mu * mu * B2)
 
 
 def species_fv_divergence(state: PlasmaState, field: MagneticField,
@@ -222,16 +224,15 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
 
 class APStepper:
     """AP stepper on a static field.  A step is a function of its input
-    state alone: no solve is warm-started from an earlier step.  Both
-    diffusion solves share the factor of the field's macro operator, which
-    the first solve builds and the operator cache keeps.
+    state alone: no solve is warm-started from an earlier step.
 
-    The stepper owns one more factor, of the unit-coefficient potential
-    micro operator A_1 + tau*lam2, built here when that solve's regime is
-    below 1: it depends on tau, dt and C, and it preconditions the micro
-    CG of every phi solve, whose coefficient node_average(n) stays close
-    to 1.  The density micro solve (unit coefficient, shift tau*lam1)
-    stays plain CG."""
+    The stepper builds and owns its factors.  The factor of the field's
+    macro operator N1 solves the macro part of both diffusion problems.
+    The factor of the unit-coefficient potential micro operator
+    A_1 + tau*lam2, built when that solve's regime is below 1, depends on
+    tau, dt and C; it preconditions the micro CG of every phi solve, whose
+    coefficient node_average(n) stays close to 1.  The density micro
+    solve (unit coefficient, shift tau*lam1) stays plain CG."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         if params.tau <= 0.0:
@@ -240,6 +241,7 @@ class APStepper:
         self.params = params
         self.grid = grid
         self.field = field
+        self.macro_lu = macro_factor(field, grid)
         self.phi_lu = micro_factor(field, grid, params.tau * params.lam2)
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
@@ -257,7 +259,7 @@ class APStepper:
         try:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
-                tau=p.tau, rhs=R), grid)
+                tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu)
             n_new = sol_n.p
             if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
                 diag.diverged, diag.note = True, "density lost positivity"
@@ -266,7 +268,8 @@ class APStepper:
             S = assemble_S(state, n_new, field, p, grid, fv)
             sol_phi = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=node_average(n_new, grid), lam=p.lam2,
-                tau=p.tau, rhs=S), grid, micro_lu=self.phi_lu)
+                tau=p.tau, rhs=S), grid, micro_lu=self.phi_lu,
+                macro_lu=self.macro_lu)
         except SolverError as exc:
             # recorded as divergence, so one stalled solve ends only this run
             diag.diverged, diag.note = True, str(exc)
@@ -294,7 +297,7 @@ class APStepper:
                 b_c, -state.q(a) / p.dt + fv[a]["mom"])
             r_perp = r - _parallel(r, b_c)
             gamma = qa * eta / (p.dt * bmag_c)
-            q_perp = solve_perp_rotation(r_perp, b_c, gamma)
+            q_perp = solve_momentum_rotation(r_perp, b_c, -gamma)
 
             q_new[a] = q_par + q_perp
 

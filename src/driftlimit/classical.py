@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics
+from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics, \
+    solve_momentum_rotation
 from .flux import fv_divergence
 from .grid import Grid, pad_cells
 from .stencil import MagneticField
@@ -48,15 +49,6 @@ def central_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
         lo[a], hi[a] = slice(0, -2), slice(2, None)
         out[..., a] = (padded[tuple(hi)] - padded[tuple(lo)]) / (2 * grid.spacing[a])
     return out
-
-
-def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
-    """Closed form of v - mu v x B = r."""
-    mu = np.asarray(mu, dtype=float)[..., None]
-    rxB = np.cross(r, B)
-    rB = np.einsum("...k,...k->...", r, B)[..., None]
-    B2 = np.einsum("...k,...k->...", B, B)[..., None]
-    return (r + mu * rxB + mu * mu * rB * B) / (1.0 + mu * mu * B2)
 
 
 def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,

@@ -27,22 +27,22 @@ by construction, but nothing downstream needs it, so it is never formed.
 The tests check the decomposition against an independent tau > 0 oracle,
 a sparse direct solve of the assembled cell system.
 
-The normal operator N1 of step 1 depends only on the field and the grid.
-``solve_micro_macro``, the per-step solver of a time stepper, factors it
-once (sparse LU with a symmetric minimum-degree ordering) and keeps the
-factor on the cached operator set, so every later macro solve is one
-triangular solve plus one step of iterative refinement.  One-shot callers
-of ``macro_potential`` get unpreconditioned CG instead: two solves per
-grid do not repay a factor whose fill costs more memory than the solves.
-Step 3 uses CG, since its coefficient changes from solve to solve.  A
-caller that solves many micro problems with one shift can precondition
-that CG with ``micro_factor``, a factor of the unit-coefficient operator
+A solve uses the factor its caller passes, and without one runs CG.  The
+normal operator N1 of step 1 depends only on the field and the grid: a
+time stepper builds its ``macro_factor`` (sparse LU, symmetric minimum-
+degree ordering) once, so each macro solve is one checked factor solve.
+One-shot projections run CG: two solves per grid do not repay a factor
+whose fill costs more memory than the solves.  Step 3 uses CG, since its
+coefficient changes from solve to solve.  A caller that solves many
+micro problems with one shift can precondition that CG with
+``micro_factor``, a factor of the unit-coefficient operator
 A_1 + shift: the AP stepper does so for its potential, whose coefficient
 (the node-averaged density) stays close to 1, so the two operators are
 spectrally equivalent and PCG converges in a few iterations.  The factor
 is built only below regime 1 (see below), where the micro condition
-number on K_perp, at most 1 + 1/regime, makes plain CG slow.  No solve is
-warm-started, so a solution depends only on its problem.
+number on K_perp, at most 1 + 1/regime, makes plain CG slow.  No solve
+is warm-started and no factor is cached, so a solution depends only on
+its problem and the factors passed with it.
 
 Both Krylov operators are products with the cached interior block DE of
 the assembled dhstar: N1 = DE^T DE and A_H = DE diag(H) DE^T, which is
@@ -132,11 +132,10 @@ def _factor_spd(A):
 
 
 def _factored_solve(lu, A, b, rtol: float) -> tuple[np.ndarray, int]:
-    """Factor solve plus one refinement step; the count is refinement solves."""
+    """One factor solve, residual-checked; the count is factor solves."""
     if not np.any(b):
         return np.zeros_like(b), 0
     x = lu.solve(b)
-    x += lu.solve(b - A @ x)
     resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     if resid > rtol:
         raise SolverError(f"macro potential: factored solve left relative "
@@ -149,6 +148,11 @@ def operator_scale(grid: Grid, coeff_max: float = 1.0) -> float:
     return 4.0 * sum(1.0 / d**2 for d in grid.spacing) * coeff_max
 
 
+def macro_factor(field: MagneticField, grid: Grid):
+    """Factor of the macro operator N1 of (field, grid) for ``macro_lu``."""
+    return _factor_spd(get_operator_set(field, grid).N1)
+
+
 def micro_factor(field: MagneticField, grid: Grid, shift: float):
     """Factor of the unit-coefficient micro operator A_1 + shift on cells,
     the preconditioner of ``solve_micro``; None at regime >= 1, where plain
@@ -159,29 +163,26 @@ def micro_factor(field: MagneticField, grid: Grid, shift: float):
     return _factor_spd(ops.DE @ ops.DEt + shift * sp.identity(grid.num_cells))
 
 
-def _embed_nodes(values_int: np.ndarray, ops, grid: Grid) -> np.ndarray:
-    full = np.zeros(grid.num_nodes)
-    full[ops.interior] = values_int
-    return full.reshape(grid.shape_nodes)
-
-
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
-                    rtol: float = SOLVER_RTOL) -> tuple[np.ndarray, int]:
+                    rtol: float = SOLVER_RTOL,
+                    lu=None) -> tuple[np.ndarray, int]:
     """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary.
 
     -dhstar(h) is then the orthogonal projection of the cell field g onto
     K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved
-    through the factor of N1 when the operator set holds one, else by CG.
+    through lu, a ``macro_factor`` of (field, grid), if given, else by CG.
     """
     ops = get_operator_set(field, grid)
     # matrix-free stencil annihilates constants exactly, unlike DE^T whose
     # merged entries round
     rhs = apply_dh(g, field, grid).ravel()[ops.interior]
-    if ops.N1_lu is None:
+    if lu is None:
         h_int, iters = _cg_solve(ops.N1, rhs, rtol, label="macro potential")
     else:
-        h_int, iters = _factored_solve(ops.N1_lu, ops.N1, rhs, rtol)
-    return _embed_nodes(h_int, ops, grid), iters
+        h_int, iters = _factored_solve(lu, ops.N1, rhs, rtol)
+    h = np.zeros(grid.num_nodes)
+    h[ops.interior] = h_int
+    return h.reshape(grid.shape_nodes), iters
 
 
 def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
@@ -206,20 +207,17 @@ def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                       rtol: float = SOLVER_RTOL,
-                      micro_lu=None) -> MicroMacroSolution:
+                      micro_lu=None, macro_lu=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
-    Factors the macro operator of (field, grid) on first use; later calls
-    on the same field and grid reuse the factor.  micro_lu, a
-    ``micro_factor`` of shift tau*lam, preconditions the micro CG.
+    macro_lu, a ``macro_factor``, solves the macro potential; micro_lu,
+    a ``micro_factor`` of shift tau*lam, preconditions the micro CG.
     """
     ops = get_operator_set(prob.field, grid)
-    if ops.N1_lu is None:
-        ops.N1_lu = _factor_spd(ops.N1)
     lam, tau = prob.lam, prob.tau
     op_scale = operator_scale(grid, float(prob.coeff.max()))
 
-    h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol)
+    h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol, macro_lu)
     dstar_h = apply_dhstar(h, prob.field, grid)
 
     pi = (prob.rhs + dstar_h) / lam

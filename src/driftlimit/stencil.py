@@ -31,7 +31,7 @@ operator is DE^T DE.
 from __future__ import annotations
 
 import weakref
-from types import SimpleNamespace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,22 +169,27 @@ def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
     return out.tocsr()
 
 
-# Cached per (field, grid): the interior block DE of the assembled dhstar,
-# its transpose (the interior rows of -dh, stored in CSR for fast products),
-# the macro normal operator N1 and the slot for its factor, which the
-# solver fills on its first per-step solve.  Fields are static, so assembly
-# happens once per configuration.
+@dataclass(frozen=True, eq=False)
+class OperatorSet:
+    """Immutable assembly cache of a static (field, grid); factors of its
+    operators belong to the callers of the solvers."""
+
+    interior: np.ndarray   # flat indices of the interior nodes
+    DE: sp.csr_matrix      # interior-node block of the assembled dhstar
+    DEt: sp.csr_matrix     # its transpose in CSR: the interior rows of -dh
+    N1: sp.csr_matrix      # macro normal operator DE^T DE
+
+
 _cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def get_operator_set(field: MagneticField, grid: Grid) -> SimpleNamespace:
+def get_operator_set(field: MagneticField, grid: Grid) -> OperatorSet:
     per_field = _cache.setdefault(field, weakref.WeakKeyDictionary())
     ops = per_field.get(grid)
     if ops is None:
         interior = np.flatnonzero(grid.interior_node_mask.ravel())
         DE = assemble_dhstar(field, grid)[:, interior].tocsr()
         N1 = (DE.T @ DE).tocsr()  # -dh(dhstar(.)) on interior nodes, SPD form
-        ops = SimpleNamespace(interior=interior, DE=DE, DEt=DE.T.tocsr(),
-                              N1=N1, N1_lu=None)
+        ops = OperatorSet(interior=interior, DE=DE, DEt=DE.T.tocsr(), N1=N1)
         per_field[grid] = ops
     return ops

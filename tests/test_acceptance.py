@@ -281,12 +281,12 @@ def test_criterion_9_property_suite(resolved_ap, resolved_classical,
         r = rng.standard_normal(3)
         gamma = rng.uniform(-30, 30)
         r_perp = r - b * (b @ r)
-        v = dl.ap_stepper.solve_perp_rotation(r_perp, b, gamma)
+        v = dl.ap_stepper.solve_momentum_rotation(r_perp, b, -gamma)
         assert np.max(np.abs(v - gamma * np.cross(b, v) - r_perp)) \
             <= 1e-13 * (1 + np.linalg.norm(r_perp))
         B = rng.standard_normal(3)
         mu = rng.uniform(-100, 100)
-        q = dl.classical.solve_momentum_rotation(r, B, mu)
+        q = dl.ap_stepper.solve_momentum_rotation(r, B, mu)
         assert np.max(np.abs(q - mu * np.cross(q, B) - r)) \
             <= 1e-13 * (1 + np.linalg.norm(r))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from driftlimit import ap_stepper, diffusion
 from driftlimit.ap_stepper import APStepper, PhysParams, assemble_R, \
-    assemble_S, solve_perp_rotation, species_fv_divergence, \
+    assemble_S, solve_momentum_rotation, species_fv_divergence, \
     step_residuals, stiff_force_terms
 from driftlimit.diffusion import SolverError
 from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
@@ -120,12 +120,13 @@ def test_stationary_state_preserved_100_steps():
 
 
 def test_perp_rotation_closed_form():
+    # (I - gamma b x) v = r is the Lorentz rotation with B = b, mu = -gamma
     b = np.array([0.0, 0.0, 1.0])
     r = np.array([1.0, 0.0, 0.0])
-    v = solve_perp_rotation(r, b, 1.0)
+    v = solve_momentum_rotation(r, b, -1.0)
     assert np.allclose(v, [0.5, 0.5, 0.0])
     # gamma = 0 degenerates to identity
-    assert np.allclose(solve_perp_rotation(r, b, 0.0), r)
+    assert np.allclose(solve_momentum_rotation(r, b, 0.0), r)
     # residual of (I - gamma b x) v = r
     res = v - 1.0 * np.cross(b, v) - r
     assert np.max(np.abs(res)) <= 1e-15
@@ -141,7 +142,7 @@ def test_perp_rotation_properties(rraw, braw, gamma):
     b = b / np.linalg.norm(b)
     r = np.asarray(rraw)
     r_perp = r - b * (b @ r)
-    v = solve_perp_rotation(r_perp, b, gamma)
+    v = solve_momentum_rotation(r_perp, b, -gamma)
     assert abs(v @ b) <= 1e-12 * (1 + np.linalg.norm(v))
     res = v - gamma * np.cross(b, v) - r_perp
     assert np.max(np.abs(res)) <= 1e-13 * (1 + np.linalg.norm(r_perp))
@@ -287,6 +288,7 @@ def test_step_is_a_function_of_its_input_state():
     fresh, _ = fresh_stepper.step(s1)
     assert fresh_stepper.phi_lu is not None
     assert fresh_stepper.phi_lu is not stepper.phi_lu
+    assert fresh_stepper.macro_lu is not stepper.macro_lu
     assert diag.iterations["phi"]["micro"] <= 3
     for name in ("n", "phi", "q_i", "q_e"):
         assert np.array_equal(getattr(warm, name), getattr(fresh, name)), name
@@ -310,11 +312,38 @@ def test_steps_share_one_macro_factor(monkeypatch):
         s1, diag = stepper.step(s0)
         stepper.step(s1)
         assert (diag.regime["phi"] < 1.0) == (factors == 2)
-        # the n and phi solves of both steps use one operator set
+        # the n and phi solves of both steps use the stepper's factors
         assert len(factored) == factors
-        assert diffusion.get_operator_set(field, grid).N1_lu is not None
-        if factors == 2:
-            assert factored[0] == (grid.num_cells, grid.num_cells)
+        assert stepper.macro_lu is not None
+        assert (stepper.phi_lu is not None) == (factors == 2)
+        n_int = int(grid.interior_node_mask.sum())
+        assert factored == [(n_int, n_int),
+                            (grid.num_cells, grid.num_cells)][:factors]
+
+
+def test_steps_leave_the_operator_cache_unchanged():
+    cfg, grid, field, s0 = stationary_setup()
+    stepper = APStepper(cfg.phys_params(), grid, field)
+    ops = diffusion.get_operator_set(field, grid)
+    before = dict(vars(ops))
+    s1, _ = stepper.step(s0)
+    stepper.step(s1)
+    assert diffusion.get_operator_set(field, grid) is ops
+    after = vars(ops)
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+
+
+def test_macro_potential_without_factor_runs_cg_after_steps():
+    # the stepper's factor is its own: a projection on the same field and
+    # grid that passes no factor still runs CG
+    cfg, grid, field, s0 = stationary_setup()
+    stepper = APStepper(cfg.phys_params(), grid, field)
+    s1, _ = stepper.step(s0)
+    stepper.step(s1)
+    g = np.random.default_rng(3).standard_normal(grid.shape_cells)
+    _, iters = diffusion.macro_potential(g, field, grid)
+    assert iters > 1
 
 
 def test_phi_micro_preconditioned_at_large_dt():

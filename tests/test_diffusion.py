@@ -219,22 +219,34 @@ def test_factored_macro_potential_matches_cg():
     f = circular_field(g)
     rng = np.random.default_rng(6)
     gfield = rng.standard_normal(g.shape_cells)
-    ops = get_operator_set(f, g)
-    assert ops.N1_lu is None
+    lu = diffusion.macro_factor(f, g)
     h_cg, iters_cg = macro_potential(gfield, f, g)
-    # a per-step solve factors the operator set; later projections reuse it
-    solve_micro_macro(AnisoDiffusionProblem(
-        field=f, coeff=np.ones(g.shape_nodes), lam=1.0, tau=1e-2,
-        rhs=gfield), g)
-    assert ops.N1_lu is not None
-    h_lu, iters_lu = macro_potential(gfield, f, g)
+    h_lu, iters_lu = macro_potential(gfield, f, g, lu=lu)
     assert iters_cg > 1 and iters_lu == 1
     ref = apply_dhstar(h_cg, f, g)
     gap = np.linalg.norm(apply_dhstar(h_lu, f, g) - ref)
     assert gap <= 1e-10 * np.linalg.norm(ref)
     # the factored path keeps the residual check
     with pytest.raises(SolverError, match="relative residual"):
-        macro_potential(gfield, f, g, rtol=0.0)
+        macro_potential(gfield, f, g, rtol=0.0, lu=lu)
+
+
+def test_factored_macro_solve_is_one_factor_solve():
+    g = grid_2d((1, 1), (2, 2), 20, 20)
+    f = circular_field(g)
+    gfield = np.random.default_rng(9).standard_normal(g.shape_cells)
+
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu, self.calls = lu, 0
+
+        def solve(self, b):
+            self.calls += 1
+            return self.lu.solve(b)
+
+    lu = CountingFactor(diffusion.macro_factor(f, g))
+    _, iters = macro_potential(gfield, f, g, lu=lu)
+    assert lu.calls == 1 and iters == 1
 
 
 def test_macro_potential_projects_onto_complement():
