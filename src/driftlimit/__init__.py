@@ -1,8 +1,7 @@
 """Asymptotic-preserving simulation kit for an isothermal two-fluid
 plasma under a strong magnetic field at low Mach number."""
 
-from .grid import Grid, GridSpec, cell_from_nodes, discrete_norms, grid_2d, \
-    node_average
+from .grid import Grid, cell_from_nodes, discrete_norms, node_average
 from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
 from .diffusion import AnisoDiffusionProblem, MicroMacroSolution, SolverError, \
     solve_micro_macro

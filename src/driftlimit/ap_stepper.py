@@ -36,7 +36,7 @@ from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
     micro_factor, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, node_average
-from .stencil import MagneticField, apply_dh, apply_dhstar, apply_grad_star
+from .stencil import MagneticField, apply_dhstar, apply_grad_star
 
 SPECIES = ("i", "e")
 
@@ -205,11 +205,13 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     of the perpendicular term b x (q_a T_a grad n + n_star grad phi) / |B|.
     """
     n_star = node_average(n, grid)
-    dh_n = apply_dh(n, field, grid, zero_boundary=True)
-    dh_phi = apply_dh(phi, field, grid, zero_boundary=True)
     grad_n = apply_grad_star(n, grid)
     grad_phi = apply_grad_star(phi, grid)
     b_n = field.b_nodes
+    # apply_dh with the flux condition: zero on the boundary node layer
+    dh_n, dh_phi = (np.where(grid.interior_node_mask,
+                             np.einsum("...k,...k->...", b_n, g), 0.0)
+                    for g in (grad_n, grad_phi))
     terms = {}
     for a in SPECIES:
         qa, Ta = p.charge(a), p.T_a(a)

@@ -80,17 +80,17 @@ def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,
     qP = pad_cells(q, grid)
     bP = pad_cells(field.b_cells, grid)
     out = np.zeros(grid.shape_cells + (4,))
-    for a in range(grid.dim):
-        # keep ghosts along axis a only; other axes restricted to interior
-        sl = [slice(1, -1)] * grid.dim
+    for a in range(2):
+        # keep ghosts along axis a only; the other axis restricted to interior
+        sl = [slice(1, -1)] * 2
         sl[a] = slice(None)
         nA, qA, bA = nP[tuple(sl)], qP[tuple(sl)], bP[tuple(sl)]
         f = explicit_flux_vector(nA, qA, bA, a, c2)
         rad = _radius_field(nA, qA, bA, a, c2)
         W = np.concatenate((nA[..., None], qA), axis=-1)
 
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
+        lo = [slice(None)] * 2
+        hi = [slice(None)] * 2
         lo[a], hi[a] = slice(0, -1), slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
         D = np.maximum(rad[lo], rad[hi])

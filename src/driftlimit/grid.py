@@ -1,98 +1,68 @@
-"""Uniform structured mesh with cell-center and node samplings.
+"""Uniform 2D Cartesian mesh with cell-center and node samplings.
 
 Conventions used throughout the package:
 
-- Cells are indexed 0..n_a-1 per axis; cell centers sit at
+- Cells are indexed 0..n_a-1 per axis (a = x, y); cell centers sit at
   ``lo_a + (i + 1/2) * da``.  A scalar cell field is an ndarray of shape
   ``grid.shape_cells``; a vector cell field appends a trailing axis of
-  length 3 (vectors keep 3 components even in 2D, where the z axis is
-  inert).
+  length 3 (the field has a z component, so vectors keep 3 components
+  while the z axis of the mesh is inert).
 - Nodes are the cell corners, indexed 0..n_a per axis (``n_a + 1`` values);
   node ``nu`` sits at ``lo_a + nu * da``.  Interior nodes are those with
-  0 < nu < n_a on every axis; the remaining layer is the boundary node set.
-- Cell volume includes a unit thickness for the inactive z axis in 2D so
-  that discrete norms are comparable between 2D and 3D.
+  0 < nu < n_a on both axes; the remaining layer is the boundary node set.
+- Cell volume is the cell area times a unit thickness along z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular domain bounds and cell counts per active axis."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    cells: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi) or len(self.lo) != len(self.cells):
-            raise ValueError("lo, hi and cells must have the same length")
-        if self.dim not in (2, 3):
-            raise ValueError(f"grid must be 2D or 3D, got dim={self.dim}")
-        for a, (lo, hi, n) in enumerate(zip(self.lo, self.hi, self.cells)):
-            if n < 2:
-                raise ValueError(f"axis {a}: need at least 2 cells, got {n}")
-            if not hi > lo:
-                raise ValueError(f"axis {a}: extent must be positive ({lo}, {hi})")
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple((h - l) / n for l, h, n in zip(self.lo, self.hi, self.cells))
-
-
 class Grid:
-    """Mesh geometry: index sets, coordinates and measures.
+    """Mesh on [lo_x, hi_x] x [lo_y, hi_y] with ``cells = (nx, ny)``:
+    index sets, coordinates and measures.
 
     ``shape_cells``/``shape_nodes`` give the array shapes of cell and node
     fields.  ``interior_node_mask`` is True on nodes whose full stencil of
     surrounding cells exists (the complement is the outermost node layer).
     """
 
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self.dim = spec.dim
-        self.shape_cells = tuple(spec.cells)
-        self.shape_nodes = tuple(n + 1 for n in spec.cells)
-        self.spacing = spec.spacing
-        self.cell_volume = float(np.prod(self.spacing))  # unit z-thickness in 2D
-        self.num_cells = int(np.prod(self.shape_cells))
-        self.num_nodes = int(np.prod(self.shape_nodes))
+    def __init__(self, lo: tuple[float, float], hi: tuple[float, float],
+                 cells: tuple[int, int]):
+        lo, hi, cells = tuple(lo), tuple(hi), tuple(cells)
+        if not len(lo) == len(hi) == len(cells) == 2:
+            raise ValueError("lo, hi and cells must have exactly 2 entries "
+                             f"(x, y), got {len(lo)}, {len(hi)}, {len(cells)}")
+        for a, (l, h, n) in enumerate(zip(lo, hi, cells)):
+            if n < 2:
+                raise ValueError(f"axis {a}: need at least 2 cells, got {n}")
+            if not h > l:
+                raise ValueError(f"axis {a}: extent must be positive ({l}, {h})")
+        self.lo, self.hi = lo, hi
+        self.shape_cells = cells
+        self.shape_nodes = (cells[0] + 1, cells[1] + 1)
+        self.spacing = tuple((h - l) / n for l, h, n in zip(lo, hi, cells))
+        self.cell_volume = self.spacing[0] * self.spacing[1]  # unit z-thickness
+        self.num_cells = cells[0] * cells[1]
+        self.num_nodes = self.shape_nodes[0] * self.shape_nodes[1]
 
-        self.cell_axes = tuple(
-            spec.lo[a] + (np.arange(spec.cells[a]) + 0.5) * self.spacing[a]
-            for a in range(self.dim)
-        )
-        self.node_axes = tuple(
-            spec.lo[a] + np.arange(spec.cells[a] + 1) * self.spacing[a]
-            for a in range(self.dim)
-        )
+        self.cell_axes = tuple(l + (np.arange(n) + 0.5) * d
+                               for l, n, d in zip(lo, cells, self.spacing))
+        self.node_axes = tuple(l + np.arange(n + 1) * d
+                               for l, n, d in zip(lo, cells, self.spacing))
 
         mask = np.zeros(self.shape_nodes, dtype=bool)
-        mask[tuple(slice(1, -1) for _ in range(self.dim))] = True
+        mask[1:-1, 1:-1] = True
         self.interior_node_mask = mask
         self.num_interior_nodes = int(mask.sum())
 
-    def cell_coords(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid of cell-center coordinates, one array per axis."""
+    def cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Meshgrid of cell-center coordinates (x, y)."""
         return tuple(np.meshgrid(*self.cell_axes, indexing="ij"))
 
-    def node_coords(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid of node coordinates, one array per axis."""
+    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Meshgrid of node coordinates (x, y)."""
         return tuple(np.meshgrid(*self.node_axes, indexing="ij"))
-
-
-def grid_2d(lo: tuple[float, float], hi: tuple[float, float],
-            nx: int, ny: int) -> Grid:
-    return Grid(GridSpec(lo=tuple(lo), hi=tuple(hi), cells=(nx, ny)))
 
 
 def _check_cell_shape(u: np.ndarray, grid: Grid):
@@ -108,13 +78,13 @@ def _check_node_shape(w: np.ndarray, grid: Grid):
 
 
 def pad_cells(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Edge-replicated ghost ring around the active axes.
+    """Edge-replicated ghost ring around the x and y axes.
 
     Values at a node therefore average/difference only the existing
     adjacent cells; at a boundary node the missing side collapses onto the
     nearest cell (one-sided treatment, no extrapolation).
     """
-    pad = [(1, 1)] * grid.dim + [(0, 0)] * (u.ndim - grid.dim)
+    pad = [(1, 1), (1, 1)] + [(0, 0)] * (u.ndim - 2)
     return np.pad(u, pad, mode="edge")
 
 
@@ -135,25 +105,19 @@ def _diff_pairs(u: np.ndarray, axis: int, d: float) -> np.ndarray:
 
 
 def node_average(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Average a cell field onto nodes (mean of the 2^dim adjacent cells).
+    """Average a cell field onto nodes (mean of the 4 adjacent cells).
 
     Boundary nodes average only their existing neighbours (1, 2 or 4
     cells), which keeps constants exact everywhere.
     """
     _check_cell_shape(u, grid)
-    out = pad_cells(u, grid)
-    for a in range(grid.dim):
-        out = _avg_pairs(out, a)
-    return out
+    return _avg_pairs(_avg_pairs(pad_cells(u, grid), 0), 1)
 
 
 def cell_from_nodes(w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Average a node field onto cells (mean of the 2^dim corner nodes)."""
+    """Average a node field onto cells (mean of the 4 corner nodes)."""
     _check_node_shape(w, grid)
-    out = w
-    for a in range(grid.dim):
-        out = _avg_pairs(out, a)
-    return out
+    return _avg_pairs(_avg_pairs(w, 0), 1)
 
 
 def discrete_norms(u: np.ndarray, grid: Grid) -> tuple[float, float, float]:
@@ -168,13 +132,11 @@ def discrete_norms(u: np.ndarray, grid: Grid) -> tuple[float, float, float]:
 
 
 def write_field_csv(path, u: np.ndarray, grid: Grid):
-    """Dump a 2D cell field as CSV, one row per cell in row-major order.
+    """Dump a cell field as CSV, one row per cell in row-major order.
 
     Header is ``x,y,value`` for scalars, ``x,y,vx,vy,vz`` for vectors;
     values carry 17 significant digits.
     """
-    if grid.dim != 2:
-        raise ValueError("CSV field dump is defined for 2D grids")
     _check_cell_shape(u, grid)
     x, y = grid.cell_coords()
     table = np.column_stack((x.ravel(), y.ravel(),

@@ -21,7 +21,7 @@ import numpy as np
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import BlowupDetector, stable_dt, step_classical
 from .diffusion import AnisoDiffusionProblem, macro_potential, solve_micro
-from .grid import Grid, GridSpec, discrete_norms, write_field_csv
+from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar
 
 P0 = 2.0
@@ -299,8 +299,7 @@ class RunConfig:
         def scaled(n):
             return max(4, round(n * self.scale))
         (x0, x1), (y0, y1) = self.domain
-        return Grid(GridSpec(lo=(x0, y0), hi=(x1, y1),
-                             cells=(scaled(self.nx), scaled(self.ny))))
+        return Grid((x0, y0), (x1, y1), (scaled(self.nx), scaled(self.ny)))
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -396,14 +395,12 @@ def _num_steps(t_end: float, dt: float) -> int:
 def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
                    field: MagneticField, state0: PlasmaState,
                    dt: float = None, t_end: float = None,
-                   max_steps: int = None, dump_dir=None) -> SimulationResult:
+                   dump_dir=None) -> SimulationResult:
     """Advance one scheme, recording per-step diagnostics and divergence."""
     dt = cfg.dt if dt is None else dt
     t_end = cfg.t_end if t_end is None else t_end
     params = cfg.phys_params(dt=dt)
     steps = _num_steps(t_end, dt)
-    if max_steps is not None:
-        steps = min(steps, max_steps)
 
     state = state0.copy()
     detector = BlowupDetector(state0)
@@ -503,7 +500,7 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
     def make(ncells):
         n = max(4, round(ncells * cfg.scale))
         if n not in problems:
-            grid = Grid(GridSpec(lo=(1.0, 1.0), hi=(2.0, 2.0), cells=(n, n)))
+            grid = Grid((1.0, 1.0), (2.0, 2.0), (n, n))
             problems[n] = grid, ManufacturedDiffusion(grid, lam)
         return problems[n]
 
@@ -540,8 +537,7 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
 def boundary_band_mask(grid: Grid, frac: float) -> np.ndarray:
     """Cells whose center lies within frac * extent of the domain boundary."""
     x, y = grid.cell_coords()
-    (x0, x1), (y0, y1) = ((grid.spec.lo[0], grid.spec.hi[0]),
-                          (grid.spec.lo[1], grid.spec.hi[1]))
+    (x0, y0), (x1, y1) = grid.lo, grid.hi
     w = frac * min(x1 - x0, y1 - y0)
     return ((x - x0 < w) | (x1 - x < w) | (y - y0 < w) | (y1 - y < w))
 

@@ -1,11 +1,10 @@
 """Three-point discrete operators between cell and node samplings.
 
-Three stencils are provided, all second-order on uniform meshes:
+Three stencils are provided, all second-order on the uniform 2D mesh:
 
 - ``apply_dh``: directional derivative along the unit field b, cell -> node.
-  Per axis it averages the one-sided cell differences straddling the node
-  (2 differences / 2*da in 2D, 4 / 4*da in 3D) and contracts with b at the
-  node.
+  Per axis it averages the two one-sided cell differences straddling the
+  node (2 differences / 2*da) and contracts with b at the node.
 - ``apply_dhstar``: divergence of a b-aligned node flux, node -> cell.  Per
   axis it averages (b_a * w) over the transverse node pairs of the cell and
   differences across the cell.
@@ -17,15 +16,15 @@ Raw stencils are defined at every node via edge-replicated ghost cells
 (one-sided at the boundary layer).  The homogeneous flux condition of the
 diffusion problems (b-derivative zero on the boundary node layer) is not
 part of the raw stencils: the time stepper imposes it by zeroing the flux
-on boundary nodes (``zero_boundary=True``), the assembled operators by
-keeping only the interior node columns of dhstar.
+on boundary nodes, the assembled operators by keeping only the interior
+node columns of dhstar.
 
-Only dhstar is assembled, as a Kronecker product of 1D difference/average
-factors.  Its interior-column block DE determines the rest: by the SBP
-identity the interior rows of dh are exactly -DE^T, so the masked cell
-operator -dhstar(H dh(.)) is DE diag(H) DE^T (which the micro solve
-applies and the tests' direct oracle assembles) and the macro normal
-operator is DE^T DE.
+Only dhstar is assembled, as a sum of two Kronecker products of 1D
+difference/average factors.  Its interior-column block DE determines the
+rest: by the SBP identity the interior rows of dh are exactly -DE^T, so
+the masked cell operator -dhstar(H dh(.)) is DE diag(H) DE^T (which the
+micro solve applies and the tests' direct oracle assembles) and the macro
+normal operator is DE^T DE.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ _UNIT_TOL = 1e-12
 class MagneticField:
     """Unit direction b and magnitude |B| sampled at nodes and cells.
 
-    Vectors keep 3 components regardless of grid dimension.  |B| must be
-    positive everywhere and b unit to 1e-12.
+    Vectors keep 3 components: B may have a z component, while the mesh
+    is 2D.  |B| must be positive everywhere and b unit to 1e-12.
     """
 
     def __init__(self, b_nodes: np.ndarray, bmag_nodes: np.ndarray,
@@ -90,45 +89,28 @@ class MagneticField:
 
 
 def apply_grad_star(p: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node gradient of a cell field; z component is zero in 2D."""
+    """Node gradient of a cell field; the z component is zero."""
     _check_cell_shape(p, grid)
     padded = pad_cells(p, grid)
+    dx, dy = grid.spacing
     out = np.zeros(grid.shape_nodes + (3,))
-    for a in range(grid.dim):
-        comp = padded
-        for b in range(grid.dim):
-            if b == a:
-                comp = _diff_pairs(comp, b, grid.spacing[a])
-            else:
-                comp = _avg_pairs(comp, b)
-        out[..., a] = comp
+    out[..., 0] = _avg_pairs(_diff_pairs(padded, 0, dx), 1)
+    out[..., 1] = _diff_pairs(_avg_pairs(padded, 0), 1, dy)
     return out
 
 
-def apply_dh(p: np.ndarray, field: MagneticField, grid: Grid,
-             zero_boundary: bool = False) -> np.ndarray:
-    """b . grad at nodes.  zero_boundary zeroes the boundary node layer,
-    matching the flux condition built into the diffusion operators."""
-    g = apply_grad_star(p, grid)
-    out = np.einsum("...k,...k->...", field.b_nodes, g)
-    if zero_boundary:
-        out = np.where(grid.interior_node_mask, out, 0.0)
-    return out
+def apply_dh(p: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
+    """b . grad at nodes, raw on the boundary node layer too."""
+    return np.einsum("...k,...k->...", field.b_nodes, apply_grad_star(p, grid))
 
 
 def apply_dhstar(w: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
     """Divergence of the node flux b*w, cell field output."""
     _check_node_shape(w, grid)
-    out = np.zeros(grid.shape_cells)
-    for a in range(grid.dim):
-        comp = field.b_nodes[..., a] * w
-        for b in range(grid.dim):
-            if b == a:
-                comp = _diff_pairs(comp, b, grid.spacing[a])
-            else:
-                comp = _avg_pairs(comp, b)
-        out += comp
-    return out
+    dx, dy = grid.spacing
+    b = field.b_nodes
+    return (_avg_pairs(_diff_pairs(b[..., 0] * w, 0, dx), 1)
+            + _diff_pairs(_avg_pairs(b[..., 1] * w, 0), 1, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -147,26 +129,13 @@ def _avg_matrix(m: int) -> sp.csr_matrix:
                     shape=(m - 1, m), format="csr")
 
 
-def _kron_all(factors) -> sp.csr_matrix:
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
-
-
 def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
     """Node -> cell matrix of the b-aligned flux divergence."""
     b = field.b_nodes.reshape(-1, 3)
-    out = None
-    for a in range(grid.dim):
-        factors = []
-        for c in range(grid.dim):
-            m = grid.shape_nodes[c]
-            core = _diff_matrix(m, grid.spacing[a]) if c == a else _avg_matrix(m)
-            factors.append(core)
-        term = _kron_all(factors) @ sp.diags(b[:, a])
-        out = term if out is None else out + term
-    return out.tocsr()
+    (mx, my), (dx, dy) = grid.shape_nodes, grid.spacing
+    x = sp.kron(_diff_matrix(mx, dx), _avg_matrix(my), format="csr")
+    y = sp.kron(_avg_matrix(mx), _diff_matrix(my, dy), format="csr")
+    return (x @ sp.diags(b[:, 0]) + y @ sp.diags(b[:, 1])).tocsr()
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import pytest
 
 import driftlimit as dl
 from driftlimit.diffusion import solve_micro_macro
-from driftlimit.grid import grid_2d
+from driftlimit.grid import Grid
 from driftlimit.harness import ManufacturedDiffusion, RunConfig, \
     classify_boundary_artifacts, make_two_fluid_setup, run_c_study, \
     run_diffusion_validation, run_simulation
@@ -61,18 +61,17 @@ def underresolved_ap(desk_setup):
 def underresolved_classical(desk_setup):
     cfg, grid, field, s0 = desk_setup
     return run_simulation("classical", cfg, grid, field, s0, dt=1e-6,
-                          t_end=50e-6, max_steps=50)
+                          t_end=50e-6)
 
 
 @pytest.fixture(scope="module")
 def stationary_runs():
     cfg = RunConfig(eta=0.0)          # full 100^2 preset
     grid, field, s0 = make_two_fluid_setup(cfg)
-    ap = run_simulation("ap", cfg, grid, field, s0, dt=1e-6, t_end=100e-6,
-                        max_steps=100)
+    ap = run_simulation("ap", cfg, grid, field, s0, dt=1e-6, t_end=100e-6)
     dt_cl = dl.stable_dt(s0, cfg.phys_params(), grid, cfg.sigma)
     cl = run_simulation("classical", cfg, grid, field, s0, dt=dt_cl,
-                        t_end=200 * dt_cl, max_steps=100)
+                        t_end=100 * dt_cl)
     return cfg, grid, s0, ap, cl
 
 
@@ -105,7 +104,7 @@ def test_criterion_3_micro_macro_vs_direct_oracle():
     # both routes solve the identical deviation-form problem (backgrounds
     # cancel exactly); the relative difference is taken against the full
     # solution including the constant background
-    g = grid_2d((1, 1), (2, 2), 50, 50)
+    g = Grid((1, 1), (2, 2), (50, 50))
     m = ManufacturedDiffusion(g)
     worst = 0.0
     for tau in (1e-1, 1e-2, 1e-3):

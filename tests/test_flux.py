@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit.flux import _radius_field, explicit_flux_vector, fv_divergence
-from driftlimit.grid import grid_2d
+from driftlimit.grid import Grid
 from driftlimit.stencil import MagneticField
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -152,7 +152,7 @@ def test_rusanov_viscosity_dominates_both_sides():
 
 
 def test_divergence_of_uniform_state_vanishes():
-    g = grid_2d((1, 1), (2, 2), 6, 6)
+    g = Grid((1, 1), (2, 2), (6, 6))
     f = MagneticField.uniform(g, (np.sin(2.0), -np.cos(2.0), 0.0))
     n = np.full(g.shape_cells, 1.0)
     q = np.broadcast_to(f.b_cells[0, 0], g.shape_cells + (3,)).copy()
@@ -162,7 +162,7 @@ def test_divergence_of_uniform_state_vanishes():
 
 def test_divergence_1d_step_hand_computed():
     # 4x2 grid, jump in q_x along x, b = e_z so the mass flux is full q_x
-    g = grid_2d((0, 0), (4, 2), 4, 2)
+    g = Grid((0, 0), (4, 2), (4, 2))
     f = MagneticField.uniform(g, (0.0, 0.0, 1.0))
     n = np.ones(g.shape_cells)
     q = np.zeros(g.shape_cells + (3,))
@@ -186,7 +186,7 @@ def test_divergence_1d_step_hand_computed():
 
 def test_conservation_telescoping():
     rng = np.random.default_rng(9)
-    g = grid_2d((0, 0), (1, 1), 8, 7)
+    g = Grid((0, 0), (1, 1), (8, 7))
     f = MagneticField.uniform(g, (0.6, 0.0, 0.8))
     n = 1.0 + 0.3 * rng.random(g.shape_cells)
     q = rng.standard_normal(g.shape_cells + (3,))
@@ -208,7 +208,7 @@ def test_conservation_telescoping():
 
 
 def test_divergence_flags_invalid_state():
-    g = grid_2d((0, 0), (1, 1), 4, 4)
+    g = Grid((0, 0), (1, 1), (4, 4))
     f = MagneticField.uniform(g, (1.0, 0.0, 0.0))
     n = np.ones(g.shape_cells)
     n[2, 2] = -1.0
@@ -234,7 +234,7 @@ def test_pressure_flux_and_bound_options():
 
     # the 1D step of test_divergence_1d_step_hand_computed with c2 = 4:
     # left flux (1, 1 + 4, 0, 0), right flux (0, 4, 0, 0), D = 1 + 2
-    g = grid_2d((0, 0), (4, 2), 4, 2)
+    g = Grid((0, 0), (4, 2), (4, 2))
     f = MagneticField.uniform(g, (0.0, 0.0, 1.0))
     nc = np.ones(g.shape_cells)
     qc = np.zeros(g.shape_cells + (3,))

@@ -1,27 +1,21 @@
 import numpy as np
 import pytest
 
-from driftlimit.grid import Grid, GridSpec, cell_from_nodes, discrete_norms, \
-    grid_2d, node_average, write_field_csv
+from driftlimit.grid import Grid, cell_from_nodes, discrete_norms, \
+    node_average, write_field_csv
 
 
 def test_smallest_grid_counts():
-    g = grid_2d((1, 1), (2, 2), 2, 2)
+    g = Grid((1, 1), (2, 2), (2, 2))
     assert g.num_cells == 4
     assert g.num_nodes == 9
     assert g.num_interior_nodes == 1
 
 
 def test_reference_grid_counts():
-    g = grid_2d((1, 1), (2, 2), 100, 100)
+    g = Grid((1, 1), (2, 2), (100, 100))
     assert g.spacing == (0.01, 0.01)
     assert g.num_cells == 10000
-
-
-def test_3d_counts():
-    g = Grid(GridSpec(lo=(0, 0, 0), hi=(1, 1, 1), cells=(4, 4, 4)))
-    assert g.num_nodes == 125
-    assert g.num_interior_nodes == 27
 
 
 @pytest.mark.parametrize("bad", [
@@ -29,14 +23,16 @@ def test_3d_counts():
     dict(lo=(0, 0), hi=(0, 1), cells=(4, 4)),
     dict(lo=(0, 0), hi=(1, 1), cells=(4,)),
     dict(lo=(0,), hi=(1,), cells=(4,)),
+    dict(lo=(0, 0, 0), hi=(1, 1, 1), cells=(4, 4, 4)),
+    dict(lo=(0, 0, 0), hi=(1, 1), cells=(4, 4)),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
-        GridSpec(**bad)
+        Grid(**bad)
 
 
 def test_node_average_constant_and_mean():
-    g = grid_2d((1, 1), (2, 2), 2, 2)
+    g = Grid((1, 1), (2, 2), (2, 2))
     const = node_average(np.full((2, 2), 3.7), g)
     assert np.all(const == 3.7)
     u = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -44,7 +40,7 @@ def test_node_average_constant_and_mean():
 
 
 def test_node_average_affine_exact():
-    g = grid_2d((1, 1), (2, 2), 8, 6)
+    g = Grid((1, 1), (2, 2), (8, 6))
     x, _ = g.cell_coords()
     xn, _ = g.node_coords()
     w = node_average(x, g)
@@ -53,7 +49,7 @@ def test_node_average_affine_exact():
 
 
 def test_cell_from_nodes_constant_affine_and_hat():
-    g = grid_2d((1, 1), (2, 2), 4, 4)
+    g = Grid((1, 1), (2, 2), (4, 4))
     assert np.all(cell_from_nodes(np.full(g.shape_nodes, 2.0), g) == 2.0)
     xn, _ = g.node_coords()
     x, _ = g.cell_coords()
@@ -67,7 +63,7 @@ def test_cell_from_nodes_constant_affine_and_hat():
 
 def test_composition_is_smoothing():
     rng = np.random.default_rng(7)
-    g = grid_2d((0, 0), (1, 1), 9, 5)
+    g = Grid((0, 0), (1, 1), (9, 5))
     u = rng.standard_normal(g.shape_cells)
     v = cell_from_nodes(node_average(u, g), g)
     assert v.max() <= u.max() + 1e-14
@@ -75,14 +71,14 @@ def test_composition_is_smoothing():
 
 
 def test_discrete_norms_unit_measure():
-    g = grid_2d((1, 1), (2, 2), 10, 10)
+    g = Grid((1, 1), (2, 2), (10, 10))
     l1, l2, linf = discrete_norms(np.ones(g.shape_cells), g)
     assert (l1, l2, linf) == pytest.approx((1.0, 1.0, 1.0), rel=1e-14)
     assert discrete_norms(np.zeros(g.shape_cells), g) == (0.0, 0.0, 0.0)
 
 
 def test_discrete_norms_indicator():
-    g = grid_2d((1, 1), (2, 2), 100, 100)
+    g = Grid((1, 1), (2, 2), (100, 100))
     u = np.zeros(g.shape_cells)
     u[3, 7] = 2.5
     l1, l2, linf = discrete_norms(u, g)
@@ -91,7 +87,7 @@ def test_discrete_norms_indicator():
 
 
 def test_csv_dump_format(tmp_path):
-    g = grid_2d((1, 1), (2, 2), 2, 3)
+    g = Grid((1, 1), (2, 2), (2, 3))
     path = tmp_path / "field.csv"
     u = np.arange(6.0).reshape(2, 3)
     write_field_csv(path, u, g)
@@ -111,7 +107,7 @@ def test_csv_dump_format(tmp_path):
 
 
 def test_csv_full_precision(tmp_path):
-    g = grid_2d((1, 1), (2, 2), 2, 2)
+    g = Grid((1, 1), (2, 2), (2, 2))
     u = np.full(g.shape_cells, 1.0 / 3.0)
     path = tmp_path / "prec.csv"
     write_field_csv(path, u, g)

