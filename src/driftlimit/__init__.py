@@ -8,7 +8,7 @@ from .diffusion import AnisoDiffusionProblem, MicroMacroSolution, SolverError, \
 from .flux import explicit_flux_vector, fv_divergence
 from .ap_stepper import APStepper, PhysParams, PlasmaState, StepDiagnostics, \
     assemble_R, assemble_S, step_residuals
-from .classical import BlowupDetector, stable_dt, step_classical
+from .classical import stable_dt, step_classical
 from .harness import RunConfig, parse_config, run_c_study, \
     run_diffusion_validation, run_two_fluid
 

@@ -45,9 +45,10 @@ SPECIES = ("i", "e")
 class PhysParams:
     """Dimensionless model and scheme constants.
 
-    tau: squared ion Mach number / rescaled gyro-period; eps: electron to
-    ion mass ratio; T_e: electron temperature (ion temperature is 1 by the
-    scaling); C: quasi-neutrality regularization weight; dt: time step.
+    tau > 0: squared ion Mach number / rescaled gyro-period (both steppers
+    evaluate the stiff 1/tau force as written); eps: electron to ion mass
+    ratio; T_e: electron temperature (ion temperature is 1 by the scaling);
+    C: quasi-neutrality regularization weight; dt: time step.
     """
 
     tau: float
@@ -57,8 +58,8 @@ class PhysParams:
     dt: float
 
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        if self.tau <= 0.0:
+            raise ValueError("tau must be positive")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
         if self.T_e == 1.0:
@@ -237,9 +238,6 @@ class APStepper:
     solve (unit coefficient, shift tau*lam1) stays plain CG."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
-        if params.tau <= 0.0:
-            raise ValueError("the AP step evaluates the stiff force as written "
-                             "and requires tau > 0")
         self.params = params
         self.grid = grid
         self.field = field

@@ -67,7 +67,7 @@ import scipy.sparse.linalg as spla
 from .grid import Grid
 from .stencil import MagneticField, apply_dh, apply_dhstar, get_operator_set
 
-SOLVER_RTOL = 1e-12
+SOLVER_RTOL = 1e-12        # relative residual of every solve, CG or factor
 
 
 class SolverError(RuntimeError):
@@ -103,10 +103,9 @@ class MicroMacroSolution:
     regime: float = 0.0        # tau*lam / operator eigenvalue scale
 
 
-def _cg_solve(A, b, rtol: float, label: str = "cg",
-              M=None) -> tuple[np.ndarray, int]:
-    """CG from a zero start, preconditioned by M if given, with iteration
-    count."""
+def _cg_solve(A, b, label: str = "cg", M=None) -> tuple[np.ndarray, int]:
+    """CG from a zero start to SOLVER_RTOL, preconditioned by M if given,
+    with iteration count."""
     if not np.any(b):
         return np.zeros_like(b), 0
     count = [0]
@@ -115,8 +114,8 @@ def _cg_solve(A, b, rtol: float, label: str = "cg",
         count[0] += 1
 
     maxiter = max(200, 12 * b.size)
-    x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M,
-                      callback=cb)
+    x, info = spla.cg(A, b, rtol=SOLVER_RTOL, atol=0.0, maxiter=maxiter,
+                      M=M, callback=cb)
     if info != 0:
         resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
         raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
@@ -131,13 +130,13 @@ def _factor_spd(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _factored_solve(lu, A, b, rtol: float) -> tuple[np.ndarray, int]:
+def _factored_solve(lu, A, b) -> tuple[np.ndarray, int]:
     """One factor solve, residual-checked; the count is factor solves."""
     if not np.any(b):
         return np.zeros_like(b), 0
     x = lu.solve(b)
     resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-    if resid > rtol:
+    if resid > SOLVER_RTOL:
         raise SolverError(f"macro potential: factored solve left relative "
                           f"residual {resid:.3e}")
     return x, 1
@@ -164,7 +163,6 @@ def micro_factor(field: MagneticField, grid: Grid, shift: float):
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
-                    rtol: float = SOLVER_RTOL,
                     lu=None) -> tuple[np.ndarray, int]:
     """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary.
 
@@ -177,17 +175,16 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
     # merged entries round
     rhs = apply_dh(g, field, grid).ravel()[ops.interior]
     if lu is None:
-        h_int, iters = _cg_solve(ops.N1, rhs, rtol, label="macro potential")
+        h_int, iters = _cg_solve(ops.N1, rhs, label="macro potential")
     else:
-        h_int, iters = _factored_solve(lu, ops.N1, rhs, rtol)
+        h_int, iters = _factored_solve(lu, ops.N1, rhs)
     h = np.zeros(grid.num_nodes)
     h[ops.interior] = h_int
     return h.reshape(grid.shape_nodes), iters
 
 
 def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
-                rhs: np.ndarray, grid: Grid, rtol: float = SOLVER_RTOL,
-                lu=None) -> tuple[np.ndarray, int]:
+                rhs: np.ndarray, grid: Grid, lu=None) -> tuple[np.ndarray, int]:
     """Cell field w with (A_H + shift) w = rhs, A_H = -dhstar(coeff dh(.)).
 
     The micro step of the decomposition, with shift = tau*lam and rhs in
@@ -201,12 +198,11 @@ def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
     A = spla.LinearOperator(
         shape, matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
     M = None if lu is None else spla.LinearOperator(shape, matvec=lu.solve)
-    w, iters = _cg_solve(A, rhs.ravel(), rtol, label="micro part", M=M)
+    w, iters = _cg_solve(A, rhs.ravel(), label="micro part", M=M)
     return w.reshape(grid.shape_cells), iters
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
-                      rtol: float = SOLVER_RTOL,
                       micro_lu=None, macro_lu=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
@@ -217,7 +213,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
     lam, tau = prob.lam, prob.tau
     op_scale = operator_scale(grid, float(prob.coeff.max()))
 
-    h, it_h = macro_potential(prob.rhs, prob.field, grid, rtol, macro_lu)
+    h, it_h = macro_potential(prob.rhs, prob.field, grid, macro_lu)
     dstar_h = apply_dhstar(h, prob.field, grid)
 
     pi = (prob.rhs + dstar_h) / lam
@@ -235,7 +231,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_w = 0
     else:
         w, it_w = solve_micro(prob.field, prob.coeff, tau * lam, -dstar_h,
-                              grid, rtol, micro_lu)
+                              grid, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q,

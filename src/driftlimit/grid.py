@@ -54,7 +54,6 @@ class Grid:
         mask = np.zeros(self.shape_nodes, dtype=bool)
         mask[1:-1, 1:-1] = True
         self.interior_node_mask = mask
-        self.num_interior_nodes = int(mask.sum())
 
     def cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of cell-center coordinates (x, y)."""

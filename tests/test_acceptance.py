@@ -6,6 +6,7 @@ expected failure (the stability-law onset sits one decade lower in C in
 this implementation; see the companion shifted-map test and the decisions
 ledger entry)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,24 +55,28 @@ def resolved_classical(desk_setup):
 @pytest.fixture(scope="module")
 def underresolved_ap(desk_setup):
     cfg, grid, field, s0 = desk_setup
-    return run_simulation("ap", cfg, grid, field, s0, dt=1e-6)
+    return run_simulation("ap", dataclasses.replace(cfg, dt=1e-6), grid,
+                          field, s0)
 
 
 @pytest.fixture(scope="module")
 def underresolved_classical(desk_setup):
     cfg, grid, field, s0 = desk_setup
-    return run_simulation("classical", cfg, grid, field, s0, dt=1e-6,
-                          t_end=50e-6)
+    return run_simulation("classical",
+                          dataclasses.replace(cfg, dt=1e-6, t_end=50e-6),
+                          grid, field, s0)
 
 
 @pytest.fixture(scope="module")
 def stationary_runs():
     cfg = RunConfig(eta=0.0)          # full 100^2 preset
     grid, field, s0 = make_two_fluid_setup(cfg)
-    ap = run_simulation("ap", cfg, grid, field, s0, dt=1e-6, t_end=100e-6)
+    ap = run_simulation("ap", dataclasses.replace(cfg, dt=1e-6, t_end=100e-6),
+                        grid, field, s0)
     dt_cl = dl.stable_dt(s0, cfg.phys_params(), grid, cfg.sigma)
-    cl = run_simulation("classical", cfg, grid, field, s0, dt=dt_cl,
-                        t_end=100 * dt_cl)
+    cl = run_simulation("classical",
+                        dataclasses.replace(cfg, dt=dt_cl, t_end=100 * dt_cl),
+                        grid, field, s0)
     return cfg, grid, s0, ap, cl
 
 

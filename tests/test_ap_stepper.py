@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ def test_params_constraint_identities():
     dict(PARAMS, C=0.0),
     dict(PARAMS, dt=0.0),
     dict(PARAMS, T_e=0.5),
+    dict(PARAMS, tau=0.0),
 ])
 def test_params_validation(bad):
     with pytest.raises(ValueError):
@@ -42,7 +45,7 @@ def test_te_one_rejected_with_singularity_message():
 def test_step_requires_positive_tau():
     cfg = RunConfig(nx=8, ny=8)
     grid, field, _ = make_two_fluid_setup(cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau must be positive"):
         APStepper(PhysParams(**dict(PARAMS, tau=0.0)), grid, field)
 
 
@@ -76,8 +79,8 @@ def test_assemble_R_dt_scaling():
     cfg, grid, field, s = stationary_setup()
     s.q_i[...] = 0.0
     s.q_e[...] = 0.0
-    p1 = cfg.phys_params(dt=1e-6)
-    p2 = cfg.phys_params(dt=2e-6)
+    p1 = dataclasses.replace(cfg, dt=1e-6).phys_params()
+    p2 = dataclasses.replace(cfg, dt=2e-6).phys_params()
     fv = species_fv_divergence(s, field, grid)
     R1 = assemble_R(s, field, p1, grid, fv)
     R2 = assemble_R(s, field, p2, grid, fv)

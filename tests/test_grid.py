@@ -9,7 +9,7 @@ def test_smallest_grid_counts():
     g = Grid((1, 1), (2, 2), (2, 2))
     assert g.num_cells == 4
     assert g.num_nodes == 9
-    assert g.num_interior_nodes == 1
+    assert g.interior_node_mask.sum() == 1
 
 
 def test_reference_grid_counts():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit import harness
+from driftlimit.classical import stable_dt
 from driftlimit.grid import Grid
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
@@ -86,7 +87,9 @@ def test_config_hash_ignores_output_directory(tmp_path):
     "sigma=2", "classical_dt=fast", "classical_dt=-1e-9",
     "c_values=[1e-2,1e-3,1e-4,1e-5]", "out_dir=5", "grids=[8,16]",
     "tau_sweep=[1e-2,1e-4]", "h_sweep_taus=[]", "h_sweep_taus=[1e-2,-1e-9]",
-    "tau_sweep=[1e-2,0,1e-4]"])
+    "tau_sweep=[1e-2,0,1e-4]", "dt_values=[]", "dt_values=[1e-6,0,1e-8]",
+    "c_values=[1e-2,-1e-3,1e-4]", "c_horizons=[6e-6,-4e-6,2e-6]", "n0=0",
+    "n0=-1", "tau=0"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
@@ -224,6 +227,23 @@ def test_two_fluid_run_outputs_and_determinism(tmp_path):
         assert res.diverged_step == -1
         final = res.final_state
         assert np.max(np.abs(final.n - out1["initial"].n)) <= 1e-9
+
+
+@pytest.mark.parametrize("classical_dt, dt, t_end, steps", [
+    (2e-9, 1e-8, 2e-8, 10), ("stable", 1e-5, 2e-5, 6)])
+def test_classical_dt_sets_only_the_classical_step(classical_dt, dt, t_end,
+                                                   steps):
+    cfg = RunConfig(nx=8, ny=8, eta=0.0, dt=dt, t_end=t_end,
+                    classical_dt=classical_dt).validate()
+    out = run_two_fluid(cfg)
+    ap, cl = out["results"]["ap"], out["results"]["classical"]
+    assert (ap.dt, ap.steps, ap.diverged_step) == (dt, 2, -1)
+    expected = classical_dt
+    if classical_dt == "stable":
+        expected = stable_dt(out["initial"], cfg.phys_params(), out["grid"],
+                             cfg.sigma)
+    assert (cl.dt, cl.steps, cl.diverged_step) == (expected, steps, -1)
+    assert cl.final_state.t == steps * expected
 
 
 def test_final_state_dumped_once(tmp_path, monkeypatch):
