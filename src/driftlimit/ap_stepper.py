@@ -144,12 +144,23 @@ def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
-    """Closed form of v - mu v x B = r."""
-    mu = np.asarray(mu, dtype=float)[..., None]
-    rxB = np.cross(r, B)
-    rB = np.einsum("...k,...k->...", r, B)[..., None]
-    B2 = np.einsum("...k,...k->...", B, B)[..., None]
-    return (r + mu * rxB + mu * mu * rB * B) / (1.0 + mu * mu * B2)
+    """Closed form of v - mu v x B = r,
+
+        v = (r + mu r x B + mu^2 (r . B) B) / (1 + mu^2 |B|^2),
+
+    written per component on the planes r[..., k], B[..., k]; mu is a
+    scalar or a per-cell array.
+    """
+    r = np.moveaxis(r, -1, 0)
+    B = np.moveaxis(B, -1, 0)
+    mu2 = np.multiply(mu, mu)
+    s = mu2 * (r[0] * B[0] + r[1] * B[1] + r[2] * B[2])
+    den = 1.0 + mu2 * (B[0] * B[0] + B[1] * B[1] + B[2] * B[2])
+    rxB = (r[1] * B[2] - r[2] * B[1],
+           r[2] * B[0] - r[0] * B[2],
+           r[0] * B[1] - r[1] * B[0])
+    return np.stack([(r[k] + mu * rxB[k] + s * B[k]) / den for k in range(3)],
+                    axis=-1)
 
 
 def species_fv_divergence(state: PlasmaState, field: MagneticField,

@@ -23,41 +23,54 @@ A number c2, the squared isothermal sound speed, is the classical full
 flux: F0 = q_a, the pressure c2 * n added on the axis momentum row, and
 the speed |u_a| + sqrt(c2).
 
-Boundary interfaces use zero-gradient (copy) ghost cells on all sides.
+The kernels work on component planes: a vector field of layout
+(nx, ny, 3) is split once into three contiguous (nx, ny) arrays, so every
+operation is a plain 2D elementwise one, and the divergence is stacked
+back to (nx, ny, 4) on exit.  Boundaries are zero-gradient: a copy ghost
+cell would make the viscosity term vanish on the boundary face, so that
+face carries the adjacent cell's own flux, and no ghost copy is made.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, pad_cells
+from .grid import Grid
 from .stencil import MagneticField
 
 
-def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b_cells: np.ndarray,
+def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b: np.ndarray,
                          axis: int, c2: float = None) -> np.ndarray:
-    """Per-cell 4-vector flux along one axis (last array axis: n, qx, qy, qz)."""
+    """Per-cell flux rows (n, qx, qy, qz) along one axis, shape (4,) + n.shape;
+    q and b are component planes, shape (3,) + n.shape."""
     if np.any(n <= 0.0):
         raise FloatingPointError("non-positive density in flux evaluation")
-    out = np.empty(n.shape + (4,))
-    out[..., 1:] = q[..., axis, None] * q / n[..., None]
+    out = np.empty((4,) + n.shape)
+    qa = q[axis]
+    for k in range(3):
+        np.multiply(qa, q[k], out=out[1 + k])
+        out[1 + k] /= n
     if c2 is None:
-        bq = np.einsum("...k,...k->...", b_cells, q)
-        out[..., 0] = q[..., axis] - b_cells[..., axis] * bq
+        bq = b[0] * q[0] + b[1] * q[1] + b[2] * q[2]
+        np.subtract(qa, b[axis] * bq, out=out[0])
     else:
-        out[..., 0] = q[..., axis]
-        out[..., 1 + axis] += c2 * n
+        out[0] = qa
+        out[1 + axis] += c2 * n
     return out
 
 
 def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
                   c2: float = None) -> np.ndarray:
-    """Vectorised per-cell viscosity speed along one axis."""
-    u = q / n[..., None]
-    ua = u[..., axis]
+    """Per-cell viscosity speed along one axis; q and b are component
+    planes, shape (3,) + n.shape."""
     if c2 is not None:
-        return np.abs(ua) + np.sqrt(c2)
-    kappa = ua * b[..., axis] * np.einsum("...k,...k->...", b, u)
+        speed = np.abs(q[axis] / n)
+        speed += np.sqrt(c2)
+        return speed
+    u = q / n
+    ua = u[axis]
+    kappa = ua * b[axis]
+    kappa *= b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
     # real roots u_a +/- sqrt(kappa) for kappa >= 0, a complex pair of
     # modulus sqrt(u_a^2 - kappa) otherwise; the clamps keep the branch
     # np.where discards free of square roots of negatives
@@ -71,30 +84,35 @@ def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,
     """Per-cell 4-vector FV divergence (mass row, 3 momentum rows) of the
     AP split flux (c2 None) or the classical full flux (c2 a number).
 
-    Ghost cells copy the boundary state, so boundary interfaces carry the
-    centered flux of the adjacent cell with no viscosity.
+    Boundary faces carry the adjacent cell's flux with no viscosity, as
+    copy ghost cells would.
     """
     if np.any(n <= 0.0) or not (np.all(np.isfinite(n)) and np.all(np.isfinite(q))):
         raise FloatingPointError("invalid state in FV divergence")
-    nP = pad_cells(n, grid)
-    qP = pad_cells(q, grid)
-    bP = pad_cells(field.b_cells, grid)
-    out = np.zeros(grid.shape_cells + (4,))
+    qs = np.moveaxis(q, -1, 0).copy()
+    bs = np.moveaxis(field.b_cells, -1, 0).copy()
+    W = (n, qs[0], qs[1], qs[2])
+    div = np.zeros((4,) + grid.shape_cells)
     for a in range(2):
-        # keep ghosts along axis a only; the other axis restricted to interior
-        sl = [slice(1, -1)] * 2
-        sl[a] = slice(None)
-        nA, qA, bA = nP[tuple(sl)], qP[tuple(sl)], bP[tuple(sl)]
-        f = explicit_flux_vector(nA, qA, bA, a, c2)
-        rad = _radius_field(nA, qA, bA, a, c2)
-        W = np.concatenate((nA[..., None], qA), axis=-1)
-
-        lo = [slice(None)] * 2
-        hi = [slice(None)] * 2
-        lo[a], hi[a] = slice(0, -1), slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        D = np.maximum(rad[lo], rad[hi])
-        F = 0.5 * (f[lo] + f[hi]) - 0.5 * D[..., None] * (W[hi] - W[lo])
-
-        out += (F[hi] - F[lo]) / grid.spacing[a]
-    return out
+        f = explicit_flux_vector(n, qs, bs, a, c2)
+        rad = _radius_field(n, qs, bs, a, c2)
+        lo, hi, inner, first, last = ((slice(None),) * a + (s,) for s in (
+            slice(0, -1), slice(1, None), slice(1, -1), slice(0, 1),
+            slice(-1, None)))
+        half_D = np.maximum(rad[lo], rad[hi])
+        half_D *= 0.5
+        faces = list(grid.shape_cells)
+        faces[a] += 1
+        F = np.empty(faces)
+        for k in range(4):
+            centered = f[k][lo] + f[k][hi]
+            centered *= 0.5
+            jump = W[k][hi] - W[k][lo]
+            jump *= half_D
+            np.subtract(centered, jump, out=F[inner])
+            F[first] = f[k][first]
+            F[last] = f[k][last]
+            dF = F[hi] - F[lo]
+            dF /= grid.spacing[a]
+            div[k] += dF
+    return np.stack(div, axis=-1)

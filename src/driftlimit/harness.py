@@ -273,6 +273,15 @@ class RunConfig:
         if len(self.c_values) != len(self.c_horizons):
             raise ValueError("config keys 'c_values' and 'c_horizons' must "
                              "have the same length")
+        for key in ("c_values", "dt_values"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"config key {key!r}: repeated entries "
+                                 "would overwrite study runs")
+        if min(self.c_horizons) < max(self.dt_values):
+            raise ValueError("config key 'c_horizons': every horizon must "
+                             "cover at least one step of the largest dt_values "
+                             f"entry {max(self.dt_values)!r}")
         if self.experiment not in ("simulate", "diffusion-validate", "c-study"):
             raise ValueError(f"config key 'experiment': unknown value "
                              f"{self.experiment!r}")
@@ -281,6 +290,17 @@ class RunConfig:
         for key in ("t_end", "n0", "scale"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"config key {key!r}: must be positive")
+        # the steps a simulate run takes: dt for the AP scheme, and for the
+        # classical one classical_dt when it is a number, else dt
+        steps = {"dt": self.dt}
+        if self.scheme != "ap" and _is_number(self.classical_dt):
+            steps["classical_dt"] = self.classical_dt
+            if self.scheme == "classical":
+                del steps["dt"]
+        for key, step in steps.items():
+            if self.experiment == "simulate" and self.t_end < step:
+                raise ValueError(f"config key 't_end': {self.t_end!r} is "
+                                 f"shorter than one step {key}={step!r}")
         if self.eta < 0.0:
             raise ValueError("config key 'eta': must be nonnegative")
         try:
@@ -386,6 +406,13 @@ class SimulationResult:
 
 
 def _num_steps(t_end: float, dt: float) -> int:
+    """Steps to reach t_end, the last one ending at or past it.
+
+    Parse time rejects a t_end shorter than a step it knows, so the floor
+    of one step only applies to classical_dt = "stable", whose CFL step
+    is known at run time and can exceed t_end; that run then ends one
+    step past t_end.
+    """
     steps = round(t_end / dt)
     if abs(steps * dt - t_end) > 1e-9 * t_end:
         steps = math.ceil(t_end / dt - 1e-12)

@@ -78,6 +78,28 @@ def test_rotation_properties(rraw, Braw, mu):
     assert v @ B == pytest.approx(r @ B, rel=1e-13, abs=1e-13)
 
 
+def cross_rotation(r, B, mu):
+    """The closed form on the (..., 3) layout with np.cross and einsum."""
+    mu = np.asarray(mu, dtype=float)[..., None]
+    rxB = np.cross(r, B)
+    rB = np.einsum("...k,...k->...", r, B)[..., None]
+    B2 = np.einsum("...k,...k->...", B, B)[..., None]
+    return (r + mu * rxB + mu * mu * rB * B) / (1.0 + mu * mu * B2)
+
+
+def test_rotation_matches_cross_product_form():
+    rng = np.random.default_rng(8)
+    shape = (17, 13)
+    r = rng.standard_normal(shape + (3,))
+    B = rng.standard_normal(shape + (3,))
+    assert np.min(np.abs(B[..., 2])) > 0.0
+    for mu in (37.5, rng.uniform(-200.0, 200.0, shape)):
+        v = solve_momentum_rotation(r, B, mu)
+        ref = cross_rotation(r, B, mu)
+        assert v.shape == ref.shape
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_stationary_state_preserved():
     cfg = RunConfig(nx=12, ny=12, eta=0.0)
     grid, field, s0 = make_two_fluid_setup(cfg)

@@ -5,10 +5,29 @@ from hypothesis import strategies as st
 
 from driftlimit.flux import _radius_field, explicit_flux_vector, fv_divergence
 from driftlimit.grid import Grid
+from driftlimit.harness import RunConfig, make_two_fluid_setup
 from driftlimit.stencil import MagneticField
+from oracles import ghost_fv_divergence
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
+
+
+def planes(v):
+    """(..., 3) vectors as component planes, shape (3, ...)."""
+    return np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+
+
+def cell_flux(n, q, b, axis, c2=None):
+    """explicit_flux_vector of one cell: (n, qx, qy, qz) rows."""
+    return explicit_flux_vector(np.array([n], dtype=float), planes([q]),
+                                planes([b]), axis, c2)[:, 0]
+
+
+def cell_radius(n, q, b, axis, c2=None):
+    """_radius_field of one cell."""
+    return _radius_field(np.array([n], dtype=float), planes([q]),
+                         planes([b]), axis, c2)[0]
 
 
 # Dense single-state oracles for the vectorised viscosity speed and
@@ -36,10 +55,8 @@ def rusanov_interface_flux(W_L, W_R, b_L, b_R, axis):
     """Single-interface flux F = (f_L + f_R)/2 - D (W_R - W_L)/2."""
     nL, qL = W_L
     nR, qR = W_R
-    fL = explicit_flux_vector(np.asarray([nL]), np.asarray([qL]),
-                              np.asarray([b_L]), axis)[0]
-    fR = explicit_flux_vector(np.asarray([nR]), np.asarray([qR]),
-                              np.asarray([b_R]), axis)[0]
+    fL = cell_flux(nL, qL, b_L, axis)
+    fR = cell_flux(nR, qR, b_R, axis)
     D = max(jacobian_spectral_radius(nL, qL, b_L, axis),
             jacobian_spectral_radius(nR, qR, b_R, axis))
     dW = np.concatenate(([nR - nL], np.asarray(qR) - np.asarray(qL)))
@@ -47,14 +64,12 @@ def rusanov_interface_flux(W_L, W_R, b_L, b_R, axis):
 
 
 def test_flux_zero_momentum():
-    f = explicit_flux_vector(np.array([1.0]), np.zeros((1, 3)),
-                             np.array([EZ]), axis=0)
+    f = cell_flux(1.0, np.zeros(3), EZ, axis=0)
     assert np.all(f == 0.0)
 
 
 def test_flux_hand_value():
-    f = explicit_flux_vector(np.array([1.0]), np.array([[1.0, 0.0, 0.0]]),
-                             np.array([EZ]), axis=0)[0]
+    f = cell_flux(1.0, [1.0, 0.0, 0.0], EZ, axis=0)
     assert np.allclose(f, [1.0, 1.0, 0.0, 0.0])
 
 
@@ -62,7 +77,7 @@ def test_flux_parallel_momentum_has_no_mass_flux():
     b = np.array([0.6, 0.8, 0.0])
     q = 2.5 * b
     for axis in range(3):
-        f = explicit_flux_vector(np.array([2.0]), q[None, :], b[None, :], axis)[0]
+        f = cell_flux(2.0, q, b, axis)
         assert abs(f[0]) < 1e-15
 
 
@@ -102,7 +117,7 @@ def test_radius_closed_form_matches_eigensolve(n, q, braw, axis):
     b = b / np.linalg.norm(b)
     q = np.asarray(q)
     dense = jacobian_spectral_radius(n, q, b, axis)
-    fast = _radius_field(np.array([n]), q[None, :], b[None, :], axis)[0]
+    fast = cell_radius(n, q, b, axis)
     assert fast == pytest.approx(dense, rel=5e-4, abs=5e-4)
 
 
@@ -120,7 +135,7 @@ def test_radius_complex_root_cells_match_eigensolve():
         kappa = u[:, axis] * b[:, axis] * np.einsum("ik,ik->i", b, u)
         assert np.any(kappa < 0.0) and np.any(kappa > 0.0)
         with np.errstate(invalid="raise"):
-            fast = _radius_field(n, q, b, axis)
+            fast = _radius_field(n, planes(q), planes(b), axis)
         dense = [jacobian_spectral_radius(n[i], q[i], b[i], axis)
                  for i in range(n.size)]
         assert fast == pytest.approx(dense, rel=5e-4, abs=5e-4)
@@ -130,7 +145,7 @@ def test_rusanov_consistency():
     b = np.array([0.0, 0.6, 0.8])
     W = (1.3, np.array([0.2, -0.4, 1.0]))
     F = rusanov_interface_flux(W, W, b, b, axis=1)
-    f = explicit_flux_vector(np.array([W[0]]), W[1][None, :], b[None, :], 1)[0]
+    f = cell_flux(W[0], W[1], b, 1)
     assert np.allclose(F, f, atol=1e-15)
 
 
@@ -141,8 +156,8 @@ def test_rusanov_viscosity_dominates_both_sides():
         b /= np.linalg.norm(b)
         nL, nR = rng.uniform(0.5, 2, 2)
         qL, qR = rng.standard_normal(3), rng.standard_normal(3)
-        FL = explicit_flux_vector(np.array([nL]), qL[None], b[None], 0)[0]
-        FR = explicit_flux_vector(np.array([nR]), qR[None], b[None], 0)[0]
+        FL = cell_flux(nL, qL, b, 0)
+        FR = cell_flux(nR, qR, b, 0)
         F = rusanov_interface_flux((nL, qL), (nR, qR), b, b, 0)
         D2 = (0.5 * (FL + FR) - F)  # = D/2 (W_R - W_L)
         rad = max(jacobian_spectral_radius(nL, qL, b, 0),
@@ -202,8 +217,9 @@ def test_conservation_telescoping():
         lo[axis], hi[axis] = 0, -1
         area = g.cell_volume / d
         for sl, sign in ((tuple(hi), 1.0), (tuple(lo), -1.0)):
-            F = explicit_flux_vector(n[sl], q[sl], f.b_cells[sl], axis)
-            boundary += sign * area * F.sum(axis=0)
+            F = explicit_flux_vector(n[sl], planes(q[sl]),
+                                     planes(f.b_cells[sl]), axis)
+            boundary += sign * area * F.sum(axis=1)
     assert np.allclose(total, boundary, atol=1e-12)
 
 
@@ -220,17 +236,17 @@ def test_pressure_flux_and_bound_options():
     # a number c2 selects the classical full flux: mass flux q_a, pressure
     # c2 * n on the axis momentum row and speed |u_a| + sqrt(c2); the AP
     # split flux (c2 None) keeps only the perpendicular mass flux
-    n = np.array([2.0])
-    q = np.array([[1.0, 0.5, -1.0]])
-    b = np.array([[0.6, 0.0, 0.8]])
-    assert np.allclose(explicit_flux_vector(n, q, b, 0, c2=9.0)[0],
+    n = 2.0
+    q = [1.0, 0.5, -1.0]
+    b = [0.6, 0.0, 0.8]
+    assert np.allclose(cell_flux(n, q, b, 0, c2=9.0),
                        [1.0, 18.5, 0.25, -0.5], rtol=0, atol=1e-15)
-    assert np.allclose(explicit_flux_vector(n, q, b, 1, c2=9.0)[0],
+    assert np.allclose(cell_flux(n, q, b, 1, c2=9.0),
                        [0.5, 0.25, 18.125, -0.25], rtol=0, atol=1e-15)
-    assert np.allclose(explicit_flux_vector(n, q, b, 0)[0],
+    assert np.allclose(cell_flux(n, q, b, 0),
                        [1.12, 0.5, 0.25, -0.5], rtol=0, atol=1e-15)
-    assert _radius_field(n, q, b, 0, c2=9.0)[0] == 3.5
-    assert _radius_field(n, q, b, 1, c2=9.0)[0] == 3.25
+    assert cell_radius(n, q, b, 0, c2=9.0) == 3.5
+    assert cell_radius(n, q, b, 1, c2=9.0) == 3.25
 
     # the 1D step of test_divergence_1d_step_hand_computed with c2 = 4:
     # left flux (1, 1 + 4, 0, 0), right flux (0, 4, 0, 0), D = 1 + 2
@@ -246,3 +262,39 @@ def test_pressure_flux_and_bound_options():
     assert np.allclose(div[2, 0], [0.0, 4.0, 0, 0] - F_jump, atol=1e-14)
     assert np.allclose(div[0, :], 0.0, atol=1e-14)
     assert np.allclose(div[3, :], 0.0, atol=1e-14)
+
+
+def random_state(grid, rng):
+    n = rng.uniform(0.5, 2.0, grid.shape_cells)
+    q = rng.uniform(-1.5, 1.5, grid.shape_cells + (3,))
+    return n, q
+
+
+@pytest.mark.parametrize("c2", [None, 9.0])
+def test_divergence_matches_ghost_oracle_on_curved_field(c2):
+    # b with a z component: the three-term dot products may round
+    # differently from the oracle's einsum, within a few ulps
+    g = Grid((1.0, 1.0), (2.0, 2.0), (13, 11))
+    f = MagneticField.from_function(
+        g, lambda x, y: (np.sin(3 * y), 1.0 + 0.5 * np.cos(2 * x), 0.3 + x * y))
+    assert np.min(np.abs(f.b_cells[..., 2])) > 0.05
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        n, q = random_state(g, rng)
+        oracle = ghost_fv_divergence(n, q, f, g, c2)
+        div = fv_divergence(n, q, f, g, c2)
+        assert div.shape == oracle.shape == g.shape_cells + (4,)
+        assert np.max(np.abs(div - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("c2", [None, 9.0])
+def test_divergence_bitwise_ghost_oracle_on_reference_field(c2):
+    # the reference field is uniform and planar (b_z = 0): no dot product
+    # can reassociate, so the two layouts agree to the last bit
+    g, f, _ = make_two_fluid_setup(RunConfig(nx=12, ny=9))
+    assert np.all(f.b_cells[..., 2] == 0.0)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        n, q = random_state(g, rng)
+        assert np.array_equal(fv_divergence(n, q, f, g, c2),
+                              ghost_fv_divergence(n, q, f, g, c2))

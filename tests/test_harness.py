@@ -89,7 +89,8 @@ def test_config_hash_ignores_output_directory(tmp_path):
     "tau_sweep=[1e-2,1e-4]", "h_sweep_taus=[]", "h_sweep_taus=[1e-2,-1e-9]",
     "tau_sweep=[1e-2,0,1e-4]", "dt_values=[]", "dt_values=[1e-6,0,1e-8]",
     "c_values=[1e-2,-1e-3,1e-4]", "c_horizons=[6e-6,-4e-6,2e-6]", "n0=0",
-    "n0=-1", "tau=0"])
+    "n0=-1", "tau=0", "c_values=[1e-2,1e-2,1e-4]", "dt_values=[1e-6,1e-6,1e-7]",
+    "t_end=1e-12", "classical_dt=1e-5", "c_horizons=[6e-6,4e-6,5e-7]"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
