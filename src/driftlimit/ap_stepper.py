@@ -125,16 +125,10 @@ class PlasmaState:
 
 @dataclass
 class StepDiagnostics:
-    continuity: dict = dataclass_field(default_factory=dict)
-    momentum: dict = dataclass_field(default_factory=dict)
-    ap_node: dict = dataclass_field(default_factory=dict)
-    iterations: dict = dataclass_field(default_factory=dict)
-    # smallest relative continuity residual resolvable in float64: the
-    # stored density is rounded to machine epsilon of its own magnitude,
-    # and the identity divides that by dt (plus the stiff-force echo)
-    continuity_floor: dict = dataclass_field(default_factory=dict)
-    regime: dict = dataclass_field(default_factory=dict)
-    kernel: dict = dataclass_field(default_factory=dict)
+    """What a step reports: its diagnostics.csv values keyed by column
+    name (none for the classical step), and its divergence flag and note."""
+
+    values: dict = dataclass_field(default_factory=dict)
     diverged: bool = False
     note: str = ""
 
@@ -318,17 +312,18 @@ class APStepper:
             diag.diverged, diag.note = True, "momentum diverged"
             return new, diag
 
-        diag = step_residuals(state, new, field, p, grid, fv, forces)
-        diag.iterations = {"n": sol_n.iterations, "phi": sol_phi.iterations}
-        diag.regime = {"n": sol_n.regime, "phi": sol_phi.regime}
-        diag.kernel = {"n": sol_n.kernel_residual,
-                       "phi": sol_phi.kernel_residual}
+        diag.values = step_residuals(state, new, field, p, grid, fv, forces)
+        for slot, sol in (("n", sol_n), ("phi", sol_phi)):
+            for part, count in sol.iterations.items():
+                diag.values[f"iters_{slot}_{part}"] = count
+            diag.values[f"regime_{slot}"] = sol.regime
+            diag.values[f"kernel_{slot}"] = sol.kernel_residual
         return new, diag
 
 
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
                    field: MagneticField, p: PhysParams, grid: Grid,
-                   fv: dict, forces: dict) -> StepDiagnostics:
+                   fv: dict, forces: dict) -> dict:
     """Plug both time levels into the discrete equations.
 
     fv is ``species_fv_divergence`` of state_m and forces is
@@ -338,9 +333,12 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     node_average(.)), stiff force via the three-point composite
     dhstar(s).  Momentum recombines the parallel and perpendicular force
     realisations into the full equation.  Residual norms are reported
-    relative to the largest constituent term.
+    relative to the largest constituent term.  Returns the residual
+    columns of diagnostics.csv per species a: continuity_a, its float64
+    floor continuity_floor_a, momentum_a and the aligned-derivative norm
+    ap_node_a.
     """
-    diag = StepDiagnostics()
+    values = {}
     dt = p.dt
     b_c, b_n = field.b_cells, field.b_nodes
 
@@ -360,12 +358,16 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
                  apply_dhstar(w, field, grid),
                  fv[a]["mass"]]
         scale = max(l2(t) for t in terms)
-        diag.continuity[a] = l2(sum(terms)) / scale if scale > 0 else 0.0
+        values[f"continuity_{a}"] = l2(sum(terms)) / scale if scale > 0 \
+            else 0.0
+        # smallest relative residual resolvable in float64: the stored
+        # density is rounded to machine epsilon of its own magnitude, and
+        # the identity divides that by dt (plus the stiff-force echo)
         eps_m = np.finfo(float).eps
         stiff_echo = 1.0 + 4.0 * Ta * dt**2 * sum(
             1.0 / d**2 for d in grid.spacing) / eta
         floor = eps_m * l2(state_new.n) / dt * stiff_echo
-        diag.continuity_floor[a] = floor / scale if scale > 0 else 0.0
+        values[f"continuity_floor_{a}"] = floor / scale if scale > 0 else 0.0
 
         # momentum
         F_perp = -qa * field.bmag_cells[..., None] * np.cross(b_c, P_c)
@@ -378,7 +380,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         # state is (near) stationary and every term degenerates to dust
         mscale = max(max(l2(t) for t in mterms),
                      l2(field.bmag_cells[..., None] * state_new.q(a)) / eta)
-        diag.momentum[a] = l2(sum(mterms)) / mscale if mscale > 0 else 0.0
-
-        diag.ap_node[a] = l2(s)
-    return diag
+        values[f"momentum_{a}"] = l2(sum(mterms)) / mscale if mscale > 0 \
+            else 0.0
+        values[f"ap_node_{a}"] = l2(s)
+    return values

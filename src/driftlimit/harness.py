@@ -287,9 +287,14 @@ class RunConfig:
                              f"{self.experiment!r}")
         if self.scheme not in ("ap", "classical", "both"):
             raise ValueError(f"config key 'scheme': unknown value {self.scheme!r}")
-        for key in ("t_end", "n0", "scale"):
+        for key in ("t_end", "n0", "scale", "lam"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"config key {key!r}: must be positive")
+        for key in ("eta", "output_interval"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"config key {key!r}: must be nonnegative")
+        if not 0.0 < self.band_frac < 0.5:
+            raise ValueError("config key 'band_frac': must lie in (0, 0.5)")
         # the steps a simulate run takes: dt for the AP scheme, and for the
         # classical one classical_dt when it is a number, else dt
         steps = {"dt": self.dt}
@@ -301,8 +306,6 @@ class RunConfig:
             if self.experiment == "simulate" and self.t_end < step:
                 raise ValueError(f"config key 't_end': {self.t_end!r} is "
                                  f"shorter than one step {key}={step!r}")
-        if self.eta < 0.0:
-            raise ValueError("config key 'eta': must be nonnegative")
         try:
             self.phys_params()
         except ValueError as exc:
@@ -424,36 +427,32 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
                    dump_dir=None) -> SimulationResult:
     """Advance one scheme by cfg.dt to cfg.t_end, recording per-step
     diagnostics and divergence: a step's own flag, or momentum growth
-    beyond MOMENTUM_GROWTH_LIMIT."""
+    beyond MOMENTUM_GROWTH_LIMIT.  With a dump_dir, the state is dumped
+    every cfg.output_interval steps and after the last step."""
     params = cfg.phys_params()
     steps = _num_steps(cfg.t_end, cfg.dt)
+    if scheme == "ap":
+        step = APStepper(params, grid, field).step
+    else:
+        def step(state):
+            return step_classical(state, field, params, grid)
 
     state = state0.copy()
     q_limit = MOMENTUM_GROWTH_LIMIT * max(np.abs(state0.q_i).max(),
                                           np.abs(state0.q_e).max())
     result = SimulationResult(scheme=scheme, dt=cfg.dt, final_state=state)
-    stepper = APStepper(params, grid, field) if scheme == "ap" else None
-
     for m in range(1, steps + 1):
-        if scheme == "ap":
-            state, diag = stepper.step(state)
-        else:
-            state, diag = step_classical(state, field, params, grid)
+        state, diag = step(state)
         state.t = m * cfg.dt
-        if dump_dir and cfg.output_interval and m % cfg.output_interval == 0:
-            _dump_state(dump_dir, f"{scheme}_t{state.t:.9e}", state, grid)
-        row = {"step": m, "time": state.t, "diverged": diag.diverged}
-        for key in ("continuity", "momentum", "ap_node", "continuity_floor",
-                    "regime", "kernel"):
-            for a, v in getattr(diag, key).items():
-                row[f"{key}_{a}"] = v
-        for slot, its in diag.iterations.items():
-            for part, k in its.items():
-                row[f"iters_{slot}_{part}"] = k
-        result.diag_rows.append(row)
+        result.diag_rows.append({"step": m, "time": state.t,
+                                 "diverged": diag.diverged, **diag.values})
         result.steps = m
         grown = max(np.abs(state.q_i).max(), np.abs(state.q_e).max()) > q_limit
-        if diag.diverged or grown:
+        stop = diag.diverged or grown
+        due = cfg.output_interval and m % cfg.output_interval == 0
+        if dump_dir and (due or stop or m == steps):
+            _dump_state(dump_dir, f"{scheme}_t{state.t:.9e}", state, grid)
+        if stop:
             result.diverged_step = m
             result.note = diag.note or "blow-up detector"
             break
@@ -469,19 +468,23 @@ def _dump_state(out_dir, tag: str, state: PlasmaState, grid: Grid):
                         data, grid)
 
 
+# The columns of diagnostics.csv in order: a diagnostics row holds step,
+# time, diverged and the step's StepDiagnostics.values.
+DIAGNOSTICS_COLUMNS = (
+    "scheme", "step", "time", "continuity_i", "continuity_e",
+    "continuity_floor_i", "continuity_floor_e", "momentum_i", "momentum_e",
+    "ap_node_i", "ap_node_e", "iters_n_macro", "iters_n_micro",
+    "iters_phi_macro", "iters_phi_micro", "regime_n", "regime_phi",
+    "kernel_n", "kernel_phi", "diverged")
+
+
 def _write_diagnostics(out_dir, results: list):
-    keys = ["scheme", "step", "time", "continuity_i", "continuity_e",
-            "continuity_floor_i", "continuity_floor_e",
-            "momentum_i", "momentum_e", "ap_node_i", "ap_node_e",
-            "iters_n_macro", "iters_n_micro", "iters_phi_macro",
-            "iters_phi_micro", "regime_n", "regime_phi", "kernel_n",
-            "kernel_phi", "diverged"]
     with open(os.path.join(out_dir, "diagnostics.csv"), "w") as fh:
-        fh.write(",".join(keys) + "\n")
+        fh.write(",".join(DIAGNOSTICS_COLUMNS) + "\n")
         for res in results:
             for row in res.diag_rows:
                 vals = [res.scheme]
-                for k in keys[1:]:
+                for k in DIAGNOSTICS_COLUMNS[1:]:
                     v = row.get(k, "")
                     if isinstance(v, bool):
                         v = int(v)
@@ -507,12 +510,6 @@ def run_two_fluid(cfg: RunConfig) -> dict:
         write_meta(cfg, cfg.out_dir, extra={
             "diverged_step": {s: r.diverged_step for s, r in results.items()}})
         _write_diagnostics(cfg.out_dir, list(results.values()))
-        for scheme, res in results.items():
-            # the last step's interval dump already holds the final state
-            if not (cfg.output_interval
-                    and res.steps % cfg.output_interval == 0):
-                _dump_state(cfg.out_dir, f"{scheme}_t{res.final_state.t:.9e}",
-                            res.final_state, grid)
     return {"grid": grid, "field": field, "initial": state0, "results": results}
 
 

@@ -80,12 +80,7 @@ class MagneticField:
 
     @classmethod
     def uniform(cls, grid: Grid, B: tuple[float, float, float]) -> "MagneticField":
-        B = np.asarray(B, dtype=float)
-        return cls.from_function(grid, lambda *coords: (
-            np.full_like(coords[0], B[0]),
-            np.full_like(coords[0], B[1]),
-            np.full_like(coords[0], B[2]),
-        ))
+        return cls.from_function(grid, lambda *coords: B)
 
 
 def apply_grad_star(p: np.ndarray, grid: Grid) -> np.ndarray:

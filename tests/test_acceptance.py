@@ -4,7 +4,8 @@ Shared runs are module-scoped fixtures; everything binds at the stated
 scales and tolerances.  Criterion 7's literal verdict map is a documented
 expected failure (the stability-law onset sits one decade lower in C in
 this implementation; see the companion shifted-map test and the decisions
-ledger entry)."""
+ledger entry), and so is the classical half of the seeded stationarity
+test beside criterion 4 (stable_dt is not a stable step)."""
 
 import dataclasses
 import math
@@ -122,20 +123,45 @@ def test_criterion_3_micro_macro_vs_direct_oracle():
     report(f"criterion 3 (micro-macro vs direct <= 1e-8): PASS — worst {worst:.2e}")
 
 
+def _drift(s, s0):
+    return max(np.max(np.abs(s.n - s0.n)), np.max(np.abs(s.phi - s0.phi)),
+               np.max(np.abs(s.q_i - s0.q_i)), np.max(np.abs(s.q_e - s0.q_e)))
+
+
 def test_criterion_4_stationary_preservation(stationary_runs):
     cfg, grid, s0, ap, cl = stationary_runs
     drifts = {}
     for name, res in (("ap", ap), ("classical", cl)):
         assert res.diverged_step == -1
         assert res.steps == 100
-        s = res.final_state
-        drifts[name] = max(np.max(np.abs(s.n - s0.n)),
-                           np.max(np.abs(s.phi - s0.phi)),
-                           np.max(np.abs(s.q_i - s0.q_i)),
-                           np.max(np.abs(s.q_e - s0.q_e)))
+        drifts[name] = _drift(res.final_state, s0)
         assert drifts[name] <= 1e-7, (name, drifts[name])
     report("criterion 4 (stationary preservation <= 1e-7 over 100 steps): "
            f"PASS — ap {drifts['ap']:.2e}, classical {drifts['classical']:.2e}")
+
+
+@pytest.mark.parametrize("scheme", [
+    "ap",
+    pytest.param("classical", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: stable_dt is the acoustic CFL "
+        "bound only; with 1e-14 noise on n the classical run at sigma 0.5 "
+        "reaches n <= 0 at step 26")),
+])
+def test_criterion_4_seeded_stationary_preservation(scheme):
+    # criterion 4's bound on a stationary state that is not exactly
+    # uniform, so floating point cannot keep it stationary by itself
+    cfg = RunConfig(eta=0.0)          # full 100^2 preset
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    s0.n += 1e-14 * np.random.default_rng(0).standard_normal(s0.n.shape)
+    dt = 1e-6 if scheme == "ap" else \
+        dl.stable_dt(s0, cfg.phys_params(), grid, cfg.sigma)
+    res = run_simulation(scheme, dataclasses.replace(cfg, dt=dt,
+                                                     t_end=100 * dt),
+                         grid, field, s0)
+    assert res.diverged_step == -1, res.note
+    assert res.steps == 100
+    drift = _drift(res.final_state, s0)
+    assert drift <= 1e-7, drift
 
 
 def _component_metrics(a_state, b_state):
@@ -251,7 +277,7 @@ def test_criterion_8_ap_node_residual_scaling():
         _, diag = stepper.step(s0)
         assert not diag.diverged
         for a in ("i", "e"):
-            res[a].append(diag.ap_node[a])
+            res[a].append(diag.values[f"ap_node_{a}"])
     slopes = {}
     for a in ("i", "e"):
         lx = np.log10(taus)

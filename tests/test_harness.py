@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit import harness
-from driftlimit.classical import stable_dt
+from driftlimit.ap_stepper import APStepper
+from driftlimit.classical import stable_dt, step_classical
 from driftlimit.grid import Grid
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
@@ -90,7 +91,9 @@ def test_config_hash_ignores_output_directory(tmp_path):
     "tau_sweep=[1e-2,0,1e-4]", "dt_values=[]", "dt_values=[1e-6,0,1e-8]",
     "c_values=[1e-2,-1e-3,1e-4]", "c_horizons=[6e-6,-4e-6,2e-6]", "n0=0",
     "n0=-1", "tau=0", "c_values=[1e-2,1e-2,1e-4]", "dt_values=[1e-6,1e-6,1e-7]",
-    "t_end=1e-12", "classical_dt=1e-5", "c_horizons=[6e-6,4e-6,5e-7]"])
+    "t_end=1e-12", "classical_dt=1e-5", "c_horizons=[6e-6,4e-6,5e-7]",
+    "lam=0", "lam=-1", "output_interval=-1", "band_frac=-1", "band_frac=0",
+    "band_frac=0.5"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
@@ -228,6 +231,29 @@ def test_two_fluid_run_outputs_and_determinism(tmp_path):
         assert res.diverged_step == -1
         final = res.final_state
         assert np.max(np.abs(final.n - out1["initial"].n)) <= 1e-9
+
+
+def test_step_values_are_the_diagnostics_columns(tmp_path):
+    # every value a step reports has a diagnostics.csv column, and every
+    # column past scheme, step, time and diverged is one the AP step fills
+    cfg = parse_config(overrides=["nx=8", "ny=8", "dt=1e-6", "t_end=1e-6"],
+                       out_dir=str(tmp_path))
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    p = cfg.phys_params()
+    _, diag = APStepper(p, grid, field).step(s0)
+    assert not diag.diverged
+    reported = set(harness.DIAGNOSTICS_COLUMNS) - {"scheme", "step", "time",
+                                                   "diverged"}
+    assert set(diag.values) == reported
+    _, diag = step_classical(s0, field, p, grid)
+    assert not diag.diverged and diag.values == {}
+    run_two_fluid(cfg)
+    header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
+    assert header == ("scheme,step,time,continuity_i,continuity_e,"
+                      "continuity_floor_i,continuity_floor_e,momentum_i,"
+                      "momentum_e,ap_node_i,ap_node_e,iters_n_macro,"
+                      "iters_n_micro,iters_phi_macro,iters_phi_micro,"
+                      "regime_n,regime_phi,kernel_n,kernel_phi,diverged")
 
 
 @pytest.mark.parametrize("classical_dt, dt, t_end, steps", [
