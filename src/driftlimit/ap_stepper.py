@@ -16,6 +16,11 @@ A step advances (n, q_i, q_e, phi) by:
    Lorentz rotation v - mu v x B = r with B = b, mu = -gamma, which is
    (I - gamma b x) q_perp = r_perp.
 
+Layout: the state stores the momenta as (nx, ny, 3) vectors.  A step
+splits each momentum once on entry into its three contiguous (nx, ny)
+component planes (``grid.components``), computes every kernel plane by
+plane, and stacks the new momenta once on exit.
+
 Divergence composites of parallel vector fields, written div(b (b . v)),
 are realised as dhstar(b_nodes . node_average(v)); applied to the implicit
 force this reduces exactly to the three-point operator pair dhstar o dh,
@@ -35,7 +40,8 @@ import numpy as np
 from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
     micro_factor, solve_micro_macro
 from .flux import fv_divergence
-from .grid import Grid, cell_from_nodes, node_average
+from .grid import Grid, cell_from_nodes, components, cross, dot, \
+    interleave, node_average
 from .stencil import MagneticField, apply_dhstar, apply_grad_star
 
 SPECIES = ("i", "e")
@@ -133,67 +139,65 @@ class StepDiagnostics:
     note: str = ""
 
 
-def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return b * np.einsum("...k,...k->...", b, v)[..., None]
-
-
-def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
+def solve_momentum_rotation(r, B, mu) -> tuple:
     """Closed form of v - mu v x B = r,
 
         v = (r + mu r x B + mu^2 (r . B) B) / (1 + mu^2 |B|^2),
 
-    written per component on the planes r[..., k], B[..., k]; mu is a
-    scalar or a per-cell array.
+    on component planes: r, B and the returned v are three planes each;
+    mu is a scalar or a per-cell array.
     """
-    r = np.moveaxis(r, -1, 0)
-    B = np.moveaxis(B, -1, 0)
     mu2 = np.multiply(mu, mu)
-    s = mu2 * (r[0] * B[0] + r[1] * B[1] + r[2] * B[2])
-    den = 1.0 + mu2 * (B[0] * B[0] + B[1] * B[1] + B[2] * B[2])
-    rxB = (r[1] * B[2] - r[2] * B[1],
-           r[2] * B[0] - r[0] * B[2],
-           r[0] * B[1] - r[1] * B[0])
-    return np.stack([(r[k] + mu * rxB[k] + s * B[k]) / den for k in range(3)],
-                    axis=-1)
+    s = mu2 * dot(r, B)
+    den = 1.0 + mu2 * dot(B, B)
+    rxB = cross(r, B)
+    return tuple((r[k] + mu * rxB[k] + s * B[k]) / den for k in range(3))
 
 
-def species_fv_divergence(state: PlasmaState, field: MagneticField,
+def species_fv_divergence(state: PlasmaState, q: dict, field: MagneticField,
                           grid: Grid) -> dict:
-    """Explicit FV divergences per species: mass (perp flux) and momentum."""
+    """Explicit FV divergences per species: the mass plane (perp flux) and
+    the three momentum planes; q maps each species to the component
+    planes of its momentum in the state."""
     out = {}
     for a in SPECIES:
-        div4 = fv_divergence(state.n, state.q(a), field, grid)
-        out[a] = {"mass": div4[..., 0], "mom": div4[..., 1:]}
+        div = fv_divergence(state.n, q[a], field, grid)
+        out[a] = {"mass": div[0], "mom": div[1:]}
     return out
 
 
-def _div_parallel(v_cells: np.ndarray, field: MagneticField,
-                  grid: Grid) -> np.ndarray:
-    """div(b (b . v)) composite: dhstar of b . node_average(v)."""
-    w = np.einsum("...k,...k->...", field.b_nodes, node_average(v_cells, grid))
+def _div_parallel(v, field: MagneticField, grid: Grid) -> np.ndarray:
+    """div(b (b . v)) composite: dhstar of b . node_average(v), v given as
+    cell component planes."""
+    w = dot(field.b_node_planes, [node_average(vk, grid) for vk in v])
     return apply_dhstar(w, field, grid)
 
 
-def assemble_R(state: PlasmaState, field: MagneticField, p: PhysParams,
-               grid: Grid, fv: dict) -> np.ndarray:
-    """Source of the density diffusion equation (explicit data only); fv
-    is ``species_fv_divergence`` of the state."""
+def assemble_R(state: PlasmaState, q: dict, field: MagneticField,
+               p: PhysParams, grid: Grid, fv: dict) -> np.ndarray:
+    """Source of the density diffusion equation (explicit data only); q
+    holds the state's momentum planes and fv is their
+    ``species_fv_divergence``."""
     dt, eps = p.dt, p.eps
-    arg = (-(state.q_i + eps * state.q_e) / dt
-           + fv["i"]["mom"] + eps * fv["e"]["mom"])
+    arg = [-(qi + eps * qe) / dt + mi + eps * me
+           for qi, qe, mi, me in zip(q["i"], q["e"], fv["i"]["mom"],
+                                     fv["e"]["mom"])]
     return ((1.0 + eps) / dt**2 * state.n
             + _div_parallel(arg, field, grid)
             - (fv["i"]["mass"] + eps * fv["e"]["mass"]) / dt) / (1.0 + p.T_e)
 
 
-def assemble_S(state: PlasmaState, n_new: np.ndarray, field: MagneticField,
-               p: PhysParams, grid: Grid, fv: dict) -> np.ndarray:
+def assemble_S(state: PlasmaState, q: dict, n_new: np.ndarray,
+               field: MagneticField, p: PhysParams, grid: Grid,
+               fv: dict) -> np.ndarray:
     """Source of the potential diffusion equation (needs the new density);
-    fv is ``species_fv_divergence`` of the state."""
+    q holds the state's momentum planes and fv is their
+    ``species_fv_divergence``."""
     dt, eps, Te = p.dt, p.eps, p.T_e
     r = eps / Te
-    arg = (-(state.q_i - r * state.q_e) / dt
-           + fv["i"]["mom"] - r * fv["e"]["mom"])
+    arg = [-(qi - r * qe) / dt + mi - r * me
+           for qi, qe, mi, me in zip(q["i"], q["e"], fv["i"]["mom"],
+                                     fv["e"]["mom"])]
     return (Te / (1.0 + Te)) * (
         (eps - Te) / (dt**2 * Te) * (n_new - state.n)
         + p.C / dt**2 * state.phi
@@ -208,26 +212,53 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     With n_star = node_average(n), returns per species a the triple
     (s, F_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
     the parallel force F_par = cell average of b s, and the cell average
-    of the perpendicular term b x (q_a T_a grad n + n_star grad phi) / |B|.
+    P_c of the perpendicular term b x (q_a T_a grad n + n_star grad phi)
+    / |B|; F_par and P_c are three cell planes each.
     """
     n_star = node_average(n, grid)
     grad_n = apply_grad_star(n, grid)
     grad_phi = apply_grad_star(phi, grid)
-    b_n = field.b_nodes
+    b_n = field.b_node_planes
+    bx, by, bz = b_n
     # apply_dh with the flux condition: zero on the boundary node layer
-    dh_n, dh_phi = (np.where(grid.interior_node_mask,
-                             np.einsum("...k,...k->...", b_n, g), 0.0)
-                    for g in (grad_n, grad_phi))
+    dh_n, dh_phi = (np.where(grid.interior_node_mask, bx * gx + by * gy, 0.0)
+                    for gx, gy in (grad_n, grad_phi))
+    n_grad_phi = [n_star * g for g in grad_phi]
     terms = {}
     for a in SPECIES:
         qa, Ta = p.charge(a), p.T_a(a)
         s = Ta * dh_n + qa * n_star * dh_phi
-        F_par = cell_from_nodes(b_n * s[..., None], grid)
-        P_node = np.cross(
-            b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
-            / field.bmag_nodes[..., None]
-        terms[a] = (s, F_par, cell_from_nodes(P_node, grid))
+        F_par = tuple(cell_from_nodes(bk * s, grid) for bk in b_n)
+        # b x (ux, uy, 0): the gradient on the 2D mesh has no z component
+        ux, uy = (qa * Ta * g + ng for g, ng in zip(grad_n, n_grad_phi))
+        P_node = (-(bz * uy), bz * ux, bx * uy - by * ux)
+        P_c = tuple(cell_from_nodes(Pk / field.bmag_nodes, grid)
+                    for Pk in P_node)
+        terms[a] = (s, F_par, P_c)
     return terms
+
+
+def update_momentum(a: str, q: tuple, fv: dict, force: tuple,
+                    field: MagneticField, p: PhysParams) -> tuple:
+    """New momentum planes of species a: q is its momentum planes, fv its
+    ``species_fv_divergence`` entry and force its ``stiff_force_terms``
+    entry at the new time level."""
+    qa, eta, dt = p.charge(a), p.eps_a(a) * p.tau, p.dt
+    _, F_par, P_c = force
+    b, bmag, mom = field.b_cell_planes, field.bmag_cells, fv["mom"]
+
+    # perpendicular update; electric/pressure term node-coupled
+    coeff = qa * eta / bmag
+    bxw = cross(b, [-qk / dt + mk for qk, mk in zip(q, mom)])
+    r = [Pk + coeff * ck for Pk, ck in zip(P_c, bxw)]
+    b_r = dot(b, r)
+    r_perp = [rk - bk * b_r for rk, bk in zip(r, b)]
+    q_perp = solve_momentum_rotation(r_perp, b, -(qa * eta / (dt * bmag)))
+
+    # parallel update; stiff force via the node coupling
+    b_q, b_mom = dot(b, q), dot(b, mom)
+    return tuple(bk * b_q - dt * (bk * b_mom) - (dt / eta) * Fk + qk
+                 for bk, Fk, qk in zip(b, F_par, q_perp))
 
 
 class APStepper:
@@ -258,9 +289,10 @@ class APStepper:
             diag.diverged, diag.note = True, "invalid input state"
             return state, diag
 
-        fv = species_fv_divergence(state, field, grid)
+        q = {a: components(state.q(a)) for a in SPECIES}
+        fv = species_fv_divergence(state, q, field, grid)
 
-        R = assemble_R(state, field, p, grid, fv)
+        R = assemble_R(state, q, field, p, grid, fv)
         try:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
@@ -270,7 +302,7 @@ class APStepper:
                 diag.diverged, diag.note = True, "density lost positivity"
                 return state, diag
 
-            S = assemble_S(state, n_new, field, p, grid, fv)
+            S = assemble_S(state, q, n_new, field, p, grid, fv)
             sol_phi = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=node_average(n_new, grid), lam=p.lam2,
                 tau=p.tau, rhs=S), grid, micro_lu=self.phi_lu,
@@ -285,34 +317,16 @@ class APStepper:
             return state, diag
 
         forces = stiff_force_terms(n_new, phi_new, field, p, grid)
-        b_c, bmag_c = field.b_cells, field.bmag_cells
-
-        q_new = {}
-        for a in SPECIES:
-            qa, eta = p.charge(a), p.eps_a(a) * p.tau
-            _, F_par, P_c = forces[a]
-
-            # parallel update; stiff force via the node coupling
-            q_par = (_parallel(state.q(a), b_c)
-                     - p.dt * _parallel(fv[a]["mom"], b_c)
-                     - (p.dt / eta) * F_par)
-
-            # perpendicular update; electric/pressure term node-coupled
-            r = P_c + (qa * eta / bmag_c)[..., None] * np.cross(
-                b_c, -state.q(a) / p.dt + fv[a]["mom"])
-            r_perp = r - _parallel(r, b_c)
-            gamma = qa * eta / (p.dt * bmag_c)
-            q_perp = solve_momentum_rotation(r_perp, b_c, -gamma)
-
-            q_new[a] = q_par + q_perp
-
-        new = PlasmaState(n=n_new, q_i=q_new["i"], q_e=q_new["e"],
-                          phi=phi_new, t=t_new)
+        q_new = {a: update_momentum(a, q[a], fv[a], forces[a], field, p)
+                 for a in SPECIES}
+        new = PlasmaState(n=n_new, q_i=interleave(q_new["i"]),
+                          q_e=interleave(q_new["e"]), phi=phi_new, t=t_new)
         if not new.is_finite():
             diag.diverged, diag.note = True, "momentum diverged"
             return new, diag
 
-        diag.values = step_residuals(state, new, field, p, grid, fv, forces)
+        diag.values = step_residuals(state, new, q, q_new, field, p, grid,
+                                     fv, forces)
         for slot, sol in (("n", sol_n), ("phi", sol_phi)):
             for part, count in sol.iterations.items():
                 diag.values[f"iters_{slot}_{part}"] = count
@@ -322,11 +336,12 @@ class APStepper:
 
 
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
-                   field: MagneticField, p: PhysParams, grid: Grid,
-                   fv: dict, forces: dict) -> dict:
+                   q_m: dict, q_new: dict, field: MagneticField,
+                   p: PhysParams, grid: Grid, fv: dict, forces: dict) -> dict:
     """Plug both time levels into the discrete equations.
 
-    fv is ``species_fv_divergence`` of state_m and forces is
+    q_m and q_new hold the momentum planes of the two states, fv is
+    ``species_fv_divergence`` of state_m and forces is
     ``stiff_force_terms`` of (state_new.n, state_new.phi): the terms the
     step itself used.  Continuity uses the same realisations the
     eliminations used: explicit parallel flux via dhstar(b .
@@ -340,7 +355,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     """
     values = {}
     dt = p.dt
-    b_c, b_n = field.b_cells, field.b_nodes
+    b_c, bmag = field.b_cell_planes, field.bmag_cells
+    B_c = [bk * bmag for bk in b_c]
 
     def l2(x):
         return float(np.linalg.norm(x))
@@ -348,10 +364,12 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     for a in SPECIES:
         qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
         s, F_par, P_c = forces[a]
+        mom = fv[a]["mom"]
 
         # continuity
-        expl_par = _parallel(state_m.q(a) - dt * fv[a]["mom"], b_c)
-        w = np.einsum("...k,...k->...", b_n, node_average(expl_par, grid)) \
+        b_expl = dot(b_c, [qk - dt * mk for qk, mk in zip(q_m[a], mom)])
+        w = dot(field.b_node_planes,
+                [node_average(bk * b_expl, grid) for bk in b_c]) \
             - (dt / eta) * s
         terms = [(state_new.n - state_m.n) / dt,
                  p.C_a(a) * (state_new.phi - state_m.phi) / dt,
@@ -369,17 +387,19 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         floor = eps_m * l2(state_new.n) / dt * stiff_echo
         values[f"continuity_floor_{a}"] = floor / scale if scale > 0 else 0.0
 
-        # momentum
-        F_perp = -qa * field.bmag_cells[..., None] * np.cross(b_c, P_c)
-        B_c = b_c * field.bmag_cells[..., None]
+        # momentum; the terms are summed and measured as (..., 3) vectors,
+        # so each norm sums in the order of the stored layout
+        coeff = -qa * bmag
         mterms = [(state_new.q(a) - state_m.q(a)) / dt,
-                  fv[a]["mom"],
-                  (F_par + F_perp) / eta,
-                  -(qa / eta) * np.cross(state_new.q(a), B_c)]
+                  interleave(mom),
+                  interleave([(Fk + coeff * ck) / eta
+                              for Fk, ck in zip(F_par, cross(b_c, P_c))]),
+                  interleave([-(qa / eta) * ck
+                              for ck in cross(q_new[a], B_c)])]
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust
         mscale = max(max(l2(t) for t in mterms),
-                     l2(field.bmag_cells[..., None] * state_new.q(a)) / eta)
+                     l2(interleave([bmag * qk for qk in q_new[a]])) / eta)
         values[f"momentum_{a}"] = l2(sum(mterms)) / mscale if mscale > 0 \
             else 0.0
         values[f"ap_node_{a}"] = l2(s)

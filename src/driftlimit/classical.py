@@ -22,7 +22,7 @@ import numpy as np
 from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics, \
     solve_momentum_rotation
 from .flux import fv_divergence
-from .grid import Grid, pad_cells
+from .grid import Grid, components, interleave, pad_cells
 from .stencil import MagneticField
 
 
@@ -41,14 +41,12 @@ def stable_dt(state: PlasmaState, p: PhysParams, grid: Grid,
     return sigma * h / c_max
 
 
-def central_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order cell-centered gradient with copy ghosts; 3-vector output."""
+def central_gradient(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order cell-centered gradient (gx, gy) with copy ghosts."""
     padded = pad_cells(u, grid)
     dx, dy = grid.spacing
-    out = np.zeros(grid.shape_cells + (3,))
-    out[..., 0] = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / (2 * dx)
-    out[..., 1] = (padded[1:-1, 2:] - padded[1:-1, :-2]) / (2 * dy)
-    return out
+    return ((padded[2:, 1:-1] - padded[:-2, 1:-1]) / (2 * dx),
+            (padded[1:-1, 2:] - padded[1:-1, :-2]) / (2 * dy))
 
 
 def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
@@ -61,13 +59,14 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
     t_new = state.t + p.dt
 
     grad_phi = central_gradient(state.phi, grid)
-    B_c = field.b_cells * field.bmag_cells[..., None]
+    B_c = [bk * field.bmag_cells for bk in field.b_cell_planes]
+    q = {a: components(state.q(a)) for a in SPECIES}
 
     fv = {}
     for a in SPECIES:
-        div4 = fv_divergence(state.n, state.q(a), field, grid,
-                             c2=p.T_a(a) / (p.eps_a(a) * p.tau))
-        fv[a] = {"mass": div4[..., 0], "mom": div4[..., 1:]}
+        div = fv_divergence(state.n, q[a], field, grid,
+                            c2=p.T_a(a) / (p.eps_a(a) * p.tau))
+        fv[a] = {"mass": div[0], "mom": div[1:]}
 
     phi_new = state.phi - p.dt / (p.C_i - p.C_e) * (fv["i"]["mass"] - fv["e"]["mass"])
     n_new = state.n - p.C_i * (phi_new - state.phi) - p.dt * fv["i"]["mass"]
@@ -75,12 +74,15 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
     q_new = {}
     for a in SPECIES:
         qa, eta = p.charge(a), p.eps_a(a) * p.tau
-        expl = fv[a]["mom"] + (qa / eta) * state.n[..., None] * grad_phi
-        r = state.q(a) - p.dt * expl
+        # the electric force of the in-plane gradient has no z component
+        mom = fv[a]["mom"]
+        expl = [mk + (qa / eta) * state.n * g
+                for mk, g in zip(mom, grad_phi)] + [mom[2]]
+        r = [qk - p.dt * ek for qk, ek in zip(q[a], expl)]
         q_new[a] = solve_momentum_rotation(r, B_c, p.dt * qa / eta)
 
-    new = PlasmaState(n=n_new, q_i=q_new["i"], q_e=q_new["e"],
-                      phi=phi_new, t=t_new)
+    new = PlasmaState(n=n_new, q_i=interleave(q_new["i"]),
+                      q_e=interleave(q_new["e"]), phi=phi_new, t=t_new)
     if not new.is_finite() or np.any(n_new <= 0.0):
         diag.diverged = True
         diag.note = "non-finite field" if not new.is_finite() else "n <= 0"

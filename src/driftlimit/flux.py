@@ -23,26 +23,28 @@ A number c2, the squared isothermal sound speed, is the classical full
 flux: F0 = q_a, the pressure c2 * n added on the axis momentum row, and
 the speed |u_a| + sqrt(c2).
 
-The kernels work on component planes: a vector field of layout
-(nx, ny, 3) is split once into three contiguous (nx, ny) arrays, so every
-operation is a plain 2D elementwise one, and the divergence is stacked
-back to (nx, ny, 4) on exit.  Boundaries are zero-gradient: a copy ghost
-cell would make the viscosity term vanish on the boundary face, so that
-face carries the adjacent cell's own flux, and no ghost copy is made.
+Layout: a state stores q as (nx, ny, 3) vectors, while these kernels work
+on component planes.  ``fv_divergence`` takes q as its three contiguous
+(nx, ny) planes, shape (3, nx, ny), takes b from the field's planes, and
+returns the divergence as four planes, shape (4, nx, ny): every operation
+is a plain 2D elementwise one.  Boundaries are zero-gradient: a copy
+ghost cell would make the viscosity term vanish on the boundary face, so
+that face carries the adjacent cell's own flux, and no ghost copy is
+made.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, dot
 from .stencil import MagneticField
 
 
 def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b: np.ndarray,
                          axis: int, c2: float = None) -> np.ndarray:
     """Per-cell flux rows (n, qx, qy, qz) along one axis, shape (4,) + n.shape;
-    q and b are component planes, shape (3,) + n.shape."""
+    q and b are three component planes each."""
     if np.any(n <= 0.0):
         raise FloatingPointError("non-positive density in flux evaluation")
     out = np.empty((4,) + n.shape)
@@ -51,8 +53,7 @@ def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b: np.ndarray,
         np.multiply(qa, q[k], out=out[1 + k])
         out[1 + k] /= n
     if c2 is None:
-        bq = b[0] * q[0] + b[1] * q[1] + b[2] * q[2]
-        np.subtract(qa, b[axis] * bq, out=out[0])
+        np.subtract(qa, b[axis] * dot(b, q), out=out[0])
     else:
         out[0] = qa
         out[1 + axis] += c2 * n
@@ -61,16 +62,16 @@ def explicit_flux_vector(n: np.ndarray, q: np.ndarray, b: np.ndarray,
 
 def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
                   c2: float = None) -> np.ndarray:
-    """Per-cell viscosity speed along one axis; q and b are component
-    planes, shape (3,) + n.shape."""
+    """Per-cell viscosity speed along one axis; q and b are three
+    component planes each."""
     if c2 is not None:
         speed = np.abs(q[axis] / n)
         speed += np.sqrt(c2)
         return speed
-    u = q / n
+    u = [qk / n for qk in q]
     ua = u[axis]
     kappa = ua * b[axis]
-    kappa *= b[0] * u[0] + b[1] * u[1] + b[2] * u[2]
+    kappa *= dot(b, u)
     # real roots u_a +/- sqrt(kappa) for kappa >= 0, a complex pair of
     # modulus sqrt(u_a^2 - kappa) otherwise; the clamps keep the branch
     # np.where discards free of square roots of negatives
@@ -81,21 +82,22 @@ def _radius_field(n: np.ndarray, q: np.ndarray, b: np.ndarray, axis: int,
 
 def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,
                   grid: Grid, c2: float = None) -> np.ndarray:
-    """Per-cell 4-vector FV divergence (mass row, 3 momentum rows) of the
-    AP split flux (c2 None) or the classical full flux (c2 a number).
+    """Per-cell FV divergence planes (mass row, 3 momentum rows), shape
+    (4,) + n.shape, of the AP split flux (c2 None) or the classical full
+    flux (c2 a number); q is given as its component planes, shape (3,) +
+    n.shape.
 
     Boundary faces carry the adjacent cell's flux with no viscosity, as
     copy ghost cells would.
     """
-    if np.any(n <= 0.0) or not (np.all(np.isfinite(n)) and np.all(np.isfinite(q))):
+    if np.any(n <= 0.0) or not all(np.all(np.isfinite(v)) for v in (n, *q)):
         raise FloatingPointError("invalid state in FV divergence")
-    qs = np.moveaxis(q, -1, 0).copy()
-    bs = np.moveaxis(field.b_cells, -1, 0).copy()
-    W = (n, qs[0], qs[1], qs[2])
+    b = field.b_cell_planes
+    W = (n, q[0], q[1], q[2])
     div = np.zeros((4,) + grid.shape_cells)
     for a in range(2):
-        f = explicit_flux_vector(n, qs, bs, a, c2)
-        rad = _radius_field(n, qs, bs, a, c2)
+        f = explicit_flux_vector(n, q, b, a, c2)
+        rad = _radius_field(n, q, b, a, c2)
         lo, hi, inner, first, last = ((slice(None),) * a + (s,) for s in (
             slice(0, -1), slice(1, None), slice(1, -1), slice(0, 1),
             slice(-1, None)))
@@ -115,4 +117,4 @@ def fv_divergence(n: np.ndarray, q: np.ndarray, field: MagneticField,
             dF = F[hi] - F[lo]
             dF /= grid.spacing[a]
             div[k] += dF
-    return np.stack(div, axis=-1)
+    return div

@@ -4,9 +4,15 @@ Conventions used throughout the package:
 
 - Cells are indexed 0..n_a-1 per axis (a = x, y); cell centers sit at
   ``lo_a + (i + 1/2) * da``.  A scalar cell field is an ndarray of shape
-  ``grid.shape_cells``; a vector cell field appends a trailing axis of
-  length 3 (the field has a z component, so vectors keep 3 components
-  while the z axis of the mesh is inert).
+  ``grid.shape_cells``.  A stored vector field (the momenta of a state,
+  the field samples, the CSV dumps) appends a trailing axis of length 3:
+  the field has a z component, so vectors keep 3 components while the z
+  axis of the mesh is inert.
+- Kernels work on component planes: ``components`` splits a vector into
+  a ``(3,) + shape`` array of three contiguous scalar planes, so every
+  operation is a plain 2D elementwise one, and ``interleave`` stacks the
+  planes back.  ``dot`` and ``cross`` act on such planes.  A gradient on
+  the 2D mesh has two components, (x, y), and no z plane.
 - Nodes are the cell corners, indexed 0..n_a per axis (``n_a + 1`` values);
   node ``nu`` sits at ``lo_a + nu * da``.  Interior nodes are those with
   0 < nu < n_a on both axes; the remaining layer is the boundary node set.
@@ -64,6 +70,33 @@ class Grid:
         return tuple(np.meshgrid(*self.node_axes, indexing="ij"))
 
 
+def components(v: np.ndarray) -> np.ndarray:
+    """The three contiguous component planes of a (..., 3) vector field,
+    as one array of shape (3, ...)."""
+    return np.moveaxis(v, -1, 0).copy()
+
+
+def interleave(v) -> np.ndarray:
+    """The (..., 3) vector field of three component planes."""
+    return np.stack(v, axis=-1)
+
+
+def dot(u, v) -> np.ndarray:
+    """Dot product of two vectors given as component planes, summed in
+    component order."""
+    out = u[0] * v[0]
+    out += u[1] * v[1]
+    out += u[2] * v[2]
+    return out
+
+
+def cross(u, v) -> tuple:
+    """Cross product of two vectors given as component planes."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
 def _check_cell_shape(u: np.ndarray, grid: Grid):
     if u.shape != grid.shape_cells and u.shape != grid.shape_cells + (3,):
         raise ValueError(f"expected cell field of shape {grid.shape_cells}"
@@ -83,24 +116,35 @@ def pad_cells(u: np.ndarray, grid: Grid) -> np.ndarray:
     adjacent cells; at a boundary node the missing side collapses onto the
     nearest cell (one-sided treatment, no extrapolation).
     """
-    pad = [(1, 1), (1, 1)] + [(0, 0)] * (u.ndim - 2)
-    return np.pad(u, pad, mode="edge")
+    out = np.empty((u.shape[0] + 2, u.shape[1] + 2) + u.shape[2:])
+    out[1:-1, 1:-1] = u
+    out[0, 1:-1] = u[0]
+    out[-1, 1:-1] = u[-1]
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
+    return out
+
+
+def _pairs(u: np.ndarray, axis: int):
+    lo = [slice(None)] * u.ndim
+    hi = [slice(None)] * u.ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return u[tuple(lo)], u[tuple(hi)]
 
 
 def _avg_pairs(u: np.ndarray, axis: int) -> np.ndarray:
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (u[tuple(lo)] + u[tuple(hi)])
+    lo, hi = _pairs(u, axis)
+    out = lo + hi
+    out *= 0.5
+    return out
 
 
 def _diff_pairs(u: np.ndarray, axis: int, d: float) -> np.ndarray:
-    lo = [slice(None)] * u.ndim
-    hi = [slice(None)] * u.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return (u[tuple(hi)] - u[tuple(lo)]) / d
+    lo, hi = _pairs(u, axis)
+    out = hi - lo
+    out /= d
+    return out
 
 
 def node_average(u: np.ndarray, grid: Grid) -> np.ndarray:

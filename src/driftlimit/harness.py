@@ -4,8 +4,9 @@ All experiments are driven by a flat ``RunConfig``; the CLI maps JSON
 configs and ``key=value`` overrides onto it.  A run takes its step and
 horizon from its config alone; a run at another step gets a copy of the
 config with that step.  Outputs are plain CSV plus a ``meta.json`` with
-the fully resolved parameter set and a content hash, so a run can be
-reproduced from its output directory alone.  No randomness anywhere:
+the fully resolved parameter set, a content hash and the environment
+(versions and BLAS thread settings), so a run can be reproduced from its
+output directory alone.  No randomness anywhere:
 identical configs give bit-identical CSV files.
 """
 
@@ -16,9 +17,11 @@ import hashlib
 import json
 import math
 import os
+import platform
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
@@ -368,9 +371,21 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def environment() -> dict:
+    """Versions and BLAS thread settings of this process; None for an
+    unset variable."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+
+
 def write_meta(cfg: RunConfig, out_dir, extra: dict = None):
     meta = {"config": json.loads(json.dumps(cfg.as_dict(), default=list)),
-            "config_sha256": config_hash(cfg)}
+            "config_sha256": config_hash(cfg),
+            "environment": environment()}
     if extra:
         meta.update(extra)
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
@@ -442,9 +457,13 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
                                           np.abs(state0.q_e).max())
     result = SimulationResult(scheme=scheme, dt=cfg.dt, final_state=state)
     for m in range(1, steps + 1):
-        state, diag = step(state)
-        state.t = m * cfg.dt
-        result.diag_rows.append({"step": m, "time": state.t,
+        new, diag = step(state)
+        # a step that flags divergence may hand back its input state,
+        # which keeps the time of step m - 1
+        if new is not state:
+            new.t = m * cfg.dt
+        state = new
+        result.diag_rows.append({"step": m, "time": m * cfg.dt,
                                  "diverged": diag.diverged, **diag.values})
         result.steps = m
         grown = max(np.abs(state.q_i).max(), np.abs(state.q_e).max()) > q_limit

@@ -9,8 +9,14 @@ Three stencils are provided, all second-order on the uniform 2D mesh:
   axis it averages (b_a * w) over the transverse node pairs of the cell and
   differences across the cell.
 - ``apply_grad_star``: the full node gradient, i.e. the apply_dh stencil
-  without the b contraction; ``b . apply_grad_star(p) == apply_dh(p)``
-  entry for entry.
+  without the b contraction; ``bx*gx + by*gy == apply_dh(p)`` entry for
+  entry.
+
+Layout: the stencils act on scalar planes.  A gradient has two
+components, the planes (gx, gy); the mesh is 2D, so there is no z
+plane.  ``MagneticField`` stores b as contiguous component planes
+(``b_node_planes``, ``b_cell_planes``, shape (3,) + shape) for the
+kernels, and shows them to its other readers as (..., 3) views.
 
 Raw stencils are defined at every node via edge-replicated ghost cells
 (one-sided at the boundary layer).  The homogeneous flux condition of the
@@ -36,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, _check_cell_shape, _check_node_shape, _avg_pairs, \
-    _diff_pairs, pad_cells
+    _diff_pairs, components, pad_cells
 
 _UNIT_TOL = 1e-12
 
@@ -45,14 +51,18 @@ class MagneticField:
     """Unit direction b and magnitude |B| sampled at nodes and cells.
 
     Vectors keep 3 components: B may have a z component, while the mesh
-    is 2D.  |B| must be positive everywhere and b unit to 1e-12.
+    is 2D.  |B| must be positive everywhere and b unit to 1e-12.  b is
+    stored once, as contiguous component planes of shape (3,) + shape;
+    ``b_nodes`` and ``b_cells`` are (..., 3) views of them.
     """
 
     def __init__(self, b_nodes: np.ndarray, bmag_nodes: np.ndarray,
                  b_cells: np.ndarray, bmag_cells: np.ndarray):
-        self.b_nodes = np.asarray(b_nodes, dtype=float)
+        self.b_node_planes = components(np.asarray(b_nodes, dtype=float))
+        self.b_cell_planes = components(np.asarray(b_cells, dtype=float))
+        self.b_nodes = np.moveaxis(self.b_node_planes, 0, -1)
+        self.b_cells = np.moveaxis(self.b_cell_planes, 0, -1)
         self.bmag_nodes = np.asarray(bmag_nodes, dtype=float)
-        self.b_cells = np.asarray(b_cells, dtype=float)
         self.bmag_cells = np.asarray(bmag_cells, dtype=float)
         for bmag, where in ((self.bmag_nodes, "nodes"), (self.bmag_cells, "cells")):
             if not np.all(bmag > 0.0):
@@ -83,29 +93,29 @@ class MagneticField:
         return cls.from_function(grid, lambda *coords: B)
 
 
-def apply_grad_star(p: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node gradient of a cell field; the z component is zero."""
+def apply_grad_star(p: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Node gradient (gx, gy) of a scalar cell field."""
     _check_cell_shape(p, grid)
     padded = pad_cells(p, grid)
     dx, dy = grid.spacing
-    out = np.zeros(grid.shape_nodes + (3,))
-    out[..., 0] = _avg_pairs(_diff_pairs(padded, 0, dx), 1)
-    out[..., 1] = _diff_pairs(_avg_pairs(padded, 0), 1, dy)
-    return out
+    return (_avg_pairs(_diff_pairs(padded, 0, dx), 1),
+            _diff_pairs(_avg_pairs(padded, 0), 1, dy))
 
 
 def apply_dh(p: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
     """b . grad at nodes, raw on the boundary node layer too."""
-    return np.einsum("...k,...k->...", field.b_nodes, apply_grad_star(p, grid))
+    gx, gy = apply_grad_star(p, grid)
+    bx, by, _ = field.b_node_planes
+    return bx * gx + by * gy
 
 
 def apply_dhstar(w: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
     """Divergence of the node flux b*w, cell field output."""
     _check_node_shape(w, grid)
     dx, dy = grid.spacing
-    b = field.b_nodes
-    return (_avg_pairs(_diff_pairs(b[..., 0] * w, 0, dx), 1)
-            + _diff_pairs(_avg_pairs(b[..., 1] * w, 0), 1, dy))
+    bx, by, _ = field.b_node_planes
+    return (_avg_pairs(_diff_pairs(bx * w, 0, dx), 1)
+            + _diff_pairs(_avg_pairs(by * w, 0), 1, dy))
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +136,11 @@ def _avg_matrix(m: int) -> sp.csr_matrix:
 
 def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
     """Node -> cell matrix of the b-aligned flux divergence."""
-    b = field.b_nodes.reshape(-1, 3)
+    bx, by, _ = field.b_node_planes
     (mx, my), (dx, dy) = grid.shape_nodes, grid.spacing
     x = sp.kron(_diff_matrix(mx, dx), _avg_matrix(my), format="csr")
     y = sp.kron(_avg_matrix(mx), _diff_matrix(my, dy), format="csr")
-    return (x @ sp.diags(b[:, 0]) + y @ sp.diags(b[:, 1])).tocsr()
+    return (x @ sp.diags(bx.ravel()) + y @ sp.diags(by.ravel())).tocsr()
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ from driftlimit.ap_stepper import APStepper, PhysParams, assemble_R, \
     assemble_S, solve_momentum_rotation, species_fv_divergence, \
     step_residuals, stiff_force_terms
 from driftlimit.diffusion import SolverError
+from driftlimit.grid import components
 from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
     run_c_study
 
@@ -55,12 +56,20 @@ def stationary_setup(nx=12, tau=1e-8, dt=1e-6):
     return cfg, grid, field, state
 
 
+def planes_and_fv(s, field, grid):
+    """The momentum planes of a state and their FV divergences, as a
+    step computes them."""
+    q = {a: components(s.q(a)) for a in ("i", "e")}
+    return q, species_fv_divergence(s, q, field, grid)
+
+
 def test_assemble_R_stationary_value():
     # eta = 0 leaves n at the constant n0 + tau; only the density term of
     # R survives since every stencil annihilates the constant state
     cfg, grid, field, s = stationary_setup()
     p = cfg.phys_params()
-    R = assemble_R(s, field, p, grid, species_fv_divergence(s, field, grid))
+    q, fv = planes_and_fv(s, field, grid)
+    R = assemble_R(s, q, field, p, grid, fv)
     expect = (1 + p.eps) * s.n[0, 0] / ((1 + p.T_e) * p.dt**2)
     assert np.max(np.abs(R - expect)) <= 1e-12 * abs(expect)
 
@@ -70,7 +79,8 @@ def test_assemble_R_zero_momentum_keeps_density_term_only():
     p = cfg.phys_params()
     s.q_i[...] = 0.0
     s.q_e[...] = 0.0
-    R = assemble_R(s, field, p, grid, species_fv_divergence(s, field, grid))
+    q, fv = planes_and_fv(s, field, grid)
+    R = assemble_R(s, q, field, p, grid, fv)
     expect = (1 + p.eps) * s.n / ((1 + p.T_e) * p.dt**2)
     assert np.max(np.abs(R - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -81,17 +91,17 @@ def test_assemble_R_dt_scaling():
     s.q_e[...] = 0.0
     p1 = dataclasses.replace(cfg, dt=1e-6).phys_params()
     p2 = dataclasses.replace(cfg, dt=2e-6).phys_params()
-    fv = species_fv_divergence(s, field, grid)
-    R1 = assemble_R(s, field, p1, grid, fv)
-    R2 = assemble_R(s, field, p2, grid, fv)
+    q, fv = planes_and_fv(s, field, grid)
+    R1 = assemble_R(s, q, field, p1, grid, fv)
+    R2 = assemble_R(s, q, field, p2, grid, fv)
     assert np.allclose(R2, R1 / 4.0, rtol=1e-12)
 
 
 def test_assemble_S_stationary_is_zero():
     cfg, grid, field, s = stationary_setup()
     p = cfg.phys_params()
-    S = assemble_S(s, s.n, field, p, grid,
-                   species_fv_divergence(s, field, grid))
+    q, fv = planes_and_fv(s, field, grid)
+    S = assemble_S(s, q, s.n, field, p, grid, fv)
     assert np.max(np.abs(S)) <= 1e-9  # scales ~1/dt^2, zero to round-off
 
 
@@ -100,8 +110,8 @@ def test_assemble_S_constant_phi_consistency():
     p = cfg.phys_params()
     phi0 = 0.37
     s.phi[...] = phi0
-    S = assemble_S(s, s.n, field, p, grid,
-                   species_fv_divergence(s, field, grid))
+    q, fv = planes_and_fv(s, field, grid)
+    S = assemble_S(s, q, s.n, field, p, grid, fv)
     assert np.allclose(S, p.lam2 * phi0, rtol=1e-12)
     # and the phi solve then reproduces phi0
     stepper = APStepper(p, grid, field)
@@ -241,8 +251,9 @@ def test_step_residuals_on_stationary_pair():
     p = cfg.phys_params()
     stepper = APStepper(p, grid, field)
     s1, _ = stepper.step(s0)
-    values = step_residuals(s0, s1, field, p, grid,
-                            species_fv_divergence(s0, field, grid),
+    q0, fv = planes_and_fv(s0, field, grid)
+    q1 = {a: components(s1.q(a)) for a in ("i", "e")}
+    values = step_residuals(s0, s1, q0, q1, field, p, grid, fv,
                             stiff_force_terms(s1.n, s1.phi, field, p, grid))
     for a in ("i", "e"):
         assert values[f"continuity_{a}"] <= 1e-8
@@ -255,8 +266,9 @@ def test_step_diagnostics_match_fresh_residuals():
     # residuals; recomputing both from the two states gives the same bits
     cfg, grid, field, s0, s1, diag = perturbed_step(1e-8, nx=16)
     p = cfg.phys_params()
-    fresh = step_residuals(s0, s1, field, p, grid,
-                           species_fv_divergence(s0, field, grid),
+    q0, fv = planes_and_fv(s0, field, grid)
+    q1 = {a: components(s1.q(a)) for a in ("i", "e")}
+    fresh = step_residuals(s0, s1, q0, q1, field, p, grid, fv,
                            stiff_force_terms(s1.n, s1.phi, field, p, grid))
     assert not diag.diverged
     assert len(fresh) == 8

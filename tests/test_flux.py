@@ -18,6 +18,12 @@ def planes(v):
     return np.moveaxis(np.asarray(v, dtype=float), -1, 0)
 
 
+def vector_divergence(n, q, field, grid, c2=None):
+    """fv_divergence on the (..., 3) layout: q as vectors, the divergence
+    as (..., 4) rows."""
+    return np.moveaxis(fv_divergence(n, planes(q), field, grid, c2), 0, -1)
+
+
 def cell_flux(n, q, b, axis, c2=None):
     """explicit_flux_vector of one cell: (n, qx, qy, qz) rows."""
     return explicit_flux_vector(np.array([n], dtype=float), planes([q]),
@@ -171,7 +177,7 @@ def test_divergence_of_uniform_state_vanishes():
     f = MagneticField.uniform(g, (np.sin(2.0), -np.cos(2.0), 0.0))
     n = np.full(g.shape_cells, 1.0)
     q = np.broadcast_to(f.b_cells[0, 0], g.shape_cells + (3,)).copy()
-    div = fv_divergence(n, q, f, g)
+    div = vector_divergence(n, q, f, g)
     assert np.max(np.abs(div)) == 0.0
 
 
@@ -182,7 +188,7 @@ def test_divergence_1d_step_hand_computed():
     n = np.ones(g.shape_cells)
     q = np.zeros(g.shape_cells + (3,))
     q[:2, :, 0] = 1.0  # left half moves, right half at rest
-    div = fv_divergence(n, q, f, g)
+    div = vector_divergence(n, q, f, g)
 
     # at the jump: fL = (1,1,0,0), fR = 0; with b normal to the axis the
     # Jacobian eigenvalues are all u_x, so D = max(|u_x|_L, |u_x|_R) = 1
@@ -205,7 +211,7 @@ def test_conservation_telescoping():
     f = MagneticField.uniform(g, (0.6, 0.0, 0.8))
     n = 1.0 + 0.3 * rng.random(g.shape_cells)
     q = rng.standard_normal(g.shape_cells + (3,))
-    div = fv_divergence(n, q, f, g)
+    div = vector_divergence(n, q, f, g)
     total = div.sum(axis=(0, 1)) * g.cell_volume
 
     # with copy ghosts the boundary interface flux equals the boundary
@@ -229,7 +235,7 @@ def test_divergence_flags_invalid_state():
     n = np.ones(g.shape_cells)
     n[2, 2] = -1.0
     with pytest.raises(FloatingPointError):
-        fv_divergence(n, np.zeros(g.shape_cells + (3,)), f, g)
+        vector_divergence(n, np.zeros(g.shape_cells + (3,)), f, g)
 
 
 def test_pressure_flux_and_bound_options():
@@ -255,7 +261,7 @@ def test_pressure_flux_and_bound_options():
     nc = np.ones(g.shape_cells)
     qc = np.zeros(g.shape_cells + (3,))
     qc[:2, :, 0] = 1.0
-    div = fv_divergence(nc, qc, f, g, c2=4.0)
+    div = vector_divergence(nc, qc, f, g, c2=4.0)
     F_jump = 0.5 * np.array([1.0, 9.0, 0, 0]) \
         - 0.5 * 3.0 * np.array([0.0, -1.0, 0, 0])
     assert np.allclose(div[1, 0], F_jump - [1.0, 5.0, 0, 0], atol=1e-14)
@@ -282,7 +288,7 @@ def test_divergence_matches_ghost_oracle_on_curved_field(c2):
     for _ in range(5):
         n, q = random_state(g, rng)
         oracle = ghost_fv_divergence(n, q, f, g, c2)
-        div = fv_divergence(n, q, f, g, c2)
+        div = vector_divergence(n, q, f, g, c2)
         assert div.shape == oracle.shape == g.shape_cells + (4,)
         assert np.max(np.abs(div - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -296,5 +302,5 @@ def test_divergence_bitwise_ghost_oracle_on_reference_field(c2):
     rng = np.random.default_rng(5)
     for _ in range(5):
         n, q = random_state(g, rng)
-        assert np.array_equal(fv_divergence(n, q, f, g, c2),
+        assert np.array_equal(vector_divergence(n, q, f, g, c2),
                               ghost_fv_divergence(n, q, f, g, c2))

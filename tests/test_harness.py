@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlimit import harness
+from driftlimit import ap_stepper, harness
 from driftlimit.ap_stepper import APStepper
 from driftlimit.classical import stable_dt, step_classical
+from driftlimit.diffusion import SolverError
 from driftlimit.grid import Grid
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
     RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
@@ -81,6 +82,24 @@ def test_config_hash_ignores_output_directory(tmp_path):
         metas.append(json.loads((out / "meta.json").read_text()))
     assert metas[0]["config_sha256"] == metas[1]["config_sha256"]
     assert metas[0]["config"]["out_dir"] == str(tmp_path / "a")
+
+
+def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
+    cfg = parse_config()
+    metas = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        write_meta(cfg, tmp_path)
+        metas.append(json.loads((tmp_path / "meta.json").read_text()))
+    for meta in metas:
+        env = meta["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "threads"}
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert meta["config_sha256"] == config_hash(cfg)
+    assert [m["environment"]["threads"]["OPENBLAS_NUM_THREADS"]
+            for m in metas] == ["1", "2"]
 
 
 @pytest.mark.parametrize("override", [
@@ -302,6 +321,37 @@ def test_final_state_dumped_once(tmp_path, monkeypatch):
         if row["scheme"] == "ap":
             assert 0.0 <= float(row["kernel_n"]) < 1e-12
             assert 0.0 <= float(row["kernel_phi"]) < 1e-12
+
+
+def test_failed_step_keeps_the_time_of_its_state(tmp_path, monkeypatch):
+    # the third step's density solve stalls: the step hands back its input
+    # state, which holds step 2 and keeps that time in the run's final
+    # state and in the name of its dump
+    calls = []
+    solve = ap_stepper.solve_micro_macro
+
+    def stall_third_step(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:     # two solves per step
+            raise SolverError("micro part: no convergence")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ap_stepper, "solve_micro_macro", stall_third_step)
+    cfg = parse_config(overrides=["nx=8", "ny=8", "dt=1e-6", "t_end=4e-6",
+                                  "scheme=ap"], out_dir=str(tmp_path))
+    out = run_two_fluid(cfg)
+    res = out["results"]["ap"]
+    assert (res.steps, res.diverged_step) == (3, 3)
+    assert res.final_state.t == 2e-6
+    assert out["initial"].t == 0.0
+    dumped = np.loadtxt(tmp_path / "fields_ap_t2.000000000e-06_n.csv",
+                        delimiter=",", skiprows=1)[:, 2]
+    assert np.array_equal(dumped, res.final_state.n.ravel())
+    assert not list(tmp_path.glob("*t3.000000000e-06*"))
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    last = dict(zip(rows[0].split(","), rows[-1].split(",")))
+    assert (last["step"], float(last["time"]), last["diverged"]) == \
+        ("3", 3 * 1e-6, "1")
 
 
 def test_boundary_band_mask_width():
