@@ -60,6 +60,7 @@ class Grid:
         mask = np.zeros(self.shape_nodes, dtype=bool)
         mask[1:-1, 1:-1] = True
         self.interior_node_mask = mask
+        self._csv_rows = {}     # value width -> row template of write_field_csv
 
     def cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid of cell-center coordinates (x, y)."""
@@ -178,13 +179,19 @@ def write_field_csv(path, u: np.ndarray, grid: Grid):
     """Dump a cell field as CSV, one row per cell in row-major order.
 
     Header is ``x,y,value`` for scalars, ``x,y,vx,vy,vz`` for vectors;
-    values carry 17 significant digits.
+    coordinates and values carry 17 significant digits.  The coordinates
+    never change, so the first dump of each value width formats them once
+    into a row template kept on the grid; a dump formats only its values
+    into the template's ``%.17g`` slots.
     """
     _check_cell_shape(u, grid)
-    x, y = grid.cell_coords()
-    table = np.column_stack((x.ravel(), y.ravel(),
-                             u.reshape(grid.num_cells, -1)))
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    width = 3 if u.ndim == 3 else 1
+    rows = grid._csv_rows.get(width)
+    if rows is None:
+        # "%%.17g" survives the coordinate pass as a value slot
+        fmt = "%.17g,%.17g," + ",".join(["%%.17g"] * width) + "\n"
+        rows = grid._csv_rows[width] = (fmt * grid.num_cells) % tuple(
+            np.stack(grid.cell_coords(), axis=-1).ravel().tolist())
     with open(path, "w") as fh:
-        fh.write("x,y,vx,vy,vz\n" if u.ndim == 3 else "x,y,value\n")
-        fh.write((row_fmt * grid.num_cells) % tuple(table.ravel().tolist()))
+        fh.write("x,y,vx,vy,vz\n" if width == 3 else "x,y,value\n")
+        fh.write(rows % tuple(u.ravel().tolist()))

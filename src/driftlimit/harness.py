@@ -246,7 +246,7 @@ class RunConfig:
             if not _matches(value, f.default):
                 raise ValueError(f"config key {f.name!r}: expected a value "
                                  f"like {f.default!r}, got {value!r}")
-        for key in ("nx", "ny"):
+        for key in ("nx", "ny", "tau_sweep_grid"):
             if getattr(self, key) < 2:
                 raise ValueError(f"config key {key!r}: need at least 2 cells")
         if not (_is_pair(self.domain)
@@ -267,6 +267,9 @@ class RunConfig:
             if len(getattr(self, key)) < 3:
                 raise ValueError(f"config key {key!r}: the slope fit needs "
                                  "at least 3 entries")
+        if min(self.grids) < 2:
+            raise ValueError("config key 'grids': need at least 2 cells per "
+                             f"entry, got {self.grids!r}")
         for key in ("h_sweep_taus", "tau_sweep", "c_values", "dt_values",
                     "c_horizons"):
             values = getattr(self, key)
@@ -276,11 +279,16 @@ class RunConfig:
         if len(self.c_values) != len(self.c_horizons):
             raise ValueError("config keys 'c_values' and 'c_horizons' must "
                              "have the same length")
-        for key in ("c_values", "dt_values"):
+        for key in ("tau_sweep", "c_values", "dt_values"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
-                raise ValueError(f"config key {key!r}: repeated entries "
-                                 "would overwrite study runs")
+                raise ValueError(f"config key {key!r}: repeated entries in "
+                                 f"{values!r} would overwrite study runs or "
+                                 "count twice in a slope fit")
+        tags = [f"{tau:.0e}" for tau in self.h_sweep_taus]
+        if len(set(tags)) != len(tags):
+            raise ValueError("config key 'h_sweep_taus': entries repeat the "
+                             f"convergence_h_tau*.csv name tags {tags}")
         if min(self.c_horizons) < max(self.dt_values):
             raise ValueError("config key 'c_horizons': every horizon must "
                              "cover at least one step of the largest dt_values "
@@ -293,6 +301,16 @@ class RunConfig:
         for key in ("t_end", "n0", "scale", "lam"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"config key {key!r}: must be positive")
+        try:
+            cells = [self.scaled_cells(n) for n in self.grids]
+        except OverflowError:
+            raise ValueError("config keys 'grids' and 'scale': a scaled "
+                             "cell count overflows") from None
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"config key 'grids': at scale {self.scale!r} "
+                             f"the entries {list(self.grids)} give {cells} "
+                             "cells, and repeated grids count twice in the "
+                             "slope fit")
         for key in ("eta", "output_interval"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r}: must be nonnegative")
@@ -375,10 +393,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def environment() -> dict:
-    """Versions and BLAS thread settings of this process; None for an
-    unset variable."""
+    """Versions, the BLAS build and the BLAS thread settings of this
+    process; None for an unset variable."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
             "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
 
 

@@ -16,6 +16,10 @@ which the component-plane kernels of ``driftlimit.ap_stepper`` and
 ``driftlimit.classical`` are checked.  Their ``fv`` entries and forces
 are vectors too: ``fv[a]["mom"]``, ``F_par`` and ``P_c`` have shape
 (..., 3).
+
+``write_field_csv`` is the field dump that formats each cell's
+coordinates in every call, against whose bytes the template writer of
+``driftlimit.grid`` is checked.
 """
 
 import numpy as np
@@ -298,3 +302,19 @@ def central_gradient(u: np.ndarray, grid: Grid) -> np.ndarray:
     out[..., 0] = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / (2 * dx)
     out[..., 1] = (padded[1:-1, 2:] - padded[1:-1, :-2]) / (2 * dy)
     return out
+
+
+def write_field_csv(path, u: np.ndarray, grid: Grid):
+    """Dump a cell field as CSV, one row per cell in row-major order.
+
+    Header is ``x,y,value`` for scalars, ``x,y,vx,vy,vz`` for vectors;
+    values carry 17 significant digits.
+    """
+    _check_cell_shape(u, grid)
+    x, y = grid.cell_coords()
+    table = np.column_stack((x.ravel(), y.ravel(),
+                             u.reshape(grid.num_cells, -1)))
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("x,y,vx,vy,vz\n" if u.ndim == 3 else "x,y,value\n")
+        fh.write((row_fmt * grid.num_cells) % tuple(table.ravel().tolist()))

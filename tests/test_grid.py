@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from driftlimit.grid import Grid, cell_from_nodes, discrete_norms, \
     node_average, write_field_csv
 
@@ -113,3 +114,53 @@ def test_csv_full_precision(tmp_path):
     write_field_csv(path, u, g)
     val = path.read_text().strip().split("\n")[1].split(",")[2]
     assert float(val) == 1.0 / 3.0
+
+
+# the first four fit in the scalar field of a 2x2 grid
+_SPECIAL = np.array([np.nan, np.inf, -0.0, 1e-300, -np.inf, -1e-300,
+                     1.0 / 3.0, -2.5e17])
+
+
+def _field(grid, width, seed):
+    """Random values with the special floats spread over the cells."""
+    shape = grid.shape_cells + ((3,) if width == 3 else ())
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    flat = u.reshape(-1)
+    k = min(flat.size, _SPECIAL.size)
+    flat[rng.permutation(flat.size)[:k]] = _SPECIAL[:k]
+    return u
+
+
+def _dump_bytes(writer, u, grid, path):
+    writer(path, u, grid)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("grid", [
+    Grid((1, 1), (2, 2), (2, 2)),
+    Grid((-1.5, 1e-5), (2.25, 3), (37, 53)),
+    Grid((1, 1), (2, 2), (100, 100))], ids=["2x2", "37x53", "100x100"])
+def test_csv_dump_matches_oracle_bytes(grid, tmp_path):
+    """Scalar and vector dumps, two fields of each on one grid and each
+    written twice, write the bytes of the writer that formats every
+    coordinate in every call."""
+    for seed, width in enumerate((1, 3, 1, 3)):
+        u = _field(grid, width, seed)
+        want = _dump_bytes(oracles.write_field_csv, u, grid,
+                           tmp_path / "want.csv")
+        for path in ("got.csv", "again.csv"):
+            assert _dump_bytes(write_field_csv, u, grid,
+                               tmp_path / path) == want, (seed, width, path)
+
+
+def test_csv_dump_coordinates_follow_the_domain(tmp_path):
+    """Two grids of one shape on different domains keep their own rows."""
+    a = Grid((1, 1), (2, 2), (6, 4))
+    b = Grid((-3, 0.5), (-1, 0.75), (6, 4))
+    u = _field(a, 1, 3)
+    got = [_dump_bytes(write_field_csv, u, g, tmp_path / "got.csv")
+           for g in (a, b)]
+    assert got[0] != got[1]
+    assert got == [_dump_bytes(oracles.write_field_csv, u, g,
+                               tmp_path / "want.csv") for g in (a, b)]

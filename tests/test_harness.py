@@ -93,8 +93,10 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
         metas.append(json.loads((tmp_path / "meta.json").read_text()))
     for meta in metas:
         env = meta["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "threads"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "threads"}
         assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert meta["config_sha256"] == config_hash(cfg)
@@ -112,7 +114,9 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
     "n0=-1", "tau=0", "c_values=[1e-2,1e-2,1e-4]", "dt_values=[1e-6,1e-6,1e-7]",
     "t_end=1e-12", "classical_dt=1e-5", "c_horizons=[6e-6,4e-6,5e-7]",
     "lam=0", "lam=-1", "output_interval=-1", "band_frac=-1", "band_frac=0",
-    "band_frac=0.5"])
+    "band_frac=0.5", "h_sweep_taus=[1e-2,1e-2]", "h_sweep_taus=[1e-2,1.2e-2]",
+    "grids=[25,50,50,100]", "tau_sweep=[1e-2,1e-3,1e-3]", "grids=[0,50,100]",
+    "grids=[1,50,100]", "tau_sweep_grid=1", "scale=0.01", "scale=1e308"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
