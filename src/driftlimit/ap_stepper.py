@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
-    micro_factor, solve_micro_macro
+    micro_factor, micro_matrix, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, components, cross, dot, \
     interleave, node_average
@@ -265,13 +265,16 @@ class APStepper:
     """AP stepper on a static field.  A step is a function of its input
     state alone: no solve is warm-started from an earlier step.
 
-    The stepper builds and owns its factors.  The factor of the field's
-    macro operator N1 solves the macro part of both diffusion problems.
-    The factor of the unit-coefficient potential micro operator
-    A_1 + tau*lam2, built when that solve's regime is below 1, depends on
-    tau, dt and C; it preconditions the micro CG of every phi solve, whose
-    coefficient node_average(n) stays close to 1.  The density micro
-    solve (unit coefficient, shift tau*lam1) stays plain CG."""
+    The stepper builds and owns its factors and its density micro matrix.
+    The factor of the field's macro operator N1 solves the macro part of
+    both diffusion problems.  The factor of the unit-coefficient potential
+    micro operator A_1 + tau*lam2, built when that solve's regime is below
+    1, depends on tau, dt and C; it preconditions the micro CG of every phi
+    solve, whose coefficient node_average(n) stays close to 1 but changes
+    every step, so that CG applies it matrix-free.  The density micro
+    operator A_1 + tau*lam1 never changes: below regime 1 the stepper
+    assembles it once (``micro_matrix``) and its plain CG runs on that
+    matrix; above, CG needs a few matrix-free products."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         self.params = params
@@ -279,6 +282,8 @@ class APStepper:
         self.field = field
         self.macro_lu = macro_factor(field, grid)
         self.phi_lu = micro_factor(field, grid, params.tau * params.lam2)
+        self.n_matrix = micro_matrix(field, np.ones(grid.shape_nodes),
+                                     params.tau * params.lam1, grid)
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
         p, grid, field = self.params, self.grid, self.field
@@ -296,7 +301,8 @@ class APStepper:
         try:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
-                tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu)
+                tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu,
+                micro_A=self.n_matrix)
             n_new = sol_n.p
             if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
                 diag.diverged, diag.note = True, "density lost positivity"

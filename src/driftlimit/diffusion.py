@@ -32,17 +32,25 @@ normal operator N1 of step 1 depends only on the field and the grid: a
 time stepper builds its ``macro_factor`` (sparse LU, symmetric minimum-
 degree ordering) once, so each macro solve is one checked factor solve.
 One-shot projections run CG: two solves per grid do not repay a factor
-whose fill costs more memory than the solves.  Step 3 uses CG, since its
-coefficient changes from solve to solve.  A caller that solves many
-micro problems with one shift can precondition that CG with
-``micro_factor``, a factor of the unit-coefficient operator
-A_1 + shift: the AP stepper does so for its potential, whose coefficient
-(the node-averaged density) stays close to 1, so the two operators are
-spectrally equivalent and PCG converges in a few iterations.  The factor
-is built only below regime 1 (see below), where the micro condition
-number on K_perp, at most 1 + 1/regime, makes plain CG slow.  No solve
-is warm-started and no factor is cached, so a solution depends only on
-its problem and the factors passed with it.
+whose fill costs more memory than the solves (at 200^2 the N1 factor has
+4.27M nonzeros and lifts peak RSS from about 80 to 175 MB).
+
+Step 3 is CG on the micro operator its caller passes.  An owner whose
+coefficient stays fixed over many solves assembles A_H + shift once with
+``micro_matrix``, one sparse product per CG iteration: the AP stepper for
+its density (unit coefficient), a manufactured problem for its H (with a
+new shift per solve).  A coefficient used for one solve, such as the AP
+potential's node-averaged density, goes through ``micro_operator``, the
+matrix-free product.  A caller that solves many micro problems with one
+shift can precondition that CG with ``micro_factor``, a factor of the
+unit-coefficient operator A_1 + shift: the AP stepper does so for its
+potential, whose coefficient stays close to 1, so the two operators are
+spectrally equivalent and PCG converges in a few iterations.  Matrix and
+factor are built only below regime 1 (see below), where the micro
+condition number on K_perp, at most 1 + 1/regime, makes plain CG slow;
+above it CG converges in a few iterations and neither repays its
+assembly.  No solve is warm-started and no operator is cached, so a
+solution depends only on its problem and the operators passed with it.
 
 Both Krylov operators are products with the cached interior block DE of
 the assembled dhstar: N1 = DE^T DE and A_H = DE diag(H) DE^T, which is
@@ -152,14 +160,37 @@ def macro_factor(field: MagneticField, grid: Grid):
     return _factor_spd(get_operator_set(field, grid).N1)
 
 
-def micro_factor(field: MagneticField, grid: Grid, shift: float):
-    """Factor of the unit-coefficient micro operator A_1 + shift on cells,
-    the preconditioner of ``solve_micro``; None at regime >= 1, where plain
-    CG already converges in a few iterations."""
-    if shift >= operator_scale(grid):
+def micro_operator(field: MagneticField, coeff: np.ndarray, shift: float,
+                   grid: Grid) -> spla.LinearOperator:
+    """A_H + shift, A_H = -dhstar(coeff dh(.)), as the matrix-free product
+    DE (c * (DE^T v)) + shift v over the interior nodes, for a coefficient
+    used in one solve."""
+    ops = get_operator_set(field, grid)
+    c = coeff.ravel()[ops.interior]
+    # an explicit dtype spares scipy a probe product on a zero vector
+    return spla.LinearOperator(
+        (grid.num_cells, grid.num_cells), dtype=float,
+        matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
+
+
+def micro_matrix(field: MagneticField, coeff: np.ndarray, shift: float,
+                 grid: Grid):
+    """A_H + shift assembled as the CSR matrix DE diag(c) DE^T + shift I,
+    for a coefficient fixed over many solves; None at regime >= 1, where
+    plain CG already converges in a few matrix-free products."""
+    if shift >= operator_scale(grid, float(np.max(coeff))):
         return None
     ops = get_operator_set(field, grid)
-    return _factor_spd(ops.DE @ ops.DEt + shift * sp.identity(grid.num_cells))
+    c = coeff.ravel()[ops.interior]
+    return (ops.DE @ sp.diags(c) @ ops.DEt
+            + shift * sp.identity(grid.num_cells, format="csr"))
+
+
+def micro_factor(field: MagneticField, grid: Grid, shift: float):
+    """Factor of the unit-coefficient micro operator A_1 + shift on cells,
+    the preconditioner of ``solve_micro``; None at regime >= 1."""
+    A = micro_matrix(field, np.ones(grid.shape_nodes), shift, grid)
+    return None if A is None else _factor_spd(A)
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
@@ -183,31 +214,30 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
     return h.reshape(grid.shape_nodes), iters
 
 
-def solve_micro(field: MagneticField, coeff: np.ndarray, shift: float,
-                rhs: np.ndarray, grid: Grid, lu=None) -> tuple[np.ndarray, int]:
-    """Cell field w with (A_H + shift) w = rhs, A_H = -dhstar(coeff dh(.)).
+def solve_micro(A, rhs: np.ndarray, lu=None) -> tuple[np.ndarray, int]:
+    """Cell field w with A w = rhs, A = A_H + shift a ``micro_matrix`` or
+    ``micro_operator``.
 
     The micro step of the decomposition, with shift = tau*lam and rhs in
-    K_perp; returns w and the CG iteration count.  A_H is applied as
-    DE diag(coeff) DE^T over the interior nodes.  lu, a ``micro_factor``
+    K_perp; returns w and the CG iteration count.  lu, a ``micro_factor``
     of the same shift, preconditions the CG.
     """
-    ops = get_operator_set(field, grid)
-    c = coeff.ravel()[ops.interior]
-    shape = (grid.num_cells, grid.num_cells)
-    A = spla.LinearOperator(
-        shape, matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
-    M = None if lu is None else spla.LinearOperator(shape, matvec=lu.solve)
+    M = None if lu is None else spla.LinearOperator(A.shape, matvec=lu.solve,
+                                                    dtype=float)
     w, iters = _cg_solve(A, rhs.ravel(), label="micro part", M=M)
-    return w.reshape(grid.shape_cells), iters
+    return w.reshape(rhs.shape), iters
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
-                      micro_lu=None, macro_lu=None) -> MicroMacroSolution:
+                      micro_lu=None, macro_lu=None,
+                      micro_A=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
-    macro_lu, a ``macro_factor``, solves the macro potential; micro_lu,
-    a ``micro_factor`` of shift tau*lam, preconditions the micro CG.
+    macro_lu, a ``macro_factor``, solves the macro potential; micro_A, a
+    ``micro_matrix`` of the problem's coefficient and shift tau*lam, is
+    the micro operator, else ``micro_operator`` applies it matrix-free;
+    micro_lu, a ``micro_factor`` of shift tau*lam, preconditions the
+    micro CG.
     """
     ops = get_operator_set(prob.field, grid)
     lam, tau = prob.lam, prob.tau
@@ -230,8 +260,9 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         q = np.zeros(grid.shape_cells)
         it_w = 0
     else:
-        w, it_w = solve_micro(prob.field, prob.coeff, tau * lam, -dstar_h,
-                              grid, micro_lu)
+        if micro_A is None:
+            micro_A = micro_operator(prob.field, prob.coeff, tau * lam, grid)
+        w, it_w = solve_micro(micro_A, -dstar_h, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q,

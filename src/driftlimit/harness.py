@@ -22,14 +22,19 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy
+import scipy.sparse as sp
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
-from .diffusion import AnisoDiffusionProblem, macro_potential, solve_micro
+from .diffusion import AnisoDiffusionProblem, macro_potential, micro_matrix, \
+    solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar
 
 MOMENTUM_GROWTH_LIMIT = 1e6     # max |q| over its initial value ends a run
+# SuperLU takes int32 indices, and a micro or macro operator holds up to 9
+# nonzeros per row (a cell or node couples to its 3x3 neighbourhood)
+MAX_CELLS = (2**31 - 1) // 9
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +107,8 @@ class ManufacturedDiffusion:
     The per-tau sweep solution is assembled by superposing one
     tau-independent potential pair (h_g, h_p, solved once per grid) with a
     single micro solve per tau, so each solve's data is exactly
-    tau-proportional.
+    tau-proportional.  The coefficient H never changes, so A_H is assembled
+    once per grid and each solve adds its shift tau*lam.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -112,6 +118,7 @@ class ManufacturedDiffusion:
             grid, lambda *c: (*unit_b(c[0], c[1]), np.zeros_like(c[0])))
         xn, yn = grid.node_coords()
         self.H_nodes = coeff_H(xn, yn)
+        self.A_H = micro_matrix(self.field, self.H_nodes, 0.0, grid)
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
@@ -134,8 +141,9 @@ class ManufacturedDiffusion:
         pi = tau * self.p1_kernel
         rhs = -apply_dhstar(lam * tau * self.h_p + self.h_g,
                             self.field, self.grid)
-        w, _ = solve_micro(self.field, self.H_nodes, tau * lam, rhs,
-                           self.grid)
+        A = self.A_H + tau * lam * sp.identity(self.grid.num_cells,
+                                               format="csr")
+        w, _ = solve_micro(A, rhs)
         return pi + tau * w
 
 
@@ -301,11 +309,25 @@ class RunConfig:
         for key in ("t_end", "n0", "scale", "lam"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"config key {key!r}: must be positive")
-        try:
-            cells = [self.scaled_cells(n) for n in self.grids]
-        except OverflowError:
-            raise ValueError("config keys 'grids' and 'scale': a scaled "
-                             "cell count overflows") from None
+
+        def scaled(key, n):
+            try:
+                return self.scaled_cells(n)
+            except OverflowError:
+                raise ValueError(f"config keys {key!r} and 'scale': a scaled "
+                                 "cell count overflows") from None
+
+        nx, ny = scaled("nx", self.nx), scaled("ny", self.ny)
+        side = scaled("tau_sweep_grid", self.tau_sweep_grid)
+        cells = [scaled("grids", n) for n in self.grids]
+        for keys, count in (("keys 'nx' and 'ny'", nx * ny),
+                            ("key 'tau_sweep_grid'", side * side),
+                            ("key 'grids'", max(cells) ** 2)):
+            if count > MAX_CELLS:
+                raise ValueError(f"config {keys}: at scale {self.scale!r} a "
+                                 f"grid of {count} cells exceeds {MAX_CELLS}, "
+                                 "the most whose operators fit the int32 "
+                                 "indices of a sparse factor")
         if len(set(cells)) != len(cells):
             raise ValueError(f"config key 'grids': at scale {self.scale!r} "
                              f"the entries {list(self.grids)} give {cells} "

@@ -158,49 +158,86 @@ def test_ap_limit_residual_scaling():
     assert ap_limit_residual(sol0, m.field, g) <= np.sqrt(g.num_nodes) * kernel_tol
 
 
-def test_micro_operator_matches_matrix_free(monkeypatch):
-    # capture the operator solve_micro hands to CG and compare it with the
-    # stencil realisation -dhstar(masked * dh(.)) + shift
+def test_micro_operator_matches_matrix_free():
+    # both micro operators a solve can be handed, the matrix-free product
+    # and the assembled matrix, against the stencil realisation
+    # -dhstar(masked * dh(.)) + shift
     g = Grid((1, 1), (2, 2), (12, 9))
     f = circular_field(g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
     shift = 0.37
-    captured = {}
-
-    def capture(A, b, label="cg", M=None):
-        captured["A"] = A
-        return np.zeros_like(b), 0
-
-    monkeypatch.setattr(diffusion, "_cg_solve", capture)
-    diffusion.solve_micro(f, coeff, shift, np.ones(g.shape_cells), g)
+    operators = (diffusion.micro_operator(f, coeff, shift, g),
+                 diffusion.micro_matrix(f, coeff, shift, g))
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.standard_normal(g.shape_cells)
         ref = (stiffness_matrix_free(v, f, coeff, g) + shift * v).ravel()
-        got = captured["A"] @ v.ravel()
-        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+        for A in operators:
+            got = A @ v.ravel()
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_preconditioned_micro_matches_cg():
-    # a factor of the unit-coefficient operator preconditions a micro solve
-    # whose coefficient is far from 1; the answer is the plain CG answer
+def micro_problem():
+    """A micro problem whose coefficient is far from 1, at regime 0.05,
+    with a right-hand side in K_perp, as the decomposition hands it over."""
     g = Grid((1, 1), (2, 2), (16, 16))
     f = circular_field(g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn + 2 * yn)
     shift = 0.05 * diffusion.operator_scale(g)
     rng = np.random.default_rng(12)
-    # a right-hand side in K_perp, as the decomposition hands it over
     rhs = -apply_dhstar(rng.standard_normal(g.shape_nodes)
                         * g.interior_node_mask, f, g)
+    return g, f, coeff, shift, rhs
+
+
+def test_preconditioned_micro_matches_cg():
+    # a factor of the unit-coefficient operator preconditions a micro solve
+    # whose coefficient is far from 1; the answer is the plain CG answer
+    g, f, coeff, shift, rhs = micro_problem()
     lu = diffusion.micro_factor(f, g, shift)
     assert lu is not None
     assert diffusion.micro_factor(f, g, diffusion.operator_scale(g)) is None
-    w_cg, it_cg = diffusion.solve_micro(f, coeff, shift, rhs, g)
-    w_pcg, it_pcg = diffusion.solve_micro(f, coeff, shift, rhs, g, lu=lu)
+    A = diffusion.micro_operator(f, coeff, shift, g)
+    w_cg, it_cg = diffusion.solve_micro(A, rhs)
+    w_pcg, it_pcg = diffusion.solve_micro(A, rhs, lu=lu)
     assert it_pcg <= 30 < it_cg
     assert np.linalg.norm(w_pcg - w_cg) <= 1e-10 * np.linalg.norm(w_cg)
+
+
+class CountingFactor:
+    """A factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
+    # no probe solve: scipy is told the preconditioner's dtype
+    g, f, coeff, shift, rhs = micro_problem()
+    lu = CountingFactor(diffusion.micro_factor(f, g, shift))
+    _, iters = diffusion.solve_micro(
+        diffusion.micro_operator(f, coeff, shift, g), rhs, lu=lu)
+    assert iters > 0 and lu.calls == iters
+
+
+def test_manufactured_deviation_matches_matrix_free_solve():
+    # the sweep solves on A_H assembled once per grid plus each tau's
+    # shift; the same superposition with the matrix-free operator agrees
+    g = Grid((1, 1), (2, 2), (20, 20))
+    m = ManufacturedDiffusion(g, lam=1.5)
+    for tau in (1e-2, 1e-5, 1e-9):
+        rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
+        A = diffusion.micro_operator(m.field, m.H_nodes, tau * m.lam, g)
+        w, _ = diffusion.solve_micro(A, rhs)
+        ref = tau * m.p1_kernel + tau * w
+        dev = m.solve_deviation(tau)
+        assert np.linalg.norm(dev - ref) <= 1e-10 * np.linalg.norm(ref), tau
 
 
 def test_macro_part_insensitive_to_solver_path():
@@ -237,15 +274,6 @@ def test_factored_macro_solve_is_one_factor_solve():
     g = Grid((1, 1), (2, 2), (20, 20))
     f = circular_field(g)
     gfield = np.random.default_rng(9).standard_normal(g.shape_cells)
-
-    class CountingFactor:
-        def __init__(self, lu):
-            self.lu, self.calls = lu, 0
-
-        def solve(self, b):
-            self.calls += 1
-            return self.lu.solve(b)
-
     lu = CountingFactor(diffusion.macro_factor(f, g))
     _, iters = macro_potential(gfield, f, g, lu=lu)
     assert lu.calls == 1 and iters == 1

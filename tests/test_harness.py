@@ -116,7 +116,9 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
     "lam=0", "lam=-1", "output_interval=-1", "band_frac=-1", "band_frac=0",
     "band_frac=0.5", "h_sweep_taus=[1e-2,1e-2]", "h_sweep_taus=[1e-2,1.2e-2]",
     "grids=[25,50,50,100]", "tau_sweep=[1e-2,1e-3,1e-3]", "grids=[0,50,100]",
-    "grids=[1,50,100]", "tau_sweep_grid=1", "scale=0.01", "scale=1e308"])
+    "grids=[1,50,100]", "tau_sweep_grid=1", "scale=0.01", "scale=1e308",
+    "nx=1" + "0" * 400, "nx=1000000000000", "ny=1000000000000",
+    "tau_sweep_grid=20000", "grids=[25,50,100000]"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     assert cli_main(["simulate", "--override", override]) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
