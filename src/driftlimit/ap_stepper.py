@@ -33,6 +33,7 @@ force stays O(1) uniformly in tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -76,6 +77,15 @@ class PhysParams:
             raise ValueError("C must be positive (phi problem loses uniqueness)")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        for name in ("lam1", "lam2"):
+            try:
+                lam = getattr(self, name)
+            except ZeroDivisionError:     # dt*dt underflows to 0
+                lam = math.inf
+            if not 0.0 < lam < math.inf:
+                raise ValueError(f"{name} = {lam!r} must be finite and "
+                                 f"positive (dt = {self.dt!r}, C = "
+                                 f"{self.C!r})")
 
     @property
     def C_i(self) -> float:
@@ -87,14 +97,14 @@ class PhysParams:
 
     @property
     def lam1(self) -> float:
-        return (1.0 + self.eps) / (self.dt**2 * (1.0 + self.T_e))
+        return (1.0 + self.eps) / (self.dt * self.dt * (1.0 + self.T_e))
 
     @property
     def lam2(self) -> float:
         # The species combination eliminating the aligned density force
         # weights the electric force by 1 + 1/T_e, hence the (1 + T_e)
         # denominator; the step residuals certify the constant.
-        return self.T_e * self.C / (self.dt**2 * (1.0 + self.T_e))
+        return self.T_e * self.C / (self.dt * self.dt * (1.0 + self.T_e))
 
     def eps_a(self, a: str) -> float:
         return 1.0 if a == "i" else self.eps
@@ -336,6 +346,7 @@ class APStepper:
         for slot, sol in (("n", sol_n), ("phi", sol_phi)):
             for part, count in sol.iterations.items():
                 diag.values[f"iters_{slot}_{part}"] = count
+                diag.values[f"resid_{slot}_{part}"] = sol.residuals[part]
             diag.values[f"regime_{slot}"] = sol.regime
             diag.values[f"kernel_{slot}"] = sol.kernel_residual
         return new, diag

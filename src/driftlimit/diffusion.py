@@ -35,6 +35,13 @@ One-shot projections run CG: two solves per grid do not repay a factor
 whose fill costs more memory than the solves (at 200^2 the N1 factor has
 4.27M nonzeros and lifts peak RSS from about 80 to 175 MB).
 
+Every CG of the module, macro or micro, preconditioned or not, is one
+loop (``_cg_solve``) on a product callable: a zero start, vectors updated
+in place in the arithmetic order of ``scipy.sparse.linalg.cg`` (so its
+iterates are scipy's, bit for bit), stopped when ||r|| < SOLVER_RTOL
+||b||.  Each solve reports that achieved ||r|| / ||b|| with its
+iteration count.
+
 Step 3 is CG on the micro operator its caller passes.  An owner whose
 coefficient stays fixed over many solves assembles A_H + shift once with
 ``micro_matrix``, one sparse product per CG iteration: the AP stepper for
@@ -54,7 +61,12 @@ solution depends only on its problem and the operators passed with it.
 
 Both Krylov operators are products with the cached interior block DE of
 the assembled dhstar: N1 = DE^T DE and A_H = DE diag(H) DE^T, which is
--dhstar(H dh(.)) with the flux zeroed on boundary nodes.  The macro
+-dhstar(H dh(.)) with the flux zeroed on boundary nodes.  Both are
+nine-point stencils on the structured mesh, so the assembled N1 and
+``micro_matrix`` are stored on their nine diagonals (``dia_from_csr``):
+a DIA product reads no column indices, and at 100^2 takes about 45-65 us
+where the CSR product takes 60-100 us.  Factors take ``.tocsc()`` of the
+same operators.  The macro
 right-hand side dh(f) and the kernel check dh(pi) stay on the matrix-free
 stencil: it maps constants to exactly 0, while DE^T, whose merged entries
 round, leaves about 1e-14 on a curved field.
@@ -73,7 +85,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .stencil import MagneticField, apply_dh, apply_dhstar, get_operator_set
+from .stencil import MagneticField, apply_dh, apply_dhstar, dia_from_csr, \
+    get_operator_set
 
 SOLVER_RTOL = 1e-12        # relative residual of every solve, CG or factor
 
@@ -107,28 +120,52 @@ class MicroMacroSolution:
     pi: np.ndarray
     q: np.ndarray
     iterations: dict = dataclass_field(default_factory=dict)
+    residuals: dict = dataclass_field(default_factory=dict)   # ||r|| / ||b||
     kernel_residual: float = 0.0
     regime: float = 0.0        # tau*lam / operator eigenvalue scale
 
 
-def _cg_solve(A, b, label: str = "cg", M=None) -> tuple[np.ndarray, int]:
-    """CG from a zero start to SOLVER_RTOL, preconditioned by M if given,
-    with iteration count."""
+def _cg_solve(matvec, b: np.ndarray, label: str = "cg",
+              psolve=None) -> tuple[np.ndarray, int, float]:
+    """CG from a zero start to SOLVER_RTOL on the product v -> matvec(v),
+    preconditioned by psolve if given; returns the solution, the
+    iteration count and the relative residual ||r|| / ||b|| that stopped
+    it.
+
+    One loop with its vectors updated in place, in the arithmetic order of
+    ``scipy.sparse.linalg.cg``, so its iterates are those of scipy's.
+    """
     if not np.any(b):
-        return np.zeros_like(b), 0
-    count = [0]
-
-    def cb(_):
-        count[0] += 1
-
+        return np.zeros_like(b), 0, 0.0
+    b_norm = np.linalg.norm(b)
+    tol = SOLVER_RTOL * b_norm
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = np.empty_like(b)
+    step = np.empty_like(b)
+    rho_prev = 1.0
     maxiter = max(200, 12 * b.size)
-    x, info = spla.cg(A, b, rtol=SOLVER_RTOL, atol=0.0, maxiter=maxiter,
-                      M=M, callback=cb)
-    if info != 0:
-        resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
-                          f" relative residual {resid:.3e}")
-    return x, count[0]
+    for it in range(maxiter):
+        r_norm = np.sqrt(np.dot(r, r))
+        if r_norm < tol:
+            return x, it, float(r_norm / b_norm)
+        z = r if psolve is None else psolve(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        np.multiply(alpha, p, out=step)
+        x += step
+        np.multiply(alpha, q, out=step)
+        r -= step
+        rho_prev = rho
+    resid = np.linalg.norm(b - matvec(x)) / b_norm
+    raise SolverError(f"{label}: no convergence after {maxiter} iterations,"
+                      f" relative residual {resid:.3e}")
 
 
 def _factor_spd(A):
@@ -138,16 +175,17 @@ def _factor_spd(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _factored_solve(lu, A, b) -> tuple[np.ndarray, int]:
-    """One factor solve, residual-checked; the count is factor solves."""
+def _factored_solve(lu, A, b) -> tuple[np.ndarray, int, float]:
+    """One factor solve, residual-checked; returns the solution, the count
+    of factor solves and the relative residual."""
     if not np.any(b):
-        return np.zeros_like(b), 0
+        return np.zeros_like(b), 0, 0.0
     x = lu.solve(b)
-    resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    resid = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
     if resid > SOLVER_RTOL:
         raise SolverError(f"macro potential: factored solve left relative "
                           f"residual {resid:.3e}")
-    return x, 1
+    return x, 1, resid
 
 
 def operator_scale(grid: Grid, coeff_max: float = 1.0) -> float:
@@ -161,29 +199,27 @@ def macro_factor(field: MagneticField, grid: Grid):
 
 
 def micro_operator(field: MagneticField, coeff: np.ndarray, shift: float,
-                   grid: Grid) -> spla.LinearOperator:
+                   grid: Grid):
     """A_H + shift, A_H = -dhstar(coeff dh(.)), as the matrix-free product
-    DE (c * (DE^T v)) + shift v over the interior nodes, for a coefficient
-    used in one solve."""
+    v -> DE (c * (DE^T v)) + shift v over the interior nodes, for a
+    coefficient used in one solve."""
     ops = get_operator_set(field, grid)
     c = coeff.ravel()[ops.interior]
-    # an explicit dtype spares scipy a probe product on a zero vector
-    return spla.LinearOperator(
-        (grid.num_cells, grid.num_cells), dtype=float,
-        matvec=lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v)
+    return lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v
 
 
 def micro_matrix(field: MagneticField, coeff: np.ndarray, shift: float,
                  grid: Grid):
-    """A_H + shift assembled as the CSR matrix DE diag(c) DE^T + shift I,
-    for a coefficient fixed over many solves; None at regime >= 1, where
-    plain CG already converges in a few matrix-free products."""
+    """A_H + shift assembled as DE diag(c) DE^T + shift I and stored on its
+    nine diagonals, for a coefficient fixed over many solves; None at
+    regime >= 1, where plain CG already converges in a few matrix-free
+    products."""
     if shift >= operator_scale(grid, float(np.max(coeff))):
         return None
     ops = get_operator_set(field, grid)
     c = coeff.ravel()[ops.interior]
-    return (ops.DE @ sp.diags(c) @ ops.DEt
-            + shift * sp.identity(grid.num_cells, format="csr"))
+    return dia_from_csr(ops.DE @ sp.diags(c) @ ops.DEt
+                        + shift * sp.identity(grid.num_cells, format="csr"))
 
 
 def micro_factor(field: MagneticField, grid: Grid, shift: float):
@@ -194,8 +230,9 @@ def micro_factor(field: MagneticField, grid: Grid, shift: float):
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
-                    lu=None) -> tuple[np.ndarray, int]:
-    """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary.
+                    lu=None) -> tuple[np.ndarray, int, float]:
+    """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary,
+    with the iteration count and the achieved relative residual.
 
     -dhstar(h) is then the orthogonal projection of the cell field g onto
     K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved
@@ -206,26 +243,28 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
     # merged entries round
     rhs = apply_dh(g, field, grid).ravel()[ops.interior]
     if lu is None:
-        h_int, iters = _cg_solve(ops.N1, rhs, label="macro potential")
+        h_int, iters, resid = _cg_solve(ops.N1.dot, rhs,
+                                        label="macro potential")
     else:
-        h_int, iters = _factored_solve(lu, ops.N1, rhs)
+        h_int, iters, resid = _factored_solve(lu, ops.N1, rhs)
     h = np.zeros(grid.num_nodes)
     h[ops.interior] = h_int
-    return h.reshape(grid.shape_nodes), iters
+    return h.reshape(grid.shape_nodes), iters, resid
 
 
-def solve_micro(A, rhs: np.ndarray, lu=None) -> tuple[np.ndarray, int]:
-    """Cell field w with A w = rhs, A = A_H + shift a ``micro_matrix`` or
-    ``micro_operator``.
+def solve_micro(matvec, rhs: np.ndarray,
+                lu=None) -> tuple[np.ndarray, int, float]:
+    """Cell field w with A w = rhs, where matvec applies A = A_H + shift: a
+    ``micro_operator`` or the product of a ``micro_matrix``.
 
     The micro step of the decomposition, with shift = tau*lam and rhs in
-    K_perp; returns w and the CG iteration count.  lu, a ``micro_factor``
-    of the same shift, preconditions the CG.
+    K_perp; returns w, the CG iteration count and the achieved relative
+    residual.  lu, a ``micro_factor`` of the same shift, preconditions the
+    CG.
     """
-    M = None if lu is None else spla.LinearOperator(A.shape, matvec=lu.solve,
-                                                    dtype=float)
-    w, iters = _cg_solve(A, rhs.ravel(), label="micro part", M=M)
-    return w.reshape(rhs.shape), iters
+    w, iters, resid = _cg_solve(matvec, rhs.ravel(), label="micro part",
+                                psolve=None if lu is None else lu.solve)
+    return w.reshape(rhs.shape), iters, resid
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
@@ -243,7 +282,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
     lam, tau = prob.lam, prob.tau
     op_scale = operator_scale(grid, float(prob.coeff.max()))
 
-    h, it_h = macro_potential(prob.rhs, prob.field, grid, macro_lu)
+    h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid, macro_lu)
     dstar_h = apply_dhstar(h, prob.field, grid)
 
     pi = (prob.rhs + dstar_h) / lam
@@ -258,14 +297,15 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
 
     if tau == 0.0:
         q = np.zeros(grid.shape_cells)
-        it_w = 0
+        it_w, res_w = 0, 0.0
     else:
-        if micro_A is None:
-            micro_A = micro_operator(prob.field, prob.coeff, tau * lam, grid)
-        w, it_w = solve_micro(micro_A, -dstar_h, micro_lu)
+        matvec = (micro_operator(prob.field, prob.coeff, tau * lam, grid)
+                  if micro_A is None else micro_A.dot)
+        w, it_w, res_w = solve_micro(matvec, -dstar_h, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q,
                               iterations={"macro": it_h, "micro": it_w},
+                              residuals={"macro": res_h, "micro": res_w},
                               kernel_residual=kernel_resid,
                               regime=tau * lam / op_scale)

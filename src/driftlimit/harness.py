@@ -122,8 +122,8 @@ class ManufacturedDiffusion:
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
-        self.h_g, _ = macro_potential(g, self.field, grid)
-        self.h_p, _ = macro_potential(self.p1, self.field, grid)
+        self.h_g = macro_potential(g, self.field, grid)[0]
+        self.h_p = macro_potential(self.p1, self.field, grid)[0]
         # K_perp projections of the source parts
         self.g_perp = -apply_dhstar(self.h_g, self.field, grid)
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
@@ -142,8 +142,8 @@ class ManufacturedDiffusion:
         rhs = -apply_dhstar(lam * tau * self.h_p + self.h_g,
                             self.field, self.grid)
         A = self.A_H + tau * lam * sp.identity(self.grid.num_cells,
-                                               format="csr")
-        w, _ = solve_micro(A, rhs)
+                                               format="dia")
+        w = solve_micro(A.dot, rhs)[0]
         return pi + tau * w
 
 
@@ -535,7 +535,8 @@ DIAGNOSTICS_COLUMNS = (
     "scheme", "step", "time", "continuity_i", "continuity_e",
     "continuity_floor_i", "continuity_floor_e", "momentum_i", "momentum_e",
     "ap_node_i", "ap_node_e", "iters_n_macro", "iters_n_micro",
-    "iters_phi_macro", "iters_phi_micro", "regime_n", "regime_phi",
+    "iters_phi_macro", "iters_phi_micro", "resid_n_macro", "resid_n_micro",
+    "resid_phi_macro", "resid_phi_micro", "regime_n", "regime_phi",
     "kernel_n", "kernel_phi", "diverged")
 
 

@@ -30,7 +30,9 @@ difference/average factors.  Its interior-column block DE determines the
 rest: by the SBP identity the interior rows of dh are exactly -DE^T, so
 the masked cell operator -dhstar(H dh(.)) is DE diag(H) DE^T (which the
 micro solve applies and the tests' direct oracle assembles) and the macro
-normal operator is DE^T DE.
+normal operator is DE^T DE.  Those two square products are nine-point
+stencils; ``dia_from_csr`` stores them on their diagonals for the Krylov
+solves.
 """
 
 from __future__ import annotations
@@ -143,15 +145,37 @@ def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
     return (x @ sp.diags(bx.ravel()) + y @ sp.diags(by.ravel())).tocsr()
 
 
+def dia_from_csr(A: sp.csr_matrix) -> sp.dia_matrix:
+    """A square CSR matrix without duplicate entries, stored on its
+    diagonals.
+
+    A present-offset table over the offset range picks the diagonals, so
+    no sort runs (scipy's ``todia`` sums duplicates and sorts the offsets
+    with ``np.unique``, which costs time and peak memory).  data[k, j] is
+    the entry of column j on diagonal k, the layout ``dia_matrix`` reads.
+    """
+    n = A.shape[0]
+    key = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    lo = key.min(initial=0)
+    key -= lo
+    present = np.zeros(key.max(initial=0) + 1, dtype=bool)
+    present[key] = True
+    slot = np.cumsum(present) - 1
+    data = np.zeros((slot[-1] + 1, n))
+    data[slot[key], A.indices] = A.data
+    return sp.dia_matrix((data, np.flatnonzero(present) + lo), shape=A.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Immutable assembly cache of a static (field, grid); factors of its
-    operators belong to the callers of the solvers."""
+    operators belong to the callers of the solvers.  N1, the one square
+    operator, is kept on its diagonals: CG applies it once per iteration."""
 
     interior: np.ndarray   # flat indices of the interior nodes
     DE: sp.csr_matrix      # interior-node block of the assembled dhstar
     DEt: sp.csr_matrix     # its transpose in CSR: the interior rows of -dh
-    N1: sp.csr_matrix      # macro normal operator DE^T DE
+    N1: sp.dia_matrix      # macro normal operator DE^T DE, nine diagonals
 
 
 _cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -163,7 +187,8 @@ def get_operator_set(field: MagneticField, grid: Grid) -> OperatorSet:
     if ops is None:
         interior = np.flatnonzero(grid.interior_node_mask.ravel())
         DE = assemble_dhstar(field, grid)[:, interior].tocsr()
-        N1 = (DE.T @ DE).tocsr()  # -dh(dhstar(.)) on interior nodes, SPD form
+        # -dh(dhstar(.)) on interior nodes, SPD form
+        N1 = dia_from_csr((DE.T @ DE).tocsr())
         ops = OperatorSet(interior=interior, DE=DE, DEt=DE.T.tocsr(), N1=N1)
         per_field[grid] = ops
     return ops

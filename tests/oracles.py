@@ -4,6 +4,11 @@ The micro-macro solver never assembles the cell operator; the first two
 helpers do, and solve the tau > 0 cell system with a sparse LU, so the
 decomposition can be checked against an independent direct solve.
 
+``scipy_cg_solve`` is the CG solve the package ran before it had its own
+loop: ``scipy.sparse.linalg.cg`` with an iteration-counting callback.
+The package's in-place CG keeps scipy's arithmetic order, and is checked
+against it for identical iterates.
+
 ``ghost_fv_divergence`` is the Rusanov divergence written on the
 (..., 3) vector layout with a copy-ghost ring around the state, against
 which the component-plane kernel of ``driftlimit.flux`` is checked.
@@ -27,7 +32,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from driftlimit.ap_stepper import SPECIES, PhysParams, PlasmaState
-from driftlimit.diffusion import AnisoDiffusionProblem, SolverError
+from driftlimit.diffusion import SOLVER_RTOL, AnisoDiffusionProblem, \
+    SolverError
 from driftlimit.grid import Grid, _avg_pairs, _check_cell_shape, \
     _check_node_shape, _diff_pairs, cell_from_nodes, node_average, pad_cells
 from driftlimit.stencil import MagneticField, apply_dhstar, get_operator_set
@@ -68,6 +74,26 @@ def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:
     if scale > 0.0 and resid > 1e-12 * scale:
         raise SolverError(f"direct solve residual {resid / scale:.3e} above 1e-12")
     return p.reshape(grid.shape_cells)
+
+
+def scipy_cg_solve(A, b, label: str = "cg", M=None) -> tuple[np.ndarray, int]:
+    """CG from a zero start to SOLVER_RTOL, preconditioned by M if given,
+    with iteration count."""
+    if not np.any(b):
+        return np.zeros_like(b), 0
+    count = [0]
+
+    def cb(_):
+        count[0] += 1
+
+    maxiter = max(200, 12 * b.size)
+    x, info = spla.cg(A, b, rtol=SOLVER_RTOL, atol=0.0, maxiter=maxiter,
+                      M=M, callback=cb)
+    if info != 0:
+        resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
+                          f" relative residual {resid:.3e}")
+    return x, count[0]
 
 
 def _vector_flux(n: np.ndarray, q: np.ndarray, b_cells: np.ndarray,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from driftlimit import diffusion
 from driftlimit.diffusion import AnisoDiffusionProblem, SolverError, \
@@ -8,7 +10,7 @@ from driftlimit.grid import Grid
 from driftlimit.harness import ManufacturedDiffusion
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
-from oracles import solve_direct
+from oracles import scipy_cg_solve, solve_direct
 
 
 def circular_field(grid):
@@ -124,7 +126,7 @@ def test_micro_macro_decomposition_structure():
     sol = solve_micro_macro(prob, g)
     assert np.array_equal(sol.p, sol.pi + sol.q)
     # the micro part lies in K_perp: its projection onto the kernel vanishes
-    h_q, _ = macro_potential(sol.q, prob.field, g)
+    h_q = macro_potential(sol.q, prob.field, g)[0]
     q_kernel = sol.q + apply_dhstar(h_q, prob.field, g)
     assert np.linalg.norm(q_kernel) <= 1e-9 * (1 + np.linalg.norm(sol.q))
     # kernel membership of the macro part
@@ -159,22 +161,22 @@ def test_ap_limit_residual_scaling():
 
 
 def test_micro_operator_matches_matrix_free():
-    # both micro operators a solve can be handed, the matrix-free product
-    # and the assembled matrix, against the stencil realisation
+    # both micro products a solve can be handed, the matrix-free one and
+    # that of the assembled matrix, against the stencil realisation
     # -dhstar(masked * dh(.)) + shift
     g = Grid((1, 1), (2, 2), (12, 9))
     f = circular_field(g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
     shift = 0.37
-    operators = (diffusion.micro_operator(f, coeff, shift, g),
-                 diffusion.micro_matrix(f, coeff, shift, g))
+    products = (diffusion.micro_operator(f, coeff, shift, g),
+                diffusion.micro_matrix(f, coeff, shift, g).dot)
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.standard_normal(g.shape_cells)
         ref = (stiffness_matrix_free(v, f, coeff, g) + shift * v).ravel()
-        for A in operators:
-            got = A @ v.ravel()
+        for product in products:
+            got = product(v.ravel())
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
@@ -200,10 +202,59 @@ def test_preconditioned_micro_matches_cg():
     assert lu is not None
     assert diffusion.micro_factor(f, g, diffusion.operator_scale(g)) is None
     A = diffusion.micro_operator(f, coeff, shift, g)
-    w_cg, it_cg = diffusion.solve_micro(A, rhs)
-    w_pcg, it_pcg = diffusion.solve_micro(A, rhs, lu=lu)
+    w_cg, it_cg, _ = diffusion.solve_micro(A, rhs)
+    w_pcg, it_pcg, _ = diffusion.solve_micro(A, rhs, lu=lu)
     assert it_pcg <= 30 < it_cg
     assert np.linalg.norm(w_pcg - w_cg) <= 1e-10 * np.linalg.norm(w_cg)
+    # the in-place PCG iterates are scipy's, bit for bit
+    shape = (g.num_cells, g.num_cells)
+    w_ref, it_ref = scipy_cg_solve(
+        spla.LinearOperator(shape, matvec=A, dtype=float), rhs.ravel(),
+        M=spla.LinearOperator(shape, matvec=lu.solve, dtype=float))
+    assert np.array_equal(w_pcg.ravel(), w_ref) and it_pcg == it_ref
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-9])
+def test_micro_cg_iterates_are_scipy_cg(tau):
+    # the in-place CG keeps scipy's arithmetic order: same solution bits,
+    # same iteration count, on the manufactured sweep's micro solve
+    g = Grid((1, 1), (2, 2), (20, 20))
+    m = ManufacturedDiffusion(g)
+    rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
+    A = m.A_H + tau * m.lam * sp.identity(g.num_cells, format="dia")
+    w, iters, resid = diffusion.solve_micro(A.dot, rhs)
+    w_ref, iters_ref = scipy_cg_solve(A, rhs.ravel())
+    assert np.array_equal(w.ravel(), w_ref) and iters == iters_ref > 0
+    assert 0.0 < resid < diffusion.SOLVER_RTOL
+
+
+def test_macro_cg_iterates_are_scipy_cg():
+    g = Grid((1, 1), (2, 2), (20, 20))
+    f = circular_field(g)
+    gfield = np.random.default_rng(4).standard_normal(g.shape_cells)
+    h, iters, _ = macro_potential(gfield, f, g)
+    ops = get_operator_set(f, g)
+    rhs = apply_dh(gfield, f, g).ravel()[ops.interior]
+    h_ref, iters_ref = scipy_cg_solve(ops.N1, rhs)
+    assert np.array_equal(h.ravel()[ops.interior], h_ref)
+    assert iters == iters_ref > 0
+
+
+def test_cg_without_convergence_names_its_solve(monkeypatch):
+    # a tolerance no iterate can meet: the solve runs its maxiter, 200 for
+    # 16 cells, and says which solve stalled after how many iterations.
+    # CG ends on 16 unknowns well before that, and once its recursive
+    # residual is exactly 0 the step length is 0/0
+    g = Grid((1, 1), (2, 2), (4, 4))
+    f = circular_field(g)
+    rhs = -apply_dhstar(np.random.default_rng(5).standard_normal(
+        g.shape_nodes) * g.interior_node_mask, f, g)
+    product = diffusion.micro_operator(f, np.ones(g.shape_nodes), 0.1, g)
+    monkeypatch.setattr(diffusion, "SOLVER_RTOL", 0.0)
+    with pytest.raises(SolverError,
+                       match="^micro part: no convergence after 200 "
+                             "iterations"), np.errstate(invalid="ignore"):
+        diffusion.solve_micro(product, rhs)
 
 
 class CountingFactor:
@@ -218,10 +269,10 @@ class CountingFactor:
 
 
 def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
-    # no probe solve: scipy is told the preconditioner's dtype
+    # no probe solve: each PCG iteration applies the factor once
     g, f, coeff, shift, rhs = micro_problem()
     lu = CountingFactor(diffusion.micro_factor(f, g, shift))
-    _, iters = diffusion.solve_micro(
+    _, iters, _ = diffusion.solve_micro(
         diffusion.micro_operator(f, coeff, shift, g), rhs, lu=lu)
     assert iters > 0 and lu.calls == iters
 
@@ -234,7 +285,7 @@ def test_manufactured_deviation_matches_matrix_free_solve():
     for tau in (1e-2, 1e-5, 1e-9):
         rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
         A = diffusion.micro_operator(m.field, m.H_nodes, tau * m.lam, g)
-        w, _ = diffusion.solve_micro(A, rhs)
+        w = diffusion.solve_micro(A, rhs)[0]
         ref = tau * m.p1_kernel + tau * w
         dev = m.solve_deviation(tau)
         assert np.linalg.norm(dev - ref) <= 1e-10 * np.linalg.norm(ref), tau
@@ -258,8 +309,8 @@ def test_factored_macro_potential_matches_cg(monkeypatch):
     rng = np.random.default_rng(6)
     gfield = rng.standard_normal(g.shape_cells)
     lu = diffusion.macro_factor(f, g)
-    h_cg, iters_cg = macro_potential(gfield, f, g)
-    h_lu, iters_lu = macro_potential(gfield, f, g, lu=lu)
+    h_cg, iters_cg, _ = macro_potential(gfield, f, g)
+    h_lu, iters_lu, _ = macro_potential(gfield, f, g, lu=lu)
     assert iters_cg > 1 and iters_lu == 1
     ref = apply_dhstar(h_cg, f, g)
     gap = np.linalg.norm(apply_dhstar(h_lu, f, g) - ref)
@@ -275,7 +326,7 @@ def test_factored_macro_solve_is_one_factor_solve():
     f = circular_field(g)
     gfield = np.random.default_rng(9).standard_normal(g.shape_cells)
     lu = CountingFactor(diffusion.macro_factor(f, g))
-    _, iters = macro_potential(gfield, f, g, lu=lu)
+    _, iters, _ = macro_potential(gfield, f, g, lu=lu)
     assert lu.calls == 1 and iters == 1
 
 
@@ -284,7 +335,7 @@ def test_macro_potential_projects_onto_complement():
     f = circular_field(g)
     rng = np.random.default_rng(8)
     gfield = rng.standard_normal(g.shape_cells)
-    h, _ = macro_potential(gfield, f, g)
+    h = macro_potential(gfield, f, g)[0]
     kernel_part = gfield + apply_dhstar(h, f, g)
     # the projection onto K is orthogonal to every dhstar image
     w = rng.standard_normal(g.shape_nodes) * g.interior_node_mask

@@ -118,9 +118,15 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
     "grids=[25,50,50,100]", "tau_sweep=[1e-2,1e-3,1e-3]", "grids=[0,50,100]",
     "grids=[1,50,100]", "tau_sweep_grid=1", "scale=0.01", "scale=1e308",
     "nx=1" + "0" * 400, "nx=1000000000000", "ny=1000000000000",
-    "tau_sweep_grid=20000", "grids=[25,50,100000]"])
+    "tau_sweep_grid=20000", "grids=[25,50,100000]",
+    "dt=1e300 t_end=1e300", "dt=1e-300 t_end=1e-300", "C=1e300"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
-    assert cli_main(["simulate", "--override", override]) == 2
+    # a case may hold several space-separated overrides; the first names
+    # the rejected key
+    argv = ["simulate"]
+    for item in override.split():
+        argv += ["--override", item]
+    assert cli_main(argv) == 2
     assert override.partition("=")[0] in capsys.readouterr().err
 
 
@@ -278,7 +284,28 @@ def test_step_values_are_the_diagnostics_columns(tmp_path):
                       "continuity_floor_i,continuity_floor_e,momentum_i,"
                       "momentum_e,ap_node_i,ap_node_e,iters_n_macro,"
                       "iters_n_micro,iters_phi_macro,iters_phi_micro,"
-                      "regime_n,regime_phi,kernel_n,kernel_phi,diverged")
+                      "resid_n_macro,resid_n_micro,resid_phi_macro,"
+                      "resid_phi_micro,regime_n,regime_phi,kernel_n,"
+                      "kernel_phi,diverged")
+
+
+@pytest.mark.parametrize("dt", [5e-9, 1e-6])
+def test_diagnostics_report_achieved_solver_residuals(dt, tmp_path):
+    # each AP row holds the relative residual every Krylov or factored
+    # solve of its step reached: in [0, SOLVER_RTOL]
+    cfg = parse_config(overrides=["nx=16", "ny=16", f"dt={dt}",
+                                  f"t_end={4 * dt}", "scheme=ap"],
+                       out_dir=str(tmp_path))
+    run_two_fluid(cfg)
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert len(rows) == 4
+    for row in rows:
+        for slot in ("n", "phi"):
+            for part in ("macro", "micro"):
+                value = float(row[f"resid_{slot}_{part}"])
+                assert 0.0 <= value <= 1e-12, (slot, part, value)
 
 
 @pytest.mark.parametrize("classical_dt, dt, t_end, steps", [

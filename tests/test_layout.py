@@ -1,10 +1,14 @@
-"""The package kernels work on component planes.
+"""The package kernels work on component planes, and solve with one CG.
 
-An AST scan of the package modules: a call to ``np.einsum`` or
-``np.cross`` is the mark of a kernel written on the interleaved (..., 3)
-layout, which numpy runs several times slower per element than the same
-work on contiguous (nx, ny) planes.  ``grid.dot`` and ``grid.cross`` are
-the plane forms.
+AST scans of the package modules:
+
+- a call to ``np.einsum`` or ``np.cross`` is the mark of a kernel written
+  on the interleaved (..., 3) layout, which numpy runs several times
+  slower per element than the same work on contiguous (nx, ny) planes.
+  ``grid.dot`` and ``grid.cross`` are the plane forms;
+- a call to a scipy Krylov solver (``cg``, ``minres``, ``gmres`` as an
+  attribute, as in ``spla.cg``) would be a second CG path beside
+  ``diffusion._cg_solve``, the in-place loop every solve shares.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "driftlimit").glob("*.py"))
 INTERLEAVED = {"einsum", "cross"}
+KRYLOV = {"cg", "minres", "gmres"}
 
 
 def interleaved_calls(source: str) -> list[str]:
@@ -42,3 +47,26 @@ def test_scan_finds_interleaved_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_calls_no_interleaved_kernel(path):
     assert interleaved_calls(path.read_text()) == []
+
+
+def krylov_calls(source: str) -> list[str]:
+    return [f"line {node.lineno}: {ast.unparse(node.func)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in KRYLOV]
+
+
+def test_scan_finds_krylov_calls():
+    src = ("import scipy.sparse.linalg as spla\n"
+           "x, info = spla.cg(A, b)\n"
+           "y = scipy.sparse.linalg.gmres(A, b)[0]\n"
+           "z = cg(A, b)\n"
+           "w = spla.splu(A).solve(b)\n")
+    assert krylov_calls(src) == ["line 2: spla.cg",
+                                 "line 3: scipy.sparse.linalg.gmres"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_calls_no_scipy_krylov_solver(path):
+    assert krylov_calls(path.read_text()) == []

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftlimit.diffusion import micro_matrix
 from driftlimit.grid import Grid
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
@@ -170,3 +172,22 @@ def test_sbp_property_random_fields(nx, ny, angle):
     lhs = np.sum(apply_dhstar(w, f, g) * p)
     rhs = -np.sum(w * apply_dh(p, f, g))
     assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(w) * np.linalg.norm(p))
+
+
+@pytest.mark.parametrize("cells", [(12, 9), (2, 2)])
+def test_diagonal_operators_equal_their_csr_products(cells):
+    # both square operators are stored on at most nine diagonals, entry for
+    # entry the CSR products they come from; on 2 x 2 cells the stencil
+    # offsets +-1, +-(ny - 1) collide
+    g = Grid((1, 1), (2, 2), cells)
+    f = circular_field(g)
+    ops = get_operator_set(f, g)
+    xn, yn = g.node_coords()
+    coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
+    shift = 0.37
+    A = micro_matrix(f, coeff, shift, g)
+    A_ref = (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DEt
+             + shift * sp.identity(g.num_cells))
+    for dia, ref in ((A, A_ref), (ops.N1, ops.DE.T @ ops.DE)):
+        assert isinstance(dia, sp.dia_matrix) and len(dia.offsets) <= 9
+        assert np.array_equal(dia.toarray(), ref.toarray())
