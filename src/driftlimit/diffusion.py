@@ -23,17 +23,21 @@ K_perp = range of dhstar over interior-supported node fields:
 
 At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
 Step 3 is ``solve_micro``.  A node potential l with q = dhstar(l) exists
-by construction, but nothing downstream needs it, so it is never formed.
-The tests check the decomposition against an independent tau > 0 oracle,
-a sparse direct solve of the assembled cell system.
+by construction.  ``solve_micro_macro`` solves for w and never forms l;
+the manufactured sweep (``harness.ManufacturedDiffusion``) solves for l
+instead, through an equivalent SPD node system preconditioned by its N1
+factor, and forms q from it.  The tests check the decomposition against
+an independent tau > 0 oracle, a sparse direct solve of the assembled
+cell system.
 
 A solve uses the factor its caller passes, and without one runs CG.  The
 normal operator N1 of step 1 depends only on the field and the grid: a
 time stepper builds its ``macro_factor`` (sparse LU, symmetric minimum-
 degree ordering) once, so each macro solve is one checked factor solve.
-One-shot projections run CG: two solves per grid do not repay a factor
-whose fill costs more memory than the solves (at 200^2 the N1 factor has
-4.27M nonzeros and lifts peak RSS from about 80 to 175 MB).
+The manufactured sweep factors N1 per grid up to a node bound: its two
+projections and every micro PCG of the grid use that factor.  Above the
+bound they run CG, because the factor's fill costs more memory than the
+solves (at 200^2 the N1 factor has 4.27M nonzeros, +53 MB of peak RSS).
 
 Every CG of the module, macro or micro, preconditioned or not, is one
 loop (``_cg_solve``) on a product callable: a zero start, vectors updated
@@ -45,10 +49,9 @@ iteration count.
 Step 3 is CG on the micro operator its caller passes.  An owner whose
 coefficient stays fixed over many solves assembles A_H + shift once with
 ``micro_matrix``, one sparse product per CG iteration: the AP stepper for
-its density (unit coefficient), a manufactured problem for its H (with a
-new shift per solve).  A coefficient used for one solve, such as the AP
-potential's node-averaged density, goes through ``micro_operator``, the
-matrix-free product.  A caller that solves many micro problems with one
+its density (unit coefficient).  A coefficient used for one solve, such as
+the AP potential's node-averaged density, goes through ``micro_operator``,
+the matrix-free product.  A caller that solves many micro problems with one
 shift can precondition that CG with ``micro_factor``, a factor of the
 unit-coefficient operator A_1 + shift: the AP stepper does so for its
 potential, whose coefficient stays close to 1, so the two operators are
@@ -260,7 +263,9 @@ def solve_micro(matvec, rhs: np.ndarray,
     The micro step of the decomposition, with shift = tau*lam and rhs in
     K_perp; returns w, the CG iteration count and the achieved relative
     residual.  lu, a ``micro_factor`` of the same shift, preconditions the
-    CG.
+    CG.  Any SPD product and any object with a ``solve`` approximating its
+    inverse serve: the manufactured sweep passes its node form of the
+    micro step.
     """
     w, iters, resid = _cg_solve(matvec, rhs.ravel(), label="micro part",
                                 psolve=None if lu is None else lu.solve)

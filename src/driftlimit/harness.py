@@ -26,15 +26,21 @@ import scipy.sparse as sp
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
-from .diffusion import AnisoDiffusionProblem, macro_potential, micro_matrix, \
+from .diffusion import AnisoDiffusionProblem, macro_factor, macro_potential, \
     solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
-from .stencil import MagneticField, apply_dhstar
+from .stencil import MagneticField, apply_dhstar, get_operator_set
 
 MOMENTUM_GROWTH_LIMIT = 1e6     # max |q| over its initial value ends a run
 # SuperLU takes int32 indices, and a micro or macro operator holds up to 9
 # nonzeros per row (a cell or node couples to its 3x3 neighbourhood)
 MAX_CELLS = (2**31 - 1) // 9
+# A manufactured problem factors N1 on grids of at most this many nodes.
+# Measured fill of its curved-field factor: 0.76M nonzeros and +11 MB peak
+# RSS at 100^2 cells (101^2 nodes); 4.27M nonzeros and +53 MB at 200^2,
+# which would raise the sweep's peak RSS by about 55%, so larger grids run
+# CG instead.
+MAX_FACTORED_NODES = 101 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +113,19 @@ class ManufacturedDiffusion:
     The per-tau sweep solution is assembled by superposing one
     tau-independent potential pair (h_g, h_p, solved once per grid) with a
     single micro solve per tau, so each solve's data is exactly
-    tau-proportional.  The coefficient H never changes, so A_H is assembled
-    once per grid and each solve adds its shift tau*lam.
+    tau-proportional.
+
+    The micro part w = q / tau lies in K_perp, the range of DE, and is
+    solved for its node potential: with D = diag(sqrt(H)) on the interior
+    nodes and w = DE D y, the cell system (A_H + tau*lam) w = -DE h is the
+    SPD node system (D N1 D + tau*lam) y = -D^-1 h, with the spectrum of
+    A_H on K_perp.  H never changes, so D N1 D is formed once per grid, by
+    scaling the diagonals of N1, and each solve adds its shift.  On grids
+    of at most MAX_FACTORED_NODES nodes the problem factors N1 once: the
+    factor solves both potentials and, as D^-1 N1^-1 D^-1, preconditions
+    every micro CG, which then converges in a few iterations because
+    tau*lam is tiny against the spectrum of D N1 D.  Larger grids run
+    plain CG for all three.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -118,12 +135,24 @@ class ManufacturedDiffusion:
             grid, lambda *c: (*unit_b(c[0], c[1]), np.zeros_like(c[0])))
         xn, yn = grid.node_coords()
         self.H_nodes = coeff_H(xn, yn)
-        self.A_H = micro_matrix(self.field, self.H_nodes, 0.0, grid)
+        ops = get_operator_set(self.field, grid)
+        self.sqrt_H = np.sqrt(self.H_nodes.ravel()[ops.interior])
+        # D N1 D on the diagonals of N1: the entry (j - o, j) of the
+        # diagonal at offset o scales by d[j - o] d[j], and the slots of a
+        # diagonal that fall outside the matrix hold 0
+        data = ops.N1.data * self.sqrt_H
+        for k, offset in enumerate(ops.N1.offsets):
+            data[k] *= np.roll(self.sqrt_H, offset)
+        self.node_operator = sp.dia_matrix((data, ops.N1.offsets),
+                                           shape=ops.N1.shape)
+        self.macro_lu = (macro_factor(self.field, grid)
+                         if grid.num_nodes <= MAX_FACTORED_NODES else None)
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
-        self.h_g = macro_potential(g, self.field, grid)[0]
-        self.h_p = macro_potential(self.p1, self.field, grid)[0]
+        self.h_g = macro_potential(g, self.field, grid, self.macro_lu)[0]
+        self.h_p = macro_potential(self.p1, self.field, grid,
+                                   self.macro_lu)[0]
         # K_perp projections of the source parts
         self.g_perp = -apply_dhstar(self.h_g, self.field, grid)
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
@@ -137,14 +166,26 @@ class ManufacturedDiffusion:
 
     def solve_deviation(self, tau: float) -> np.ndarray:
         """p_app - p0 by superposition; every term scales exactly with tau."""
-        lam = self.lam
-        pi = tau * self.p1_kernel
-        rhs = -apply_dhstar(lam * tau * self.h_p + self.h_g,
-                            self.field, self.grid)
-        A = self.A_H + tau * lam * sp.identity(self.grid.num_cells,
-                                               format="dia")
-        w = solve_micro(A.dot, rhs)[0]
-        return pi + tau * w
+        shift = tau * self.lam
+        ops = get_operator_set(self.field, self.grid)
+        h = (shift * self.h_p + self.h_g).ravel()[ops.interior]
+        A = self.node_operator + shift * sp.identity(h.size, format="dia")
+        lu = (None if self.macro_lu is None
+              else _ScaledFactor(self.macro_lu, self.sqrt_H))
+        y = solve_micro(A.dot, -h / self.sqrt_H, lu)[0]
+        w = (ops.DE @ (self.sqrt_H * y)).reshape(self.grid.shape_cells)
+        return tau * self.p1_kernel + tau * w
+
+
+class _ScaledFactor:
+    """D^-1 N1^-1 D^-1 with D = diag(d), from lu, a factor of N1: the
+    inverse of D N1 D, the preconditioner of the manufactured node system."""
+
+    def __init__(self, lu, d: np.ndarray):
+        self.lu, self.d = lu, d
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r / self.d) / self.d
 
 
 def fit_slope(values, errors) -> float:
@@ -580,31 +621,30 @@ def run_two_fluid(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_diffusion_validation(cfg: RunConfig) -> dict:
-    lam = cfg.lam
-    problems = {}                       # cells per side -> (grid, problem)
-
-    def make(ncells):
-        n = cfg.scaled_cells(ncells)
-        if n not in problems:
-            grid = Grid((1.0, 1.0), (2.0, 2.0), (n, n))
-            problems[n] = grid, ManufacturedDiffusion(grid, lam)
-        return problems[n]
-
-    h_tables = {}
-    ladder = [make(nc) for nc in cfg.grids]
-    for tau in cfg.h_sweep_taus:
-        table = ConvergenceTable(parameter="h")
-        for grid, m in ladder:
-            dev = m.solve_deviation(tau)
-            table.add(max(grid.spacing),
-                      discrete_norms(dev - tau * m.p1, grid))
-        h_tables[tau] = table
-
-    grid, m = make(cfg.tau_sweep_grid)
+    h_tables = {tau: ConvergenceTable(parameter="h")
+                for tau in cfg.h_sweep_taus}
     tau_table = ConvergenceTable(parameter="tau")
-    for tau in cfg.tau_sweep:
-        # deviation-form solution is exactly p_app - p0
-        tau_table.add(tau, discrete_norms(m.solve_deviation(tau), grid))
+    ladder = [cfg.scaled_cells(nc) for nc in cfg.grids]
+    tau_grid = cfg.scaled_cells(cfg.tau_sweep_grid)
+
+    def solve_on(n):
+        """Every solve of the grid with n cells per side; its problem goes
+        when this returns, before the next grid is built."""
+        grid = Grid((1.0, 1.0), (2.0, 2.0), (n, n))
+        m = ManufacturedDiffusion(grid, cfg.lam)
+        if n in ladder:
+            for tau, table in h_tables.items():
+                dev = m.solve_deviation(tau)
+                table.add(max(grid.spacing),
+                          discrete_norms(dev - tau * m.p1, grid))
+        if n == tau_grid:
+            for tau in cfg.tau_sweep:
+                # deviation-form solution is exactly p_app - p0
+                tau_table.add(tau,
+                              discrete_norms(m.solve_deviation(tau), grid))
+
+    for n in ladder if tau_grid in ladder else ladder + [tau_grid]:
+        solve_on(n)
 
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)

@@ -3,8 +3,8 @@
 Shared runs are module-scoped fixtures; everything binds at the stated
 scales and tolerances.  Criterion 7's literal verdict map is a documented
 expected failure (the stability-law onset sits one decade lower in C in
-this implementation; see the companion shifted-map test and the decisions
-ledger entry), and so is the classical half of the seeded stationarity
+this implementation; see the companion shifted-map test and item 2 of
+ROADMAP.md), and so is the classical half of the seeded stationarity
 test beside criterion 4 (stable_dt is not a stable step)."""
 
 import dataclasses
@@ -218,7 +218,7 @@ def paper_c_map():
                    reason="instability onset sits one decade lower in C in "
                           "this implementation (exact inner solves); the "
                           "stability law itself is verified by the shifted-map "
-                          "test — see the decisions ledger")
+                          "test — see ROADMAP.md item 2")
 def test_criterion_7_c_study_literal_paper_map(paper_c_map):
     v = paper_c_map["verdicts"]
     lines = [f"C={C:.0e},dt={dt:.0e}:{verdict}"

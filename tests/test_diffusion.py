@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from driftlimit import diffusion
+from driftlimit import diffusion, harness
 from driftlimit.diffusion import AnisoDiffusionProblem, SolverError, \
     macro_potential, solve_micro_macro
 from driftlimit.grid import Grid
@@ -221,7 +221,7 @@ def test_micro_cg_iterates_are_scipy_cg(tau):
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g)
     rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
-    A = m.A_H + tau * m.lam * sp.identity(g.num_cells, format="dia")
+    A = diffusion.micro_matrix(m.field, m.H_nodes, tau * m.lam, g)
     w, iters, resid = diffusion.solve_micro(A.dot, rhs)
     w_ref, iters_ref = scipy_cg_solve(A, rhs.ravel())
     assert np.array_equal(w.ravel(), w_ref) and iters == iters_ref > 0
@@ -277,11 +277,23 @@ def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
     assert iters > 0 and lu.calls == iters
 
 
-def test_manufactured_deviation_matches_matrix_free_solve():
-    # the sweep solves on A_H assembled once per grid plus each tau's
-    # shift; the same superposition with the matrix-free operator agrees
+@pytest.mark.parametrize("factored", [True, False],
+                         ids=["factored", "unfactored"])
+def test_manufactured_deviation_matches_matrix_free_solve(factored,
+                                                          monkeypatch):
+    # the sweep solves for the node potential of the micro part, with or
+    # without the N1 factor; the cell-form superposition on the
+    # matrix-free operator agrees
+    if not factored:
+        monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g, lam=1.5)
+    assert (m.macro_lu is not None) == factored
+    # the node operator scaled on N1's diagonals is (DE D)^T (DE D)
+    DE_D = get_operator_set(m.field, g).DE @ sp.diags(m.sqrt_H)
+    product = (DE_D.T @ DE_D).toarray()
+    assert np.allclose(m.node_operator.toarray(), product, rtol=0.0,
+                       atol=1e-14 * np.abs(product).max())
     for tau in (1e-2, 1e-5, 1e-9):
         rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
         A = diffusion.micro_operator(m.field, m.H_nodes, tau * m.lam, g)
@@ -289,6 +301,27 @@ def test_manufactured_deviation_matches_matrix_free_solve():
         ref = tau * m.p1_kernel + tau * w
         dev = m.solve_deviation(tau)
         assert np.linalg.norm(dev - ref) <= 1e-10 * np.linalg.norm(ref), tau
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-9])
+def test_factored_manufactured_solve_is_a_few_factor_solves(tau,
+                                                            monkeypatch):
+    # tau*lam is tiny against the node operator's spectrum, so the scaled
+    # N1 factor is an almost exact preconditioner: each PCG iteration
+    # applies it once, and a few iterations reach the tolerance
+    g = Grid((1, 1), (2, 2), (20, 20))
+    m = ManufacturedDiffusion(g)
+    m.macro_lu = lu = CountingFactor(m.macro_lu)
+    solves = []
+
+    def recording_solve_micro(*args, **kwargs):
+        result = diffusion.solve_micro(*args, **kwargs)
+        solves.append(result[1])
+        return result
+
+    monkeypatch.setattr(harness, "solve_micro", recording_solve_micro)
+    m.solve_deviation(tau)
+    assert len(solves) == 1 and 0 < solves[0] <= 3 and lu.calls == solves[0]
 
 
 def test_macro_part_insensitive_to_solver_path():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -217,11 +218,14 @@ def test_diffusion_validation_desk_scale(tmp_path):
 
 
 def test_diffusion_validation_builds_each_grid_once(monkeypatch):
-    built = []
+    built, alive = [], []
     init = ManufacturedDiffusion.__init__
 
     def counting_init(self, grid, *args, **kwargs):
+        # each grid's problem is gone before the next one is built
+        assert all(ref() is None for ref in alive)
         built.append(grid.shape_cells[0])
+        alive.append(weakref.ref(self))
         init(self, grid, *args, **kwargs)
 
     monkeypatch.setattr(ManufacturedDiffusion, "__init__", counting_init)
@@ -229,6 +233,14 @@ def test_diffusion_validation_builds_each_grid_once(monkeypatch):
                                        scale=0.1))
     # the tau sweep's grid (100 cells, scaled) is the ladder's own
     assert built == [4, 5, 10, 20]
+    # a tau sweep grid off the ladder is built after it
+    built.clear()
+    out = run_diffusion_validation(RunConfig(
+        experiment="diffusion-validate", scale=0.1, tau_sweep_grid=150))
+    assert built == [4, 5, 10, 20, 15]
+    assert [row[0] for row in out["h_sweep"][1e-2].rows] == \
+        [1.0 / n for n in (4, 5, 10, 20)]
+    assert len(out["tau_sweep"].rows) == len(RunConfig.tau_sweep)
 
 
 def test_two_fluid_run_outputs_and_determinism(tmp_path):
