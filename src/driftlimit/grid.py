@@ -180,18 +180,21 @@ def write_field_csv(path, u: np.ndarray, grid: Grid):
 
     Header is ``x,y,value`` for scalars, ``x,y,vx,vy,vz`` for vectors;
     coordinates and values carry 17 significant digits.  The coordinates
-    never change, so the first dump of each value width formats them once
-    into a row template kept on the grid; a dump formats only its values
-    into the template's ``%.17g`` slots.
+    never change, so the first dump of each value width joins them once
+    into a row template kept on the grid, from the text of each axis value
+    (the cells are the meshgrid of ``cell_axes``); a dump formats only its
+    values into the template's ``%.17g`` slots.
     """
     _check_cell_shape(u, grid)
     width = 3 if u.ndim == 3 else 1
     rows = grid._csv_rows.get(width)
     if rows is None:
-        # "%%.17g" survives the coordinate pass as a value slot
-        fmt = "%.17g,%.17g," + ",".join(["%%.17g"] * width) + "\n"
-        rows = grid._csv_rows[width] = (fmt * grid.num_cells) % tuple(
-            np.stack(grid.cell_coords(), axis=-1).ravel().tolist())
+        xs, ys = (["%.17g," % v for v in axis.tolist()]
+                  for axis in grid.cell_axes)
+        slots = ",".join(["%.17g"] * width) + "\n"
+        y_tails = [y + slots for y in ys]
+        rows = grid._csv_rows[width] = "".join(
+            x + tail for x in xs for tail in y_tails)
     with open(path, "w") as fh:
         fh.write("x,y,vx,vy,vz\n" if width == 3 else "x,y,value\n")
         fh.write(rows % tuple(u.ravel().tolist()))

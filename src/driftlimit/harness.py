@@ -26,8 +26,8 @@ import scipy.sparse as sp
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
-from .diffusion import AnisoDiffusionProblem, macro_factor, macro_potential, \
-    solve_micro
+from .diffusion import AnisoDiffusionProblem, incomplete_macro_factor, \
+    macro_factor, macro_potential, solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar, get_operator_set
 
@@ -38,8 +38,10 @@ MAX_CELLS = (2**31 - 1) // 9
 # A manufactured problem factors N1 on grids of at most this many nodes.
 # Measured fill of its curved-field factor: 0.76M nonzeros and +11 MB peak
 # RSS at 100^2 cells (101^2 nodes); 4.27M nonzeros and +53 MB at 200^2,
-# which would raise the sweep's peak RSS by about 55%, so larger grids run
-# CG instead.
+# which would raise the sweep's peak RSS by about 55%, so larger grids
+# build an incomplete factor (0.67M nonzeros at 200^2).  Below the bound
+# the complete factor is also the faster preconditioner: at 100^2 a micro
+# solve took 3.7-5.1 ms on it and 8.0-8.4 ms on the incomplete one.
 MAX_FACTORED_NODES = 101 ** 2
 
 
@@ -121,11 +123,13 @@ class ManufacturedDiffusion:
     SPD node system (D N1 D + tau*lam) y = -D^-1 h, with the spectrum of
     A_H on K_perp.  H never changes, so D N1 D is formed once per grid, by
     scaling the diagonals of N1, and each solve adds its shift.  On grids
-    of at most MAX_FACTORED_NODES nodes the problem factors N1 once: the
-    factor solves both potentials and, as D^-1 N1^-1 D^-1, preconditions
-    every micro CG, which then converges in a few iterations because
-    tau*lam is tiny against the spectrum of D N1 D.  Larger grids run
-    plain CG for all three.
+    of at most MAX_FACTORED_NODES nodes the problem factors N1 once
+    (``macro_lu``): the factor solves both potentials and, as
+    D^-1 N1^-1 D^-1, preconditions every micro CG, which then converges in
+    a few iterations because tau*lam is tiny against the spectrum of
+    D N1 D.  Larger grids build an incomplete factor of N1 instead
+    (``macro_ilu``), which preconditions the CGs of both potentials and,
+    scaled the same way, every micro CG: 9 iterations each at 200^2.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -145,14 +149,19 @@ class ManufacturedDiffusion:
             data[k] *= np.roll(self.sqrt_H, offset)
         self.node_operator = sp.dia_matrix((data, ops.N1.offsets),
                                            shape=ops.N1.shape)
-        self.macro_lu = (macro_factor(self.field, grid)
-                         if grid.num_nodes <= MAX_FACTORED_NODES else None)
+        if grid.num_nodes <= MAX_FACTORED_NODES:
+            self.macro_lu = macro_factor(self.field, grid)
+            self.macro_ilu = None
+        else:
+            self.macro_lu = None
+            self.macro_ilu = incomplete_macro_factor(self.field, grid)
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
-        self.h_g = macro_potential(g, self.field, grid, self.macro_lu)[0]
-        self.h_p = macro_potential(self.p1, self.field, grid,
-                                   self.macro_lu)[0]
+        self.h_g = macro_potential(g, self.field, grid, self.macro_lu,
+                                   self.macro_ilu)[0]
+        self.h_p = macro_potential(self.p1, self.field, grid, self.macro_lu,
+                                   self.macro_ilu)[0]
         # K_perp projections of the source parts
         self.g_perp = -apply_dhstar(self.h_g, self.field, grid)
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
@@ -170,16 +179,17 @@ class ManufacturedDiffusion:
         ops = get_operator_set(self.field, self.grid)
         h = (shift * self.h_p + self.h_g).ravel()[ops.interior]
         A = self.node_operator + shift * sp.identity(h.size, format="dia")
-        lu = (None if self.macro_lu is None
-              else _ScaledFactor(self.macro_lu, self.sqrt_H))
+        lu = _ScaledFactor(self.macro_ilu if self.macro_lu is None
+                           else self.macro_lu, self.sqrt_H)
         y = solve_micro(A.dot, -h / self.sqrt_H, lu)[0]
         w = (ops.DE @ (self.sqrt_H * y)).reshape(self.grid.shape_cells)
         return tau * self.p1_kernel + tau * w
 
 
 class _ScaledFactor:
-    """D^-1 N1^-1 D^-1 with D = diag(d), from lu, a factor of N1: the
-    inverse of D N1 D, the preconditioner of the manufactured node system."""
+    """D^-1 N1^-1 D^-1 with D = diag(d), from lu, a complete or incomplete
+    factor of N1: the (approximate) inverse of D N1 D, the preconditioner
+    of the manufactured node system."""
 
     def __init__(self, lu, d: np.ndarray):
         self.lu, self.d = lu, d

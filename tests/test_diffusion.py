@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -257,6 +259,22 @@ def test_cg_without_convergence_names_its_solve(monkeypatch):
         diffusion.solve_micro(product, rhs)
 
 
+@pytest.mark.parametrize("negated", ["preconditioner", "operator"])
+def test_cg_stops_at_once_on_a_non_positive_product(negated):
+    # an indefinite preconditioner or operator would otherwise run CG to
+    # its maxiter; r.z < 0 or p.Ap < 0 ends the solve where it shows
+    g, f, coeff, shift, rhs = micro_problem()
+    A = diffusion.micro_operator(f, coeff, shift, g)
+    if negated == "preconditioner":
+        lu = diffusion.micro_factor(f, g, shift)
+        args = (A, rhs, SimpleNamespace(solve=lambda r: -lu.solve(r)))
+    else:
+        args = (lambda v: -A(v), rhs)
+    with pytest.raises(SolverError, match=f"^micro part: {negated} not "
+                                          "positive at iteration 0$"):
+        diffusion.solve_micro(*args)
+
+
 class CountingFactor:
     """A factor that counts its solves."""
 
@@ -278,17 +296,18 @@ def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
 
 
 @pytest.mark.parametrize("factored", [True, False],
-                         ids=["factored", "unfactored"])
+                         ids=["factored", "incomplete"])
 def test_manufactured_deviation_matches_matrix_free_solve(factored,
                                                           monkeypatch):
-    # the sweep solves for the node potential of the micro part, with or
-    # without the N1 factor; the cell-form superposition on the
-    # matrix-free operator agrees
+    # the sweep solves for the node potential of the micro part,
+    # preconditioned by the complete or the incomplete N1 factor; the
+    # cell-form superposition on the matrix-free operator agrees
     if not factored:
         monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g, lam=1.5)
     assert (m.macro_lu is not None) == factored
+    assert (m.macro_ilu is None) == factored
     # the node operator scaled on N1's diagonals is (DE D)^T (DE D)
     DE_D = get_operator_set(m.field, g).DE @ sp.diags(m.sqrt_H)
     product = (DE_D.T @ DE_D).toarray()
@@ -322,6 +341,45 @@ def test_factored_manufactured_solve_is_a_few_factor_solves(tau,
     monkeypatch.setattr(harness, "solve_micro", recording_solve_micro)
     m.solve_deviation(tau)
     assert len(solves) == 1 and 0 < solves[0] <= 3 and lu.calls == solves[0]
+
+
+def test_incomplete_macro_factor_is_symmetric_and_positive():
+    # CG needs a symmetric positive preconditioner; the incomplete factor
+    # alone is neither, its symmetric part is applied
+    g = Grid((1, 1), (2, 2), (20, 20))
+    ilu = diffusion.incomplete_macro_factor(circular_field(g), g)
+    rng = np.random.default_rng(10)
+    n = get_operator_set(circular_field(g), g).N1.shape[0]
+    for _ in range(20):
+        x, y = rng.standard_normal((2, n))
+        y_Px = y @ ilu.solve(x)
+        assert abs(y_Px - x @ ilu.solve(y)) <= 1e-12 * abs(y_Px)
+        assert x @ ilu.solve(x) > 0.0
+
+
+def test_incomplete_manufactured_solves_take_a_few_iterations(monkeypatch):
+    # with no grid factored, both potentials and every micro solve run PCG
+    # on the incomplete N1 factor; measured here: 4-5 iterations each
+    monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
+    iterations = []
+
+    def recording(solve):
+        def wrapper(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result[1])
+            return result
+        return wrapper
+
+    monkeypatch.setattr(harness, "macro_potential",
+                        recording(diffusion.macro_potential))
+    monkeypatch.setattr(harness, "solve_micro",
+                        recording(diffusion.solve_micro))
+    m = ManufacturedDiffusion(Grid((1, 1), (2, 2), (20, 20)), lam=1.5)
+    assert m.macro_lu is None and m.macro_ilu is not None
+    for tau in (1e-2, 1e-5, 1e-9):
+        m.solve_deviation(tau)
+    assert len(iterations) == 5
+    assert all(0 < it <= 5 for it in iterations), iterations
 
 
 def test_macro_part_insensitive_to_solver_path():
