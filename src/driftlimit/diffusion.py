@@ -30,14 +30,17 @@ factor, and forms q from it.  The tests check the decomposition against
 an independent tau > 0 oracle, a sparse direct solve of the assembled
 cell system.
 
-A solve uses the factor its caller passes, and without one runs CG.  The
-normal operator N1 of step 1 depends only on the field and the grid: a
-time stepper builds its ``macro_factor`` (sparse LU, symmetric minimum-
-degree ordering) once, so each macro solve is one checked factor solve.
-The manufactured sweep factors N1 per grid up to a node bound: its two
-projections and every micro PCG of the grid use that factor.  Above the
-bound a complete factor's fill costs more memory than the solves (at
-200^2 it has 4.27M nonzeros, +53 MB of peak RSS), so the sweep builds
+A macro solve is CG on N1 preconditioned by its owner's factor, and a
+complete factor takes one iteration.  The normal operator N1 of step 1
+depends only on the field and the grid: a time stepper builds its
+``macro_factor`` (sparse LU, symmetric minimum-degree ordering) once, and
+``solve_micro_macro`` called without one builds it for its single solve.
+With the exact inverse as preconditioner the first CG step lands on the
+solution, and the loop's own residual test confirms it.  The manufactured
+sweep factors N1 per grid up to a node bound: its two projections and
+every micro PCG of the grid use that factor.  Above the bound a complete
+factor's fill costs more memory than the solves (at 200^2 it has 4.27M
+nonzeros, +53 MB of peak RSS), so the sweep builds
 ``incomplete_macro_factor`` instead, an incomplete LU in the natural
 ordering with drop tolerance ILU_DROP_TOL (0.67M nonzeros at 200^2), and
 all four CGs of the grid are preconditioned by it: 9 iterations each at
@@ -99,7 +102,7 @@ from .grid import Grid
 from .stencil import MagneticField, apply_dh, apply_dhstar, dia_from_csr, \
     get_operator_set
 
-SOLVER_RTOL = 1e-12        # relative residual of every solve, CG or factor
+SOLVER_RTOL = 1e-12        # relative residual that stops every CG
 ILU_DROP_TOL = 1e-4        # drop tolerance of ``incomplete_macro_factor``
 
 
@@ -196,19 +199,6 @@ def _factor_spd(A):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _factored_solve(lu, A, b) -> tuple[np.ndarray, int, float]:
-    """One factor solve, residual-checked; returns the solution, the count
-    of factor solves and the relative residual."""
-    if not np.any(b):
-        return np.zeros_like(b), 0, 0.0
-    x = lu.solve(b)
-    resid = float(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
-    if resid > SOLVER_RTOL:
-        raise SolverError(f"macro potential: factored solve left relative "
-                          f"residual {resid:.3e}")
-    return x, 1, resid
-
-
 class _SymmetricILU:
     """Incomplete LU of an SPD matrix in a symmetric ordering, applied
     through its symmetric part 0.5 (M + M^T), M = (LU)^-1: M alone is not
@@ -275,25 +265,21 @@ def micro_factor(field: MagneticField, grid: Grid, shift: float):
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
-                    lu=None, ilu=None) -> tuple[np.ndarray, int, float]:
+                    lu) -> tuple[np.ndarray, int, float]:
     """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary,
-    with the iteration count and the achieved relative residual.
+    with the PCG iteration count and the achieved relative residual.
 
     -dhstar(h) is then the orthogonal projection of the cell field g onto
-    K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved
-    through lu, a ``macro_factor`` of (field, grid), if given, else by CG,
-    preconditioned by ilu, an ``incomplete_macro_factor``, if given.
+    K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved by
+    CG on N1 preconditioned by lu, a ``macro_factor`` of (field, grid),
+    which takes one iteration, or an ``incomplete_macro_factor``.
     """
     ops = get_operator_set(field, grid)
     # matrix-free stencil annihilates constants exactly, unlike DE^T whose
     # merged entries round
     rhs = apply_dh(g, field, grid).ravel()[ops.interior]
-    if lu is None:
-        h_int, iters, resid = _cg_solve(
-            ops.N1.dot, rhs, label="macro potential",
-            psolve=None if ilu is None else ilu.solve)
-    else:
-        h_int, iters, resid = _factored_solve(lu, ops.N1, rhs)
+    h_int, iters, resid = _cg_solve(ops.N1.dot, rhs, "macro potential",
+                                    psolve=lu.solve)
     h = np.zeros(grid.num_nodes)
     h[ops.interior] = h_int
     return h.reshape(grid.shape_nodes), iters, resid
@@ -321,16 +307,19 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                       micro_A=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
-    macro_lu, a ``macro_factor``, solves the macro potential; micro_A, a
-    ``micro_matrix`` of the problem's coefficient and shift tau*lam, is
-    the micro operator, else ``micro_operator`` applies it matrix-free;
-    micro_lu, a ``micro_factor`` of shift tau*lam, preconditions the
-    micro CG.
+    macro_lu, a ``macro_factor`` of the problem's field and grid,
+    preconditions the macro PCG, which then takes one iteration; without
+    one the solve factors N1 itself.  micro_A, a ``micro_matrix`` of the
+    problem's coefficient and shift tau*lam, is the micro operator, else
+    ``micro_operator`` applies it matrix-free; micro_lu, a
+    ``micro_factor`` of shift tau*lam, preconditions the micro CG.
     """
     ops = get_operator_set(prob.field, grid)
     lam, tau = prob.lam, prob.tau
     op_scale = operator_scale(grid, float(prob.coeff.max()))
 
+    if macro_lu is None:
+        macro_lu = macro_factor(prob.field, grid)
     h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid, macro_lu)
     dstar_h = apply_dhstar(h, prob.field, grid)
 

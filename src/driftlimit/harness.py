@@ -26,8 +26,8 @@ import scipy.sparse as sp
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
-from .diffusion import AnisoDiffusionProblem, incomplete_macro_factor, \
-    macro_factor, macro_potential, solve_micro
+from .diffusion import incomplete_macro_factor, macro_factor, \
+    macro_potential, solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar, get_operator_set
 
@@ -122,14 +122,13 @@ class ManufacturedDiffusion:
     nodes and w = DE D y, the cell system (A_H + tau*lam) w = -DE h is the
     SPD node system (D N1 D + tau*lam) y = -D^-1 h, with the spectrum of
     A_H on K_perp.  H never changes, so D N1 D is formed once per grid, by
-    scaling the diagonals of N1, and each solve adds its shift.  On grids
-    of at most MAX_FACTORED_NODES nodes the problem factors N1 once
-    (``macro_lu``): the factor solves both potentials and, as
-    D^-1 N1^-1 D^-1, preconditions every micro CG, which then converges in
-    a few iterations because tau*lam is tiny against the spectrum of
-    D N1 D.  Larger grids build an incomplete factor of N1 instead
-    (``macro_ilu``), which preconditions the CGs of both potentials and,
-    scaled the same way, every micro CG: 9 iterations each at 200^2.
+    scaling the diagonals of N1, and each solve adds its shift.  The
+    problem builds one factor of N1, ``macro_lu``: complete on grids of at
+    most MAX_FACTORED_NODES nodes, incomplete on larger ones.  It
+    preconditions the PCGs of both potentials (one iteration each on a
+    complete factor, 9 at 200^2 on the incomplete one) and, as
+    D^-1 N1^-1 D^-1, every micro CG, which then converges in a few
+    iterations because tau*lam is tiny against the spectrum of D N1 D.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -151,27 +150,17 @@ class ManufacturedDiffusion:
                                            shape=ops.N1.shape)
         if grid.num_nodes <= MAX_FACTORED_NODES:
             self.macro_lu = macro_factor(self.field, grid)
-            self.macro_ilu = None
         else:
-            self.macro_lu = None
-            self.macro_ilu = incomplete_macro_factor(self.field, grid)
+            self.macro_lu = incomplete_macro_factor(self.field, grid)
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
-        self.h_g = macro_potential(g, self.field, grid, self.macro_lu,
-                                   self.macro_ilu)[0]
-        self.h_p = macro_potential(self.p1, self.field, grid, self.macro_lu,
-                                   self.macro_ilu)[0]
+        self.h_g = macro_potential(g, self.field, grid, self.macro_lu)[0]
+        self.h_p = macro_potential(self.p1, self.field, grid,
+                                   self.macro_lu)[0]
         # K_perp projections of the source parts
         self.g_perp = -apply_dhstar(self.h_g, self.field, grid)
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
-
-    def problem(self, tau: float) -> AnisoDiffusionProblem:
-        """Deviation-form problem with the prepared source, for the generic
-        solver and the direct oracle."""
-        return AnisoDiffusionProblem(field=self.field, coeff=self.H_nodes,
-                                     lam=self.lam, tau=tau,
-                                     rhs=self.lam * tau * self.p1 + self.g_perp)
 
     def solve_deviation(self, tau: float) -> np.ndarray:
         """p_app - p0 by superposition; every term scales exactly with tau."""
@@ -179,9 +168,8 @@ class ManufacturedDiffusion:
         ops = get_operator_set(self.field, self.grid)
         h = (shift * self.h_p + self.h_g).ravel()[ops.interior]
         A = self.node_operator + shift * sp.identity(h.size, format="dia")
-        lu = _ScaledFactor(self.macro_ilu if self.macro_lu is None
-                           else self.macro_lu, self.sqrt_H)
-        y = solve_micro(A.dot, -h / self.sqrt_H, lu)[0]
+        y = solve_micro(A.dot, -h / self.sqrt_H,
+                        _ScaledFactor(self.macro_lu, self.sqrt_H))[0]
         w = (ops.DE @ (self.sqrt_H * y)).reshape(self.grid.shape_cells)
         return tau * self.p1_kernel + tau * w
 
@@ -401,9 +389,17 @@ class RunConfig:
                 raise ValueError(f"config key 't_end': {self.t_end!r} is "
                                  f"shorter than one step {key}={step!r}")
         try:
-            self.phys_params()
+            params = self.phys_params()
         except ValueError as exc:
             raise ValueError(f"physical parameters: {exc}") from exc
+        # every (C, dt) pair of the C study is a run of its own
+        for C in self.c_values:
+            for dt in self.dt_values:
+                try:
+                    dataclasses.replace(params, C=C, dt=dt)
+                except ValueError as exc:
+                    raise ValueError(f"config keys 'c_values' and "
+                                     f"'dt_values': {exc}") from exc
         return self
 
     def phys_params(self) -> PhysParams:

@@ -3,6 +3,9 @@
 The micro-macro solver never assembles the cell operator; the first two
 helpers do, and solve the tau > 0 cell system with a sparse LU, so the
 decomposition can be checked against an independent direct solve.
+``manufactured_problem`` states the manufactured sweep's deviation-form
+problem for that solver and that oracle, and ``direct_macro_potential``
+solves the macro potential with a sparse direct solve of N1.
 
 ``scipy_cg_solve`` is the CG solve the package ran before it had its own
 loop: ``scipy.sparse.linalg.cg`` with an iteration-counting callback.
@@ -36,7 +39,8 @@ from driftlimit.diffusion import SOLVER_RTOL, AnisoDiffusionProblem, \
     SolverError
 from driftlimit.grid import Grid, _avg_pairs, _check_cell_shape, \
     _check_node_shape, _diff_pairs, cell_from_nodes, node_average, pad_cells
-from driftlimit.stencil import MagneticField, apply_dhstar, get_operator_set
+from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
+    get_operator_set
 
 
 def assemble_operator(field: MagneticField, coeff: np.ndarray,
@@ -74,6 +78,24 @@ def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:
     if scale > 0.0 and resid > 1e-12 * scale:
         raise SolverError(f"direct solve residual {resid / scale:.3e} above 1e-12")
     return p.reshape(grid.shape_cells)
+
+
+def manufactured_problem(m, tau: float) -> AnisoDiffusionProblem:
+    """Deviation-form problem of the ``ManufacturedDiffusion`` m at tau,
+    with its prepared source."""
+    return AnisoDiffusionProblem(field=m.field, coeff=m.H_nodes, lam=m.lam,
+                                 tau=tau, rhs=m.lam * tau * m.p1 + m.g_perp)
+
+
+def direct_macro_potential(g: np.ndarray, field: MagneticField,
+                           grid: Grid) -> np.ndarray:
+    """Node potential h with -dh(dhstar(h)) = dh(g), h = 0 on the boundary,
+    by a sparse direct solve of N1."""
+    ops = get_operator_set(field, grid)
+    h = np.zeros(grid.num_nodes)
+    h[ops.interior] = spla.spsolve(
+        ops.N1.tocsc(), apply_dh(g, field, grid).ravel()[ops.interior])
+    return h.reshape(grid.shape_nodes)
 
 
 def scipy_cg_solve(A, b, label: str = "cg", M=None) -> tuple[np.ndarray, int]:

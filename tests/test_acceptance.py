@@ -20,7 +20,7 @@ from driftlimit.harness import ManufacturedDiffusion, RunConfig, \
     classify_boundary_artifacts, make_two_fluid_setup, run_c_study, \
     run_diffusion_validation, run_simulation
 from driftlimit.stencil import apply_dh, apply_dhstar
-from oracles import solve_direct
+from oracles import manufactured_problem, solve_direct
 
 
 B_REF = (math.sin(2 * math.pi / 3), -math.cos(2 * math.pi / 3), 0.0)
@@ -114,7 +114,7 @@ def test_criterion_3_micro_macro_vs_direct_oracle():
     m = ManufacturedDiffusion(g)
     worst = 0.0
     for tau in (1e-1, 1e-2, 1e-3):
-        prob = m.problem(tau)
+        prob = manufactured_problem(m, tau)
         mm = solve_micro_macro(prob, g)
         direct = solve_direct(prob, g)
         rel = np.linalg.norm(mm.p - direct) / np.linalg.norm(2.0 + direct)

@@ -361,18 +361,6 @@ def test_steps_leave_the_operator_cache_unchanged():
     assert all(after[k] is before[k] for k in before)
 
 
-def test_macro_potential_without_factor_runs_cg_after_steps():
-    # the stepper's factor is its own: a projection on the same field and
-    # grid that passes no factor still runs CG
-    cfg, grid, field, s0 = stationary_setup()
-    stepper = APStepper(cfg.phys_params(), grid, field)
-    s1, _ = stepper.step(s0)
-    stepper.step(s1)
-    g = np.random.default_rng(3).standard_normal(grid.shape_cells)
-    iters = diffusion.macro_potential(g, field, grid)[1]
-    assert iters > 1
-
-
 def test_phi_micro_preconditioned_at_large_dt():
     _, _, _, _, _, diag = perturbed_step(1e-8, nx=24, dt=1e-6)
     assert not diag.diverged

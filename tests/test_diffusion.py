@@ -12,7 +12,8 @@ from driftlimit.grid import Grid
 from driftlimit.harness import ManufacturedDiffusion
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
-from oracles import scipy_cg_solve, solve_direct
+from oracles import direct_macro_potential, manufactured_problem, \
+    scipy_cg_solve, solve_direct
 
 
 def circular_field(grid):
@@ -71,7 +72,7 @@ def test_constant_solution(tau):
 
 def test_direct_rejects_tau_zero():
     g = Grid((1, 1), (2, 2), (5, 5))
-    prob = ManufacturedDiffusion(g).problem(0.0)
+    prob = manufactured_problem(ManufacturedDiffusion(g), 0.0)
     with pytest.raises(ValueError):
         solve_direct(prob, g)
 
@@ -80,7 +81,7 @@ def test_micro_macro_matches_direct_oracle():
     g = Grid((1, 1), (2, 2), (24, 24))
     m = ManufacturedDiffusion(g)
     for tau in (1e-1, 1e-2, 1e-3):
-        prob = m.problem(tau)
+        prob = manufactured_problem(m, tau)
         mm = solve_micro_macro(prob, g)
         direct = solve_direct(prob, g)
         rel = np.linalg.norm(mm.p - direct) / np.linalg.norm(direct + 2.0)
@@ -104,7 +105,7 @@ def test_reconstruction_residual_invariant(tau):
     # full form, constant background included: the residual bound is
     # stated against the total data and solution magnitudes
     g = Grid((1, 1), (2, 2), (24, 24))
-    dev = ManufacturedDiffusion(g).problem(tau)
+    dev = manufactured_problem(ManufacturedDiffusion(g), tau)
     prob = AnisoDiffusionProblem(field=dev.field, coeff=dev.coeff, lam=dev.lam,
                                  tau=tau, rhs=dev.lam * 2.0 + dev.rhs)
     sol = solve_micro_macro(prob, g)
@@ -115,7 +116,7 @@ def test_reconstruction_residual_invariant(tau):
 @pytest.mark.parametrize("tau", [1e-2, 1e-9])
 def test_deviation_form_residual_is_solver_quality(tau):
     g = Grid((1, 1), (2, 2), (24, 24))
-    prob = ManufacturedDiffusion(g).problem(tau)
+    prob = manufactured_problem(ManufacturedDiffusion(g), tau)
     sol = solve_micro_macro(prob, g)
     rr = reconstruction_residual(sol, prob, g)
     # dust left by the Krylov solves on the tau-independent data part
@@ -124,11 +125,12 @@ def test_deviation_form_residual_is_solver_quality(tau):
 
 def test_micro_macro_decomposition_structure():
     g = Grid((1, 1), (2, 2), (20, 20))
-    prob = ManufacturedDiffusion(g).problem(1e-3)
+    prob = manufactured_problem(ManufacturedDiffusion(g), 1e-3)
     sol = solve_micro_macro(prob, g)
     assert np.array_equal(sol.p, sol.pi + sol.q)
     # the micro part lies in K_perp: its projection onto the kernel vanishes
-    h_q = macro_potential(sol.q, prob.field, g)[0]
+    h_q = macro_potential(sol.q, prob.field, g,
+                          diffusion.macro_factor(prob.field, g))[0]
     q_kernel = sol.q + apply_dhstar(h_q, prob.field, g)
     assert np.linalg.norm(q_kernel) <= 1e-9 * (1 + np.linalg.norm(sol.q))
     # kernel membership of the macro part
@@ -139,7 +141,7 @@ def test_micro_macro_decomposition_structure():
 
 def test_tau_zero_gives_macro_only():
     g = Grid((1, 1), (2, 2), (16, 16))
-    prob = ManufacturedDiffusion(g).problem(0.0)
+    prob = manufactured_problem(ManufacturedDiffusion(g), 0.0)
     sol = solve_micro_macro(prob, g)
     assert np.all(sol.q == 0.0)
     assert np.array_equal(sol.p, sol.pi)
@@ -150,12 +152,12 @@ def test_ap_limit_residual_scaling():
     m = ManufacturedDiffusion(g)
     res = {}
     for tau in (1e-3, 1e-4):
-        sol = solve_micro_macro(m.problem(tau), g)
+        sol = solve_micro_macro(manufactured_problem(m, tau), g)
         res[tau] = ap_limit_residual(sol, m.field, g)
     ratio = res[1e-3] / res[1e-4]
     assert 5.0 <= ratio <= 20.0
 
-    sol0 = solve_micro_macro(m.problem(0.0), g)
+    sol0 = solve_micro_macro(manufactured_problem(m, 0.0), g)
     kernel_tol = 1e-8 * np.max(np.abs(sol0.pi)) + 1e-12
     # at tau = 0 the solution is pure macro part; grid-size factor covers
     # the L2 accumulation of the per-node kernel tolerance
@@ -230,14 +232,23 @@ def test_micro_cg_iterates_are_scipy_cg(tau):
     assert 0.0 < resid < diffusion.SOLVER_RTOL
 
 
-def test_macro_cg_iterates_are_scipy_cg():
+FACTORS = {"complete": diffusion.macro_factor,
+           "incomplete": diffusion.incomplete_macro_factor}
+
+
+@pytest.mark.parametrize("kind", FACTORS)
+def test_macro_cg_iterates_are_scipy_cg(kind):
+    # a macro solve is PCG on N1 preconditioned by either kind of factor
     g = Grid((1, 1), (2, 2), (20, 20))
     f = circular_field(g)
     gfield = np.random.default_rng(4).standard_normal(g.shape_cells)
-    h, iters, _ = macro_potential(gfield, f, g)
+    lu = FACTORS[kind](f, g)
+    h, iters, _ = macro_potential(gfield, f, g, lu)
     ops = get_operator_set(f, g)
     rhs = apply_dh(gfield, f, g).ravel()[ops.interior]
-    h_ref, iters_ref = scipy_cg_solve(ops.N1, rhs)
+    h_ref, iters_ref = scipy_cg_solve(
+        ops.N1, rhs, M=spla.LinearOperator(ops.N1.shape, matvec=lu.solve,
+                                           dtype=float))
     assert np.array_equal(h.ravel()[ops.interior], h_ref)
     assert iters == iters_ref > 0
 
@@ -306,8 +317,7 @@ def test_manufactured_deviation_matches_matrix_free_solve(factored,
         monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g, lam=1.5)
-    assert (m.macro_lu is not None) == factored
-    assert (m.macro_ilu is None) == factored
+    assert isinstance(m.macro_lu, diffusion._SymmetricILU) != factored
     # the node operator scaled on N1's diagonals is (DE D)^T (DE D)
     DE_D = get_operator_set(m.field, g).DE @ sp.diags(m.sqrt_H)
     product = (DE_D.T @ DE_D).toarray()
@@ -375,7 +385,7 @@ def test_incomplete_manufactured_solves_take_a_few_iterations(monkeypatch):
     monkeypatch.setattr(harness, "solve_micro",
                         recording(diffusion.solve_micro))
     m = ManufacturedDiffusion(Grid((1, 1), (2, 2), (20, 20)), lam=1.5)
-    assert m.macro_lu is None and m.macro_ilu is not None
+    assert isinstance(m.macro_lu, diffusion._SymmetricILU)
     for tau in (1e-2, 1e-5, 1e-9):
         m.solve_deviation(tau)
     assert len(iterations) == 5
@@ -394,22 +404,28 @@ def test_macro_part_insensitive_to_solver_path():
     assert np.linalg.svd(D, compute_uv=False).min() > 1e-8
 
 
-def test_factored_macro_potential_matches_cg(monkeypatch):
+@pytest.mark.parametrize("kind", FACTORS)
+def test_macro_potential_matches_direct_solve(kind, monkeypatch):
     g = Grid((1, 1), (2, 2), (40, 40))
     f = circular_field(g)
     rng = np.random.default_rng(6)
     gfield = rng.standard_normal(g.shape_cells)
-    lu = diffusion.macro_factor(f, g)
-    h_cg, iters_cg, _ = macro_potential(gfield, f, g)
-    h_lu, iters_lu, _ = macro_potential(gfield, f, g, lu=lu)
-    assert iters_cg > 1 and iters_lu == 1
-    ref = apply_dhstar(h_cg, f, g)
-    gap = np.linalg.norm(apply_dhstar(h_lu, f, g) - ref)
+    h, iters, resid = macro_potential(gfield, f, g, FACTORS[kind](f, g))
+    assert (iters == 1) == (kind == "complete")
+    assert resid < diffusion.SOLVER_RTOL
+    ref = apply_dhstar(direct_macro_potential(gfield, f, g), f, g)
+    gap = np.linalg.norm(apply_dhstar(h, f, g) - ref)
     assert gap <= 1e-10 * np.linalg.norm(ref)
-    # the factored path keeps the residual check
+    # a tolerance no iterate meets: the PCG runs its maxiter, 200 for the
+    # 9 interior nodes of a 4x4 grid, and names the macro solve
+    g = Grid((1, 1), (2, 2), (4, 4))
+    f = circular_field(g)
     monkeypatch.setattr(diffusion, "SOLVER_RTOL", 0.0)
-    with pytest.raises(SolverError, match="relative residual"):
-        macro_potential(gfield, f, g, lu=lu)
+    with pytest.raises(SolverError, match="^macro potential: no convergence "
+                                          "after 200 iterations"), \
+            np.errstate(invalid="ignore"):
+        macro_potential(rng.standard_normal(g.shape_cells), f, g,
+                        FACTORS[kind](f, g))
 
 
 def test_factored_macro_solve_is_one_factor_solve():
@@ -426,7 +442,7 @@ def test_macro_potential_projects_onto_complement():
     f = circular_field(g)
     rng = np.random.default_rng(8)
     gfield = rng.standard_normal(g.shape_cells)
-    h = macro_potential(gfield, f, g)[0]
+    h = macro_potential(gfield, f, g, diffusion.macro_factor(f, g))[0]
     kernel_part = gfield + apply_dhstar(h, f, g)
     # the projection onto K is orthogonal to every dhstar image
     w = rng.standard_normal(g.shape_nodes) * g.interior_node_mask

@@ -120,7 +120,10 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
     "grids=[1,50,100]", "tau_sweep_grid=1", "scale=0.01", "scale=1e308",
     "nx=1" + "0" * 400, "nx=1000000000000", "ny=1000000000000",
     "tau_sweep_grid=20000", "grids=[25,50,100000]",
-    "dt=1e300 t_end=1e300", "dt=1e-300 t_end=1e-300", "C=1e300"])
+    "dt=1e300 t_end=1e300", "dt=1e-300 t_end=1e-300", "C=1e300",
+    "dt_values=[1e-200,1e-7,1e-8]",
+    "c_values=[1e300,1e-3,1e-4] dt_values=[1e-7,1e-8] "
+    "c_horizons=[1e-7,1e-7,1e-7]"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):
     # a case may hold several space-separated overrides; the first names
     # the rejected key

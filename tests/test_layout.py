@@ -8,7 +8,12 @@ AST scans of the package modules:
   ``grid.dot`` and ``grid.cross`` are the plane forms;
 - a call to a scipy Krylov solver (``cg``, ``minres``, ``gmres`` as an
   attribute, as in ``spla.cg``) would be a second CG path beside
-  ``diffusion._cg_solve``, the in-place loop every solve shares.
+  ``diffusion._cg_solve``, the in-place loop every solve shares;
+- a ``.solve(`` call outside a method named ``solve`` would apply a
+  factor directly, beside that loop.  Inside one, it is a preconditioner
+  adapter such as ``diffusion._SymmetricILU`` or
+  ``harness._ScaledFactor``; elsewhere a factor is handed to the loop as
+  its preconditioner, ``psolve=lu.solve``, and never called.
 """
 
 import ast
@@ -70,3 +75,39 @@ def test_scan_finds_krylov_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_calls_no_scipy_krylov_solver(path):
     assert krylov_calls(path.read_text()) == []
+
+
+def factor_solve_calls(source: str) -> list[str]:
+    found = []
+
+    def visit(node, in_solve):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name == "solve")
+                continue
+            if (not in_solve and isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "solve"):
+                found.append(f"line {child.lineno}: "
+                             f"{ast.unparse(child.func)}")
+            visit(child, in_solve)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_scan_finds_direct_factor_solves():
+    src = ("class Scaled:\n"
+           "    def solve(self, r):\n"
+           "        return self.lu.solve(r / self.d) / self.d\n"
+           "def factored(lu, b):\n"
+           "    return lu.solve(b)\n"
+           "x = spla.splu(A).solve(b)\n"
+           "h = cg(N1.dot, b, psolve=lu.solve)\n")
+    assert factor_solve_calls(src) == ["line 5: lu.solve",
+                                       "line 6: spla.splu(A).solve"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_applies_factors_only_as_preconditioners(path):
+    assert factor_solve_calls(path.read_text()) == []
