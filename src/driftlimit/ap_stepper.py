@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
-    micro_factor, micro_matrix, solve_micro_macro
+    micro_factor, node_operator, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, components, cross, dot, \
     interleave, node_average
@@ -77,6 +77,16 @@ class PhysParams:
             raise ValueError("C must be positive (phi problem loses uniqueness)")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        for a in SPECIES:
+            eta = self.eps_a(a) * self.tau    # may underflow to 0
+            if not (eta > 0.0 and 1.0 / eta < math.inf):
+                raise ValueError(f"1/(eps_a*tau) of species {a} must be "
+                                 f"finite (eps = {self.eps!r}, tau = "
+                                 f"{self.tau!r})")
+        if not math.isfinite(self.C_e):
+            raise ValueError(f"C_e = {self.C_e!r} must be finite (C = "
+                             f"{self.C!r}, eps = {self.eps!r}, T_e = "
+                             f"{self.T_e!r})")
         for name in ("lam1", "lam2"):
             try:
                 lam = getattr(self, name)
@@ -275,16 +285,16 @@ class APStepper:
     """AP stepper on a static field.  A step is a function of its input
     state alone: no solve is warm-started from an earlier step.
 
-    The stepper builds and owns its factors and its density micro matrix.
-    The factor of the field's macro operator N1 solves the macro part of
-    both diffusion problems.  The factor of the unit-coefficient potential
-    micro operator A_1 + tau*lam2, built when that solve's regime is below
-    1, depends on tau, dt and C; it preconditions the micro CG of every phi
-    solve, whose coefficient node_average(n) stays close to 1 but changes
-    every step, so that CG applies it matrix-free.  The density micro
-    operator A_1 + tau*lam1 never changes: below regime 1 the stepper
-    assembles it once (``micro_matrix``) and its plain CG runs on that
-    matrix; above, CG needs a few matrix-free products."""
+    The stepper builds and owns its factors and its density micro
+    operator.  The factor of the field's macro operator N1 solves the macro
+    part of both diffusion problems.  Each micro part is solved for its
+    node potential (``diffusion.solve_micro``).  The density micro operator
+    N1 + tau*lam1 (coefficient 1) never changes, so the stepper forms it
+    once, and its CG runs unpreconditioned.  The potential's coefficient
+    node_average(n) changes every step, so each solve forms its operator;
+    below regime 1 its CG is preconditioned by the stepper's factor of
+    N1 + tau*lam2, which depends on tau, dt and C and is spectrally
+    equivalent while the coefficient stays close to 1."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         self.params = params
@@ -292,8 +302,9 @@ class APStepper:
         self.field = field
         self.macro_lu = macro_factor(field, grid)
         self.phi_lu = micro_factor(field, grid, params.tau * params.lam2)
-        self.n_matrix = micro_matrix(field, np.ones(grid.shape_nodes),
-                                     params.tau * params.lam1, grid)
+        self.n_operator = node_operator(field, grid,
+                                        np.ones(grid.shape_nodes),
+                                        params.tau * params.lam1)
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
         p, grid, field = self.params, self.grid, self.field
@@ -312,7 +323,7 @@ class APStepper:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
                 tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu,
-                micro_A=self.n_matrix)
+                micro_A=self.n_operator)
             n_new = sol_n.p
             if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
                 diag.diverged, diag.note = True, "density lost positivity"

@@ -14,21 +14,20 @@ K_perp = range of dhstar over interior-supported node fields:
    min || f + dhstar(h) ||, so the macro part
 2.                      pi = (f + dhstar(h)) / lam
    is exactly the orthogonal projection of f/lam onto K.
-3. micro part, solved in the cell variable w = q / tau:
-                        (A_H + tau*lam) w = -dhstar(h),
-   whose right-hand side lies in K_perp exactly; A_H leaves K and K_perp
-   invariant, so CG stays well conditioned uniformly in tau and the
-   returned q = tau * w scales exactly with tau.
+3. micro part q = tau * w, where w solves (A_H + tau*lam) w = -DE h.  w
+   lies in K_perp, the range of DE, and is solved for its node potential:
+   with D = diag(sqrt(H)) on the interior nodes and w = DE D y, the cell
+   system is the SPD node system
+                        (D N1 D + tau*lam) y = -h / sqrt(H),
+   whose spectrum is that of A_H on K_perp, so CG stays well conditioned
+   uniformly in tau and the returned q = tau * w scales exactly with tau.
 4.                      p = pi + q.
 
 At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
-Step 3 is ``solve_micro``.  A node potential l with q = dhstar(l) exists
-by construction.  ``solve_micro_macro`` solves for w and never forms l;
-the manufactured sweep (``harness.ManufacturedDiffusion``) solves for l
-instead, through an equivalent SPD node system preconditioned by its N1
-factor, and forms q from it.  The tests check the decomposition against
-an independent tau > 0 oracle, a sparse direct solve of the assembled
-cell system.
+Step 3 is ``solve_micro``, which ``solve_micro_macro`` and the manufactured
+sweep (``harness.ManufacturedDiffusion``) share.  The tests check the
+decomposition against an independent tau > 0 oracle, a sparse direct
+solve of the assembled cell system.
 
 A macro solve is CG on N1 preconditioned by its owner's factor, and a
 complete factor takes one iteration.  The normal operator N1 of step 1
@@ -50,6 +49,22 @@ Every CG stops with a ``SolverError`` as soon as r.z or p.Ap turns
 negative, so an indefinite preconditioner or operator fails at once
 instead of running to its iteration limit.
 
+A micro solve is CG on ``node_operator``, D N1 D + shift formed by
+scaling the nine diagonals of N1, and a caller holding a factor F of
+N1 + s I (s >= 0) preconditions it with D^-1 F^-1 D^-1.  The manufactured
+sweep passes its macro factor (s = 0): tau*lam is tiny against the
+spectrum of D N1 D, so PCG takes a few iterations.  The AP stepper
+passes, for its potential, a ``micro_factor`` of N1 + tau*lam2: the
+coefficient node_average(n) stays close to 1, so the two operators are
+spectrally equivalent.  That factor is built only below regime 1, where
+the micro condition number on K_perp, at most 1 + 1/regime, makes plain
+CG slow; above it CG converges in a few iterations and no factor repays
+its build.  An owner whose coefficient stays fixed forms the node
+operator once (the AP stepper's density, coefficient 1); otherwise
+``solve_micro`` forms it per solve.  No solve is warm-started and no
+operator is cached, so a solution depends only on its problem and the
+operators passed with it.
+
 Every CG of the module, macro or micro, preconditioned or not, is one
 loop (``_cg_solve``) on a product callable: a zero start, vectors updated
 in place in the arithmetic order of ``scipy.sparse.linalg.cg`` (so its
@@ -57,33 +72,15 @@ iterates are scipy's, bit for bit), stopped when ||r|| < SOLVER_RTOL
 ||b||.  Each solve reports that achieved ||r|| / ||b|| with its
 iteration count.
 
-Step 3 is CG on the micro operator its caller passes.  An owner whose
-coefficient stays fixed over many solves assembles A_H + shift once with
-``micro_matrix``, one sparse product per CG iteration: the AP stepper for
-its density (unit coefficient).  A coefficient used for one solve, such as
-the AP potential's node-averaged density, goes through ``micro_operator``,
-the matrix-free product.  A caller that solves many micro problems with one
-shift can precondition that CG with ``micro_factor``, a factor of the
-unit-coefficient operator A_1 + shift: the AP stepper does so for its
-potential, whose coefficient stays close to 1, so the two operators are
-spectrally equivalent and PCG converges in a few iterations.  Matrix and
-factor are built only below regime 1 (see below), where the micro
-condition number on K_perp, at most 1 + 1/regime, makes plain CG slow;
-above it CG converges in a few iterations and neither repays its
-assembly.  No solve is warm-started and no operator is cached, so a
-solution depends only on its problem and the operators passed with it.
-
-Both Krylov operators are products with the cached interior block DE of
-the assembled dhstar: N1 = DE^T DE and A_H = DE diag(H) DE^T, which is
--dhstar(H dh(.)) with the flux zeroed on boundary nodes.  Both are
-nine-point stencils on the structured mesh, so the assembled N1 and
-``micro_matrix`` are stored on their nine diagonals (``dia_from_csr``):
-a DIA product reads no column indices, and at 100^2 takes about 45-65 us
-where the CSR product takes 60-100 us.  Factors take ``.tocsc()`` of the
-same operators.  The macro
-right-hand side dh(f) and the kernel check dh(pi) stay on the matrix-free
-stencil: it maps constants to exactly 0, while DE^T, whose merged entries
-round, leaves about 1e-14 on a curved field.
+Both Krylov operators live on the interior nodes and come from the cached
+interior block DE of the assembled dhstar: N1 = DE^T DE, a nine-point
+stencil stored on its diagonals (``dia_from_csr``), whose products read no
+column indices, and the node operator on the same diagonals.  The cell
+operator A_H = DE diag(H) DE^T is never formed.  Factors take ``.tocsc()``
+of the node operators.  The macro right-hand side dh(f) and the kernel
+check dh(pi) stay on the matrix-free stencil: it maps constants to
+exactly 0, while DE^T, whose merged entries round, leaves about 1e-14 on a
+curved field.
 
 ``MicroMacroSolution.regime`` is tau*lam over the operator's eigenvalue
 scale; above 1 the shift dominates and a plain direct solve of the cell
@@ -99,7 +96,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid
-from .stencil import MagneticField, apply_dh, apply_dhstar, dia_from_csr, \
+from .stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
 
 SOLVER_RTOL = 1e-12        # relative residual that stops every CG
@@ -233,35 +230,44 @@ def incomplete_macro_factor(field: MagneticField, grid: Grid):
     return _SymmetricILU(get_operator_set(field, grid).N1)
 
 
-def micro_operator(field: MagneticField, coeff: np.ndarray, shift: float,
-                   grid: Grid):
-    """A_H + shift, A_H = -dhstar(coeff dh(.)), as the matrix-free product
-    v -> DE (c * (DE^T v)) + shift v over the interior nodes, for a
-    coefficient used in one solve."""
+def node_operator(field: MagneticField, grid: Grid, coeff: np.ndarray,
+                  shift: float) -> sp.dia_matrix:
+    """D N1 D + shift I with D = diag(sqrt(coeff)) on the interior nodes,
+    the operator of the micro node system, on the diagonals of N1: the
+    entry (j - o, j) of the diagonal at offset o scales by d[j - o] d[j],
+    and the slots of a diagonal that fall outside the matrix stay 0."""
     ops = get_operator_set(field, grid)
-    c = coeff.ravel()[ops.interior]
-    return lambda v: ops.DE @ (c * (ops.DEt @ v)) + shift * v
+    N1, d = ops.N1, np.sqrt(coeff.ravel()[ops.interior])
+    n = d.size
+    data = N1.data * d
+    for k, offset in enumerate(N1.offsets):
+        if offset >= 0:
+            data[k, offset:] *= d[:n - offset]
+        else:
+            data[k, :n + offset] *= d[-offset:]
+    data[list(N1.offsets).index(0)] += shift
+    return sp.dia_matrix((data, N1.offsets), shape=N1.shape)
 
 
-def micro_matrix(field: MagneticField, coeff: np.ndarray, shift: float,
-                 grid: Grid):
-    """A_H + shift assembled as DE diag(c) DE^T + shift I and stored on its
-    nine diagonals, for a coefficient fixed over many solves; None at
-    regime >= 1, where plain CG already converges in a few matrix-free
-    products."""
-    if shift >= operator_scale(grid, float(np.max(coeff))):
-        return None
-    ops = get_operator_set(field, grid)
-    c = coeff.ravel()[ops.interior]
-    return dia_from_csr(ops.DE @ sp.diags(c) @ ops.DEt
-                        + shift * sp.identity(grid.num_cells, format="csr"))
+class _ScaledFactor:
+    """D^-1 F^-1 D^-1 with D = diag(d), from lu, a complete or incomplete
+    factor F of N1 + s I: the (approximate) inverse of D N1 D + shift, the
+    preconditioner of a micro CG."""
+
+    def __init__(self, lu, d: np.ndarray):
+        self.lu, self.d = lu, d
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r / self.d) / self.d
 
 
 def micro_factor(field: MagneticField, grid: Grid, shift: float):
-    """Factor of the unit-coefficient micro operator A_1 + shift on cells,
-    the preconditioner of ``solve_micro``; None at regime >= 1."""
-    A = micro_matrix(field, np.ones(grid.shape_nodes), shift, grid)
-    return None if A is None else _factor_spd(A)
+    """Factor of N1 + shift I on the interior nodes, the micro
+    preconditioner of a coefficient close to 1; None at regime >= 1."""
+    if shift >= operator_scale(grid):
+        return None
+    return _factor_spd(node_operator(field, grid, np.ones(grid.shape_nodes),
+                                     shift))
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
@@ -285,21 +291,28 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
     return h.reshape(grid.shape_nodes), iters, resid
 
 
-def solve_micro(matvec, rhs: np.ndarray,
+def solve_micro(h: np.ndarray, field: MagneticField, grid: Grid,
+                coeff: np.ndarray, shift: float, A=None,
                 lu=None) -> tuple[np.ndarray, int, float]:
-    """Cell field w with A w = rhs, where matvec applies A = A_H + shift: a
-    ``micro_operator`` or the product of a ``micro_matrix``.
+    """Cell field w with (A_H + shift) w = -DE h, A_H = -dhstar(coeff dh(.)),
+    for a node potential h that is 0 on the boundary layer.
 
-    The micro step of the decomposition, with shift = tau*lam and rhs in
-    K_perp; returns w, the CG iteration count and the achieved relative
-    residual.  lu, a ``micro_factor`` of the same shift, preconditions the
-    CG.  Any SPD product and any object with a ``solve`` approximating its
-    inverse serve: the manufactured sweep passes its node form of the
-    micro step.
+    The micro step of the decomposition, shift = tau*lam, solved for the
+    node potential y of w = DE D y, D = diag(sqrt(coeff)) on the interior
+    nodes: CG on (D N1 D + shift) y = -h / sqrt(coeff), preconditioned by
+    D^-1 F^-1 D^-1 when lu, a complete or incomplete factor F of N1 + s I,
+    is given.  A is the ``node_operator`` of (coeff, shift), formed here
+    when not passed.  Returns w, the CG iteration count and the achieved
+    relative residual of the node system.
     """
-    w, iters, resid = _cg_solve(matvec, rhs.ravel(), label="micro part",
-                                psolve=None if lu is None else lu.solve)
-    return w.reshape(rhs.shape), iters, resid
+    ops = get_operator_set(field, grid)
+    d = np.sqrt(coeff.ravel()[ops.interior])
+    if A is None:
+        A = node_operator(field, grid, coeff, shift)
+    y, iters, resid = _cg_solve(
+        A.dot, -h.ravel()[ops.interior] / d, label="micro part",
+        psolve=None if lu is None else _ScaledFactor(lu, d).solve)
+    return (ops.DE @ (d * y)).reshape(grid.shape_cells), iters, resid
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
@@ -309,10 +322,10 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
 
     macro_lu, a ``macro_factor`` of the problem's field and grid,
     preconditions the macro PCG, which then takes one iteration; without
-    one the solve factors N1 itself.  micro_A, a ``micro_matrix`` of the
-    problem's coefficient and shift tau*lam, is the micro operator, else
-    ``micro_operator`` applies it matrix-free; micro_lu, a
-    ``micro_factor`` of shift tau*lam, preconditions the micro CG.
+    one the solve factors N1 itself.  micro_A, the ``node_operator`` of
+    the problem's coefficient and shift tau*lam, is the micro operator,
+    formed by the solve when not passed; micro_lu, a ``micro_factor`` of
+    shift tau*lam, preconditions the micro CG.
     """
     ops = get_operator_set(prob.field, grid)
     lam, tau = prob.lam, prob.tau
@@ -337,9 +350,8 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         q = np.zeros(grid.shape_cells)
         it_w, res_w = 0, 0.0
     else:
-        matvec = (micro_operator(prob.field, prob.coeff, tau * lam, grid)
-                  if micro_A is None else micro_A.dot)
-        w, it_w, res_w = solve_micro(matvec, -dstar_h, micro_lu)
+        w, it_w, res_w = solve_micro(h, prob.field, grid, prob.coeff,
+                                     tau * lam, micro_A, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(p=pi + q, pi=pi, q=q,

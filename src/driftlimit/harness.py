@@ -22,14 +22,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
 from .diffusion import incomplete_macro_factor, macro_factor, \
     macro_potential, solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
-from .stencil import MagneticField, apply_dhstar, get_operator_set
+from .stencil import MagneticField, apply_dhstar
 
 MOMENTUM_GROWTH_LIMIT = 1e6     # max |q| over its initial value ends a run
 # SuperLU takes int32 indices, and a micro or macro operator holds up to 9
@@ -117,18 +116,13 @@ class ManufacturedDiffusion:
     single micro solve per tau, so each solve's data is exactly
     tau-proportional.
 
-    The micro part w = q / tau lies in K_perp, the range of DE, and is
-    solved for its node potential: with D = diag(sqrt(H)) on the interior
-    nodes and w = DE D y, the cell system (A_H + tau*lam) w = -DE h is the
-    SPD node system (D N1 D + tau*lam) y = -D^-1 h, with the spectrum of
-    A_H on K_perp.  H never changes, so D N1 D is formed once per grid, by
-    scaling the diagonals of N1, and each solve adds its shift.  The
-    problem builds one factor of N1, ``macro_lu``: complete on grids of at
-    most MAX_FACTORED_NODES nodes, incomplete on larger ones.  It
+    The problem builds one factor of N1, ``macro_lu``: complete on grids
+    of at most MAX_FACTORED_NODES nodes, incomplete on larger ones.  It
     preconditions the PCGs of both potentials (one iteration each on a
-    complete factor, 9 at 200^2 on the incomplete one) and, as
-    D^-1 N1^-1 D^-1, every micro CG, which then converges in a few
-    iterations because tau*lam is tiny against the spectrum of D N1 D.
+    complete factor, 9 at 200^2 on the incomplete one) and every micro
+    solve (``diffusion.solve_micro``, for the node potential of the micro
+    part), which then converges in a few iterations because tau*lam is
+    tiny against the spectrum of the micro node operator.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -138,16 +132,6 @@ class ManufacturedDiffusion:
             grid, lambda *c: (*unit_b(c[0], c[1]), np.zeros_like(c[0])))
         xn, yn = grid.node_coords()
         self.H_nodes = coeff_H(xn, yn)
-        ops = get_operator_set(self.field, grid)
-        self.sqrt_H = np.sqrt(self.H_nodes.ravel()[ops.interior])
-        # D N1 D on the diagonals of N1: the entry (j - o, j) of the
-        # diagonal at offset o scales by d[j - o] d[j], and the slots of a
-        # diagonal that fall outside the matrix hold 0
-        data = ops.N1.data * self.sqrt_H
-        for k, offset in enumerate(ops.N1.offsets):
-            data[k] *= np.roll(self.sqrt_H, offset)
-        self.node_operator = sp.dia_matrix((data, ops.N1.offsets),
-                                           shape=ops.N1.shape)
         if grid.num_nodes <= MAX_FACTORED_NODES:
             self.macro_lu = macro_factor(self.field, grid)
         else:
@@ -165,25 +149,9 @@ class ManufacturedDiffusion:
     def solve_deviation(self, tau: float) -> np.ndarray:
         """p_app - p0 by superposition; every term scales exactly with tau."""
         shift = tau * self.lam
-        ops = get_operator_set(self.field, self.grid)
-        h = (shift * self.h_p + self.h_g).ravel()[ops.interior]
-        A = self.node_operator + shift * sp.identity(h.size, format="dia")
-        y = solve_micro(A.dot, -h / self.sqrt_H,
-                        _ScaledFactor(self.macro_lu, self.sqrt_H))[0]
-        w = (ops.DE @ (self.sqrt_H * y)).reshape(self.grid.shape_cells)
+        w = solve_micro(shift * self.h_p + self.h_g, self.field, self.grid,
+                        self.H_nodes, shift, lu=self.macro_lu)[0]
         return tau * self.p1_kernel + tau * w
-
-
-class _ScaledFactor:
-    """D^-1 N1^-1 D^-1 with D = diag(d), from lu, a complete or incomplete
-    factor of N1: the (approximate) inverse of D N1 D, the preconditioner
-    of the manufactured node system."""
-
-    def __init__(self, lu, d: np.ndarray):
-        self.lu, self.d = lu, d
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.lu.solve(r / self.d) / self.d
 
 
 def fit_slope(values, errors) -> float:

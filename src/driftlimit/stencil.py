@@ -28,11 +28,10 @@ node columns of dhstar.
 Only dhstar is assembled, as a sum of two Kronecker products of 1D
 difference/average factors.  Its interior-column block DE determines the
 rest: by the SBP identity the interior rows of dh are exactly -DE^T, so
-the masked cell operator -dhstar(H dh(.)) is DE diag(H) DE^T (which the
-micro solve applies and the tests' direct oracle assembles) and the macro
-normal operator is DE^T DE.  Those two square products are nine-point
-stencils; ``dia_from_csr`` stores them on their diagonals for the Krylov
-solves.
+the masked cell operator -dhstar(H dh(.)) is DE diag(H) DE^T (which only
+the tests' direct oracle assembles) and the macro normal operator is
+N1 = DE^T DE, a nine-point stencil that ``dia_from_csr`` stores on its
+diagonals for the Krylov solves.
 """
 
 from __future__ import annotations
@@ -174,7 +173,6 @@ class OperatorSet:
 
     interior: np.ndarray   # flat indices of the interior nodes
     DE: sp.csr_matrix      # interior-node block of the assembled dhstar
-    DEt: sp.csr_matrix     # its transpose in CSR: the interior rows of -dh
     N1: sp.dia_matrix      # macro normal operator DE^T DE, nine diagonals
 
 
@@ -189,6 +187,6 @@ def get_operator_set(field: MagneticField, grid: Grid) -> OperatorSet:
         DE = assemble_dhstar(field, grid)[:, interior].tocsr()
         # -dh(dhstar(.)) on interior nodes, SPD form
         N1 = dia_from_csr((DE.T @ DE).tocsr())
-        ops = OperatorSet(interior=interior, DE=DE, DEt=DE.T.tocsr(), N1=N1)
+        ops = OperatorSet(interior=interior, DE=DE, N1=N1)
         per_field[grid] = ops
     return ops

@@ -56,7 +56,7 @@ def assemble_operator(field: MagneticField, coeff: np.ndarray,
         raise ValueError("diffusion coefficient must be positive")
     _check_node_shape(coeff, grid)
     ops = get_operator_set(field, grid)
-    return (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DEt).tocsr()
+    return (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DE.T).tocsr()
 
 
 def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:

@@ -321,9 +321,8 @@ def test_steps_share_one_macro_factor(monkeypatch):
 
     monkeypatch.setattr(diffusion, "_factor_spd", counting)
     # at 100^2, dt = 1e-6 puts the phi solve at regime ~1e-3, where the
-    # stepper also factors the phi micro operator, and the density solve at
-    # regime ~0.06, where it assembles the density micro matrix but
-    # factors nothing; at dt = 5e-9 (regimes ~40 and ~2500) neither
+    # stepper also factors N1 + tau*lam2, and at dt = 5e-9 (regime ~40) it
+    # does not; every factor is of an interior-node operator
     for dt, factors in ((1e-6, 2), (5e-9, 1)):
         factored.clear()
         cfg, grid, field, s0 = stationary_setup(nx=100, dt=dt)
@@ -335,17 +334,13 @@ def test_steps_share_one_macro_factor(monkeypatch):
         assert len(factored) == factors
         assert stepper.macro_lu is not None
         assert (stepper.phi_lu is not None) == (factors == 2)
-        assert (diag.values["regime_n"] < 1.0) == (factors == 2)
-        assert (stepper.n_matrix is not None) == (factors == 2)
         n_int = int(grid.interior_node_mask.sum())
-        assert factored == [(n_int, n_int),
-                            (grid.num_cells, grid.num_cells)][:factors]
-    # each stepper assembles its own density matrix
-    cfg, grid, field, _ = stationary_setup(nx=100, dt=1e-6)
-    first, second = (APStepper(cfg.phys_params(), grid, field)
-                     for _ in range(2))
-    assert first.n_matrix is not None
-    assert first.n_matrix is not second.n_matrix
+        assert factored == [(n_int, n_int)] * factors
+        # the density operator N1 + tau*lam1 is formed at every regime,
+        # once per stepper
+        second = APStepper(cfg.phys_params(), grid, field)
+        assert stepper.n_operator.shape == (n_int, n_int)
+        assert stepper.n_operator is not second.n_operator
 
 
 def test_steps_leave_the_operator_cache_unchanged():

@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from driftlimit import diffusion, harness
@@ -164,58 +163,79 @@ def test_ap_limit_residual_scaling():
     assert ap_limit_residual(sol0, m.field, g) <= np.sqrt(g.num_nodes) * kernel_tol
 
 
+def node_field(values, grid):
+    """Node field holding values on the interior nodes and 0 on the
+    boundary layer."""
+    v = np.zeros(grid.num_nodes)
+    v[grid.interior_node_mask.ravel()] = values
+    return v.reshape(grid.shape_nodes)
+
+
 def test_micro_operator_matches_matrix_free():
-    # both micro products a solve can be handed, the matrix-free one and
-    # that of the assembled matrix, against the stencil realisation
-    # -dhstar(masked * dh(.)) + shift
+    # the micro node operator D N1 D + shift, mapped to cells by DE D,
+    # against the stencil realisation -dhstar(masked * dh(.)) + shift of
+    # the cell system it stands for: DE D (D N1 D + shift) y
+    # = (A_H + shift) DE D y, for a curved coefficient and for 1
     g = Grid((1, 1), (2, 2), (12, 9))
     f = circular_field(g)
     xn, yn = g.node_coords()
-    coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
     shift = 0.37
-    products = (diffusion.micro_operator(f, coeff, shift, g),
-                diffusion.micro_matrix(f, coeff, shift, g).dot)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        v = rng.standard_normal(g.shape_cells)
-        ref = (stiffness_matrix_free(v, f, coeff, g) + shift * v).ravel()
-        for product in products:
-            got = product(v.ravel())
+    for coeff in (1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2,
+                  np.ones(g.shape_nodes)):
+        d = np.sqrt(coeff[g.interior_node_mask])
+        A = diffusion.node_operator(f, g, coeff, shift)
+        for _ in range(20):
+            y = rng.standard_normal(d.size)
+            w = apply_dhstar(node_field(d * y, g), f, g)
+            ref = stiffness_matrix_free(w, f, coeff, g) + shift * w
+            got = apply_dhstar(node_field(d * A.dot(y), g), f, g)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def micro_problem():
     """A micro problem whose coefficient is far from 1, at regime 0.05,
-    with a right-hand side in K_perp, as the decomposition hands it over."""
+    with a node potential h that is 0 on the boundary layer, as the
+    decomposition hands it over."""
     g = Grid((1, 1), (2, 2), (16, 16))
     f = circular_field(g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn + 2 * yn)
     shift = 0.05 * diffusion.operator_scale(g)
     rng = np.random.default_rng(12)
-    rhs = -apply_dhstar(rng.standard_normal(g.shape_nodes)
-                        * g.interior_node_mask, f, g)
-    return g, f, coeff, shift, rhs
+    h = rng.standard_normal(g.shape_nodes) * g.interior_node_mask
+    return g, f, coeff, shift, h
+
+
+def node_system(h, field, grid, coeff, shift):
+    """The micro node system's operator and right-hand side, and the map
+    y -> w = DE D y back to cells."""
+    ops = get_operator_set(field, grid)
+    d = np.sqrt(coeff.ravel()[ops.interior])
+    return (diffusion.node_operator(field, grid, coeff, shift),
+            -h.ravel()[ops.interior] / d, d,
+            lambda y: (ops.DE @ (d * y)).reshape(grid.shape_cells))
 
 
 def test_preconditioned_micro_matches_cg():
-    # a factor of the unit-coefficient operator preconditions a micro solve
-    # whose coefficient is far from 1; the answer is the plain CG answer
-    g, f, coeff, shift, rhs = micro_problem()
+    # a factor of the unit-coefficient operator N1 + shift preconditions a
+    # micro solve whose coefficient is far from 1; the answer is the plain
+    # CG answer
+    g, f, coeff, shift, h = micro_problem()
     lu = diffusion.micro_factor(f, g, shift)
     assert lu is not None
     assert diffusion.micro_factor(f, g, diffusion.operator_scale(g)) is None
-    A = diffusion.micro_operator(f, coeff, shift, g)
-    w_cg, it_cg, _ = diffusion.solve_micro(A, rhs)
-    w_pcg, it_pcg, _ = diffusion.solve_micro(A, rhs, lu=lu)
+    w_cg, it_cg, _ = diffusion.solve_micro(h, f, g, coeff, shift)
+    w_pcg, it_pcg, _ = diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
     assert it_pcg <= 30 < it_cg
     assert np.linalg.norm(w_pcg - w_cg) <= 1e-10 * np.linalg.norm(w_cg)
     # the in-place PCG iterates are scipy's, bit for bit
-    shape = (g.num_cells, g.num_cells)
-    w_ref, it_ref = scipy_cg_solve(
-        spla.LinearOperator(shape, matvec=A, dtype=float), rhs.ravel(),
-        M=spla.LinearOperator(shape, matvec=lu.solve, dtype=float))
-    assert np.array_equal(w_pcg.ravel(), w_ref) and it_pcg == it_ref
+    A, rhs, d, to_cells = node_system(h, f, g, coeff, shift)
+    y_ref, it_ref = scipy_cg_solve(
+        A, rhs, M=spla.LinearOperator(
+            A.shape, matvec=diffusion._ScaledFactor(lu, d).solve,
+            dtype=float))
+    assert np.array_equal(w_pcg, to_cells(y_ref)) and it_pcg == it_ref
 
 
 @pytest.mark.parametrize("tau", [1e-2, 1e-9])
@@ -224,11 +244,12 @@ def test_micro_cg_iterates_are_scipy_cg(tau):
     # same iteration count, on the manufactured sweep's micro solve
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g)
-    rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
-    A = diffusion.micro_matrix(m.field, m.H_nodes, tau * m.lam, g)
-    w, iters, resid = diffusion.solve_micro(A.dot, rhs)
-    w_ref, iters_ref = scipy_cg_solve(A, rhs.ravel())
-    assert np.array_equal(w.ravel(), w_ref) and iters == iters_ref > 0
+    h = m.lam * tau * m.h_p + m.h_g
+    A, rhs, _, to_cells = node_system(h, m.field, g, m.H_nodes, tau * m.lam)
+    w, iters, resid = diffusion.solve_micro(h, m.field, g, m.H_nodes,
+                                            tau * m.lam, A)
+    y_ref, iters_ref = scipy_cg_solve(A, rhs)
+    assert np.array_equal(w, to_cells(y_ref)) and iters == iters_ref > 0
     assert 0.0 < resid < diffusion.SOLVER_RTOL
 
 
@@ -255,35 +276,34 @@ def test_macro_cg_iterates_are_scipy_cg(kind):
 
 def test_cg_without_convergence_names_its_solve(monkeypatch):
     # a tolerance no iterate can meet: the solve runs its maxiter, 200 for
-    # 16 cells, and says which solve stalled after how many iterations.
-    # CG ends on 16 unknowns well before that, and once its recursive
-    # residual is exactly 0 the step length is 0/0
+    # 9 interior nodes, and says which solve stalled after how many
+    # iterations.  CG ends on 9 unknowns well before that, and once its
+    # recursive residual is exactly 0 the step length is 0/0
     g = Grid((1, 1), (2, 2), (4, 4))
     f = circular_field(g)
-    rhs = -apply_dhstar(np.random.default_rng(5).standard_normal(
-        g.shape_nodes) * g.interior_node_mask, f, g)
-    product = diffusion.micro_operator(f, np.ones(g.shape_nodes), 0.1, g)
+    h = np.random.default_rng(5).standard_normal(
+        g.shape_nodes) * g.interior_node_mask
     monkeypatch.setattr(diffusion, "SOLVER_RTOL", 0.0)
     with pytest.raises(SolverError,
                        match="^micro part: no convergence after 200 "
                              "iterations"), np.errstate(invalid="ignore"):
-        diffusion.solve_micro(product, rhs)
+        diffusion.solve_micro(h, f, g, np.ones(g.shape_nodes), 0.1)
 
 
 @pytest.mark.parametrize("negated", ["preconditioner", "operator"])
 def test_cg_stops_at_once_on_a_non_positive_product(negated):
     # an indefinite preconditioner or operator would otherwise run CG to
     # its maxiter; r.z < 0 or p.Ap < 0 ends the solve where it shows
-    g, f, coeff, shift, rhs = micro_problem()
-    A = diffusion.micro_operator(f, coeff, shift, g)
+    g, f, coeff, shift, h = micro_problem()
+    A = diffusion.node_operator(f, g, coeff, shift)
     if negated == "preconditioner":
         lu = diffusion.micro_factor(f, g, shift)
-        args = (A, rhs, SimpleNamespace(solve=lambda r: -lu.solve(r)))
+        kwargs = {"A": A, "lu": SimpleNamespace(solve=lambda r: -lu.solve(r))}
     else:
-        args = (lambda v: -A(v), rhs)
+        kwargs = {"A": -A}
     with pytest.raises(SolverError, match=f"^micro part: {negated} not "
                                           "positive at iteration 0$"):
-        diffusion.solve_micro(*args)
+        diffusion.solve_micro(h, f, g, coeff, shift, **kwargs)
 
 
 class CountingFactor:
@@ -299,10 +319,9 @@ class CountingFactor:
 
 def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
     # no probe solve: each PCG iteration applies the factor once
-    g, f, coeff, shift, rhs = micro_problem()
+    g, f, coeff, shift, h = micro_problem()
     lu = CountingFactor(diffusion.micro_factor(f, g, shift))
-    _, iters, _ = diffusion.solve_micro(
-        diffusion.micro_operator(f, coeff, shift, g), rhs, lu=lu)
+    _, iters, _ = diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
     assert iters > 0 and lu.calls == iters
 
 
@@ -312,21 +331,21 @@ def test_manufactured_deviation_matches_matrix_free_solve(factored,
                                                           monkeypatch):
     # the sweep solves for the node potential of the micro part,
     # preconditioned by the complete or the incomplete N1 factor; the
-    # cell-form superposition on the matrix-free operator agrees
+    # cell-form superposition, solved by scipy's CG on the matrix-free
+    # stencil operator, agrees
     if not factored:
         monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g, lam=1.5)
     assert isinstance(m.macro_lu, diffusion._SymmetricILU) != factored
-    # the node operator scaled on N1's diagonals is (DE D)^T (DE D)
-    DE_D = get_operator_set(m.field, g).DE @ sp.diags(m.sqrt_H)
-    product = (DE_D.T @ DE_D).toarray()
-    assert np.allclose(m.node_operator.toarray(), product, rtol=0.0,
-                       atol=1e-14 * np.abs(product).max())
     for tau in (1e-2, 1e-5, 1e-9):
         rhs = -apply_dhstar(m.lam * tau * m.h_p + m.h_g, m.field, g)
-        A = diffusion.micro_operator(m.field, m.H_nodes, tau * m.lam, g)
-        w = diffusion.solve_micro(A, rhs)[0]
+        A = spla.LinearOperator(
+            (g.num_cells, g.num_cells), dtype=float,
+            matvec=lambda v: (stiffness_matrix_free(
+                v.reshape(g.shape_cells), m.field, m.H_nodes, g)
+                + tau * m.lam * v.reshape(g.shape_cells)).ravel())
+        w = scipy_cg_solve(A, rhs.ravel())[0].reshape(g.shape_cells)
         ref = tau * m.p1_kernel + tau * w
         dev = m.solve_deviation(tau)
         assert np.linalg.norm(dev - ref) <= 1e-10 * np.linalg.norm(ref), tau

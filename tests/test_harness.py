@@ -121,7 +121,8 @@ def test_meta_records_environment_outside_the_hash(tmp_path, monkeypatch):
     "nx=1" + "0" * 400, "nx=1000000000000", "ny=1000000000000",
     "tau_sweep_grid=20000", "grids=[25,50,100000]",
     "dt=1e300 t_end=1e300", "dt=1e-300 t_end=1e-300", "C=1e300",
-    "dt_values=[1e-200,1e-7,1e-8]",
+    "dt_values=[1e-200,1e-7,1e-8]", "eps=1e-320", "tau=1e-320",
+    "eps=1e-309 tau=1e10 C=100",
     "c_values=[1e300,1e-3,1e-4] dt_values=[1e-7,1e-8] "
     "c_horizons=[1e-7,1e-7,1e-7]"])
 def test_cli_rejects_bad_config_at_parse_time(override, capsys):

@@ -12,8 +12,12 @@ AST scans of the package modules:
 - a ``.solve(`` call outside a method named ``solve`` would apply a
   factor directly, beside that loop.  Inside one, it is a preconditioner
   adapter such as ``diffusion._SymmetricILU`` or
-  ``harness._ScaledFactor``; elsewhere a factor is handed to the loop as
-  its preconditioner, ``psolve=lu.solve``, and never called.
+  ``diffusion._ScaledFactor``; elsewhere a factor is handed to the loop as
+  its preconditioner, ``psolve=lu.solve``, and never called;
+- a top-level function or class that no package module names outside its
+  own definition (``__init__.py``'s re-exports do not count) is reached
+  only from tests: an alternative path the package never runs.  The one
+  exemption is ``cli.main``, the console entry point.
 """
 
 import ast
@@ -111,3 +115,59 @@ def test_scan_finds_direct_factor_solves():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_applies_factors_only_as_preconditioners(path):
     assert factor_solve_calls(path.read_text()) == []
+
+
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules in sources (file
+    name -> text) whose name no module uses, as a name or an attribute,
+    outside the definition itself."""
+    definitions, uses = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        definitions += [(module, node) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.append((module, name, node.lineno))
+
+    def used_outside(module, node):
+        return any(name == node.name
+                   and not (where == module
+                            and node.lineno <= line <= node.end_lineno)
+                   for where, name, line in uses)
+
+    return [f"{module}: {node.name}" for module, node in definitions
+            if (module, node.name) not in ENTRY_POINTS
+            and not used_outside(module, node)]
+
+
+def test_scan_finds_unreferenced_definitions():
+    sources = {
+        "a.py": ("def used():\n"
+                 "    return 1\n"
+                 "def only_itself(n):\n"
+                 "    return only_itself(n - 1) if n else used()\n"
+                 "def unused():\n"
+                 "    pass\n"
+                 "class Kept:\n"
+                 "    pass\n"),
+        "b.py": ("from . import a\n"
+                 "from .a import unused\n"
+                 "x = used() + a.Kept()\n"),
+        "cli.py": "def main():\n    pass\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py: only_itself",
+                                                 "a.py: unused"]
+
+
+def test_every_definition_is_reached_from_the_package():
+    # "No alternative solver paths that only tests reach"
+    sources = {path.name: path.read_text() for path in MODULES
+               if path.name != "__init__.py"}
+    assert unreferenced_definitions(sources) == []

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlimit.diffusion import micro_matrix
+from driftlimit.diffusion import node_operator
 from driftlimit.grid import Grid
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
@@ -110,7 +110,7 @@ def test_assembled_matches_matrix_free(small_grid):
         p = rng.standard_normal(g.shape_cells)
         w = rng.standard_normal(g.shape_nodes)
         mf = apply_dh(p, f, g).ravel()[ops.interior]
-        assert np.linalg.norm(-(ops.DEt @ p.ravel()) - mf) \
+        assert np.linalg.norm(-(ops.DE.T @ p.ravel()) - mf) \
             <= 1e-13 * (1 + np.linalg.norm(mf))
         mfd = apply_dhstar(w, f, g).ravel()
         assert np.linalg.norm(D @ w.ravel() - mfd) <= 1e-13 * (1 + np.linalg.norm(mfd))
@@ -176,18 +176,21 @@ def test_sbp_property_random_fields(nx, ny, angle):
 
 @pytest.mark.parametrize("cells", [(12, 9), (2, 2)])
 def test_diagonal_operators_equal_their_csr_products(cells):
-    # both square operators are stored on at most nine diagonals, entry for
-    # entry the CSR products they come from; on 2 x 2 cells the stencil
-    # offsets +-1, +-(ny - 1) collide
+    # both square operators are stored on at most nine diagonals: N1 bit
+    # for bit the CSR product it comes from, and the micro node operator,
+    # N1 scaled on its diagonals, entry for entry (DE D)^T (DE D) + shift I;
+    # on 2 x 2 cells the stencil offsets +-1, +-(ny - 1) collide
     g = Grid((1, 1), (2, 2), cells)
     f = circular_field(g)
     ops = get_operator_set(f, g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
     shift = 0.37
-    A = micro_matrix(f, coeff, shift, g)
-    A_ref = (ops.DE @ sp.diags(coeff.ravel()[ops.interior]) @ ops.DEt
-             + shift * sp.identity(g.num_cells))
-    for dia, ref in ((A, A_ref), (ops.N1, ops.DE.T @ ops.DE)):
+    A = node_operator(f, g, coeff, shift)
+    DE_D = ops.DE @ sp.diags(np.sqrt(coeff.ravel()[ops.interior]))
+    A_ref = (DE_D.T @ DE_D + shift * sp.identity(ops.interior.size)).toarray()
+    for dia in (A, ops.N1):
         assert isinstance(dia, sp.dia_matrix) and len(dia.offsets) <= 9
-        assert np.array_equal(dia.toarray(), ref.toarray())
+    assert np.array_equal(ops.N1.toarray(), (ops.DE.T @ ops.DE).toarray())
+    assert np.allclose(A.toarray(), A_ref, rtol=0.0,
+                       atol=1e-14 * np.abs(A_ref).max())
