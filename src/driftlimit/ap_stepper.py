@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
-    micro_factor, node_operator, solve_micro_macro
+    micro_factor, node_operator, shift_dominated, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, components, cross, dot, \
     interleave, node_average
@@ -286,25 +286,32 @@ class APStepper:
     state alone: no solve is warm-started from an earlier step.
 
     The stepper builds and owns its factors and its density micro
-    operator.  The factor of the field's macro operator N1 solves the macro
-    part of both diffusion problems.  Each micro part is solved for its
-    node potential (``diffusion.solve_micro``).  The density micro operator
-    N1 + tau*lam1 (coefficient 1) never changes, so the stepper forms it
-    once, and its CG runs unpreconditioned.  The potential's coefficient
-    node_average(n) changes every step, so each solve forms its operator;
-    below regime 1 its CG is preconditioned by the stepper's factor of
-    N1 + tau*lam2, which depends on tau, dt and C and is spectrally
-    equivalent while the coefficient stays close to 1."""
+    operator.  Its shifts tau*lam1 and tau*lam2 are fixed, so
+    ``diffusion.shift_dominated`` decides once which branch each of its
+    two diffusion problems takes, and no step factors anything.  A
+    shift-dominated problem is one micro solve, with no macro part and no
+    factor.  When at least one problem is below regime 1, the stepper
+    factors the field's macro operator N1 for the macro parts.  Each micro
+    part is solved for its node potential (``diffusion.solve_micro``).
+    The density micro operator N1 + tau*lam1 (coefficient 1) never
+    changes, so the stepper forms it once, and its CG runs
+    unpreconditioned.  The potential's coefficient node_average(n)
+    changes every step, so each solve forms its operator; below regime 1
+    its CG is preconditioned by the stepper's factor of N1 + tau*lam2,
+    which depends on tau, dt and C and is spectrally equivalent while the
+    coefficient stays close to 1."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         self.params = params
         self.grid = grid
         self.field = field
-        self.macro_lu = macro_factor(field, grid)
-        self.phi_lu = micro_factor(field, grid, params.tau * params.lam2)
+        shifts = (params.tau * params.lam1, params.tau * params.lam2)
+        self.macro_lu = None
+        if not all(shift_dominated(grid, s) for s in shifts):
+            self.macro_lu = macro_factor(field, grid)
+        self.phi_lu = micro_factor(field, grid, shifts[1])
         self.n_operator = node_operator(field, grid,
-                                        np.ones(grid.shape_nodes),
-                                        params.tau * params.lam1)
+                                        np.ones(grid.shape_nodes), shifts[0])
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
         p, grid, field = self.params, self.grid, self.field

@@ -29,15 +29,32 @@ sweep (``harness.ManufacturedDiffusion``) share.  The tests check the
 decomposition against an independent tau > 0 oracle, a sparse direct
 solve of the assembled cell system.
 
+The regime of a solve is tau*lam over the eigenvalue scale
+``operator_scale`` of A_H (``MicroMacroSolution.regime``, at the
+coefficient's maximum).  The split exists for the stiff limit
+tau*lam -> 0.  At and above regime 1 at unit coefficient
+(``shift_dominated``, the one test that picks the branch and the factors
+an owner builds) the shift dominates, and ``solve_micro_macro`` has no
+macro part: with s = tau*lam and p = f/lam + r,
+
+                        (A_H + s) r = DE (H dh(f)) / lam,
+
+so r lies in K_perp, and r = tau * w is one ``solve_micro`` for the
+node potential -H dh(f) / s, with no factor.  Its condition number on
+K_perp is at most 1 + 1/regime, and |r| <= |P_perp f| / lam, so nothing
+cancels.  Below regime 1 that K_perp part would lose about 1/regime of
+its relative precision, which is why the split stays there.
+
 A macro solve is CG on N1 preconditioned by its owner's factor, and a
 complete factor takes one iteration.  The normal operator N1 of step 1
-depends only on the field and the grid: a time stepper builds its
-``macro_factor`` (sparse LU, symmetric minimum-degree ordering) once, and
-``solve_micro_macro`` called without one builds it for its single solve.
-With the exact inverse as preconditioner the first CG step lands on the
-solution, and the loop's own residual test confirms it.  The manufactured
-sweep factors N1 per grid up to a node bound: its two projections and
-every micro PCG of the grid use that factor.  Above the bound a complete
+depends only on the field and the grid: a time stepper with a problem
+below regime 1 builds its ``macro_factor`` (sparse LU, symmetric
+minimum-degree ordering) once, and ``solve_micro_macro`` called without
+one below regime 1 builds it for its single solve.  With the exact
+inverse as preconditioner the first CG step lands on the solution, and
+the loop's own residual test confirms it.  The manufactured sweep
+factors N1 per grid up to a node bound: its two projections and every
+micro PCG of the grid use that factor.  Above the bound a complete
 factor's fill costs more memory than the solves (at 200^2 it has 4.27M
 nonzeros, +53 MB of peak RSS), so the sweep builds
 ``incomplete_macro_factor`` instead, an incomplete LU in the natural
@@ -77,14 +94,10 @@ interior block DE of the assembled dhstar: N1 = DE^T DE, a nine-point
 stencil stored on its diagonals (``dia_from_csr``), whose products read no
 column indices, and the node operator on the same diagonals.  The cell
 operator A_H = DE diag(H) DE^T is never formed.  Factors take ``.tocsc()``
-of the node operators.  The macro right-hand side dh(f) and the kernel
-check dh(pi) stay on the matrix-free stencil: it maps constants to
-exactly 0, while DE^T, whose merged entries round, leaves about 1e-14 on a
-curved field.
-
-``MicroMacroSolution.regime`` is tau*lam over the operator's eigenvalue
-scale; above 1 the shift dominates and a plain direct solve of the cell
-system would serve as well as the decomposition.
+of the node operators.  The data dh(f), of a macro or a shift-dominated
+solve, and the kernel check dh(pi) stay on the matrix-free stencil: it
+maps constants to exactly 0, while DE^T, whose merged entries round,
+leaves about 1e-14 on a curved field.
 """
 
 from __future__ import annotations
@@ -128,6 +141,15 @@ class AnisoDiffusionProblem:
 
 @dataclass
 class MicroMacroSolution:
+    """A solve's answer p = pi + q, with its counts and residuals.
+
+    Below regime 1 pi is the macro part in the kernel K and q the micro
+    part.  A shift-dominated solve has no macro part: pi is f/lam, q is
+    the K_perp correction r, and it reports macro iterations 0, macro
+    residual 0.0 and kernel residual 0.0, as the tau = 0 branch reports
+    its skipped micro solve.
+    """
+
     p: np.ndarray
     pi: np.ndarray
     q: np.ndarray
@@ -261,10 +283,18 @@ class _ScaledFactor:
         return self.lu.solve(r / self.d) / self.d
 
 
+def shift_dominated(grid: Grid, shift: float) -> bool:
+    """Whether a solve of shift tau*lam is at or above regime 1 at unit
+    coefficient: the one test that picks the solve's branch and the
+    factors an owner builds."""
+    return shift >= operator_scale(grid)
+
+
 def micro_factor(field: MagneticField, grid: Grid, shift: float):
     """Factor of N1 + shift I on the interior nodes, the micro
-    preconditioner of a coefficient close to 1; None at regime >= 1."""
-    if shift >= operator_scale(grid):
+    preconditioner of a coefficient close to 1; None when
+    ``shift_dominated``."""
+    if shift_dominated(grid, shift):
         return None
     return _factor_spd(node_operator(field, grid, np.ones(grid.shape_nodes),
                                      shift))
@@ -295,7 +325,7 @@ def solve_micro(h: np.ndarray, field: MagneticField, grid: Grid,
                 coeff: np.ndarray, shift: float, A=None,
                 lu=None) -> tuple[np.ndarray, int, float]:
     """Cell field w with (A_H + shift) w = -DE h, A_H = -dhstar(coeff dh(.)),
-    for a node potential h that is 0 on the boundary layer.
+    for a node potential h; its boundary node layer is not read.
 
     The micro step of the decomposition, shift = tau*lam, solved for the
     node potential y of w = DE D y, D = diag(sqrt(coeff)) on the interior
@@ -320,42 +350,54 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                       micro_A=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
-    macro_lu, a ``macro_factor`` of the problem's field and grid,
-    preconditions the macro PCG, which then takes one iteration; without
-    one the solve factors N1 itself.  micro_A, the ``node_operator`` of
-    the problem's coefficient and shift tau*lam, is the micro operator,
-    formed by the solve when not passed; micro_lu, a ``micro_factor`` of
-    shift tau*lam, preconditions the micro CG.
+    Below regime 1 (``shift_dominated`` false) the solve is the
+    micro-macro split of the module docstring.  macro_lu, a
+    ``macro_factor`` of the problem's field and grid, preconditions the
+    macro PCG, which then takes one iteration; without one the solve
+    factors N1 itself.  At and above regime 1 it has no macro part and
+    reads no macro_lu: pi = f/lam, and the micro part q = tau * w, with
+    (A_H + tau*lam) w = DE (H dh(f)) / (tau*lam), is the K_perp
+    correction r of p = f/lam + r.
+
+    micro_A, the ``node_operator`` of the problem's coefficient and shift
+    tau*lam, is the micro operator, formed by the solve when not passed;
+    micro_lu, a ``micro_factor`` of shift tau*lam, preconditions the micro
+    CG.
     """
-    ops = get_operator_set(prob.field, grid)
     lam, tau = prob.lam, prob.tau
-    op_scale = operator_scale(grid, float(prob.coeff.max()))
+    shift = tau * lam
 
-    if macro_lu is None:
-        macro_lu = macro_factor(prob.field, grid)
-    h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid, macro_lu)
-    dstar_h = apply_dhstar(h, prob.field, grid)
-
-    pi = (prob.rhs + dstar_h) / lam
-    kernel_resid = float(np.max(
-        np.abs(apply_dh(pi, prob.field, grid).ravel()[ops.interior]),
-        initial=0.0))
-    kernel_tol = 1e-8 * float(np.max(np.abs(pi))) + 1e-12
-    if kernel_resid > kernel_tol:
-        raise SolverError(f"macro part escaped the discrete kernel "
-                          f"({kernel_resid:.3e} > {kernel_tol:.3e}); "
-                          "operator assembly inconsistent")
+    if shift_dominated(grid, shift):
+        pi = prob.rhs / lam
+        h = -prob.coeff * apply_dh(prob.rhs, prob.field, grid) / shift
+        it_h, res_h, kernel_resid = 0, 0.0, 0.0
+    else:
+        if macro_lu is None:
+            macro_lu = macro_factor(prob.field, grid)
+        h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid,
+                                         macro_lu)
+        pi = (prob.rhs + apply_dhstar(h, prob.field, grid)) / lam
+        interior = get_operator_set(prob.field, grid).interior
+        kernel_resid = float(np.max(
+            np.abs(apply_dh(pi, prob.field, grid).ravel()[interior]),
+            initial=0.0))
+        kernel_tol = 1e-8 * float(np.max(np.abs(pi))) + 1e-12
+        if kernel_resid > kernel_tol:
+            raise SolverError(f"macro part escaped the discrete kernel "
+                              f"({kernel_resid:.3e} > {kernel_tol:.3e}); "
+                              "operator assembly inconsistent")
 
     if tau == 0.0:
         q = np.zeros(grid.shape_cells)
         it_w, res_w = 0, 0.0
     else:
         w, it_w, res_w = solve_micro(h, prob.field, grid, prob.coeff,
-                                     tau * lam, micro_A, micro_lu)
+                                     shift, micro_A, micro_lu)
         q = tau * w
 
-    return MicroMacroSolution(p=pi + q, pi=pi, q=q,
-                              iterations={"macro": it_h, "micro": it_w},
-                              residuals={"macro": res_h, "micro": res_w},
-                              kernel_residual=kernel_resid,
-                              regime=tau * lam / op_scale)
+    return MicroMacroSolution(
+        p=pi + q, pi=pi, q=q,
+        iterations={"macro": it_h, "micro": it_w},
+        residuals={"macro": res_h, "micro": res_w},
+        kernel_residual=kernel_resid,
+        regime=shift / operator_scale(grid, float(prob.coeff.max())))

@@ -142,8 +142,7 @@ class ManufacturedDiffusion:
         self.h_g = macro_potential(g, self.field, grid, self.macro_lu)[0]
         self.h_p = macro_potential(self.p1, self.field, grid,
                                    self.macro_lu)[0]
-        # K_perp projections of the source parts
-        self.g_perp = -apply_dhstar(self.h_g, self.field, grid)
+        # kernel projection of the density part
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
 
     def solve_deviation(self, tau: float) -> np.ndarray:

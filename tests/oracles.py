@@ -82,9 +82,11 @@ def solve_direct(prob: AnisoDiffusionProblem, grid: Grid) -> np.ndarray:
 
 def manufactured_problem(m, tau: float) -> AnisoDiffusionProblem:
     """Deviation-form problem of the ``ManufacturedDiffusion`` m at tau,
-    with its prepared source."""
+    with its prepared source: the tau-independent part is the K_perp
+    projection -dhstar(h_g) of the aligned-flux divergence."""
+    g_perp = -apply_dhstar(m.h_g, m.field, m.grid)
     return AnisoDiffusionProblem(field=m.field, coeff=m.H_nodes, lam=m.lam,
-                                 tau=tau, rhs=m.lam * tau * m.p1 + m.g_perp)
+                                 tau=tau, rhs=m.lam * tau * m.p1 + g_perp)
 
 
 def direct_macro_potential(g: np.ndarray, field: MagneticField,

@@ -50,8 +50,8 @@ def test_step_requires_positive_tau():
         APStepper(PhysParams(**dict(PARAMS, tau=0.0)), grid, field)
 
 
-def stationary_setup(nx=12, tau=1e-8, dt=1e-6):
-    cfg = RunConfig(nx=nx, ny=nx, eta=0.0, tau=tau, dt=dt)
+def stationary_setup(nx=12, tau=1e-8, dt=1e-6, n0=1.0):
+    cfg = RunConfig(nx=nx, ny=nx, eta=0.0, tau=tau, dt=dt, n0=n0)
     grid, field, state = make_two_fluid_setup(cfg)
     return cfg, grid, field, state
 
@@ -320,22 +320,27 @@ def test_steps_share_one_macro_factor(monkeypatch):
         return factor(A)
 
     monkeypatch.setattr(diffusion, "_factor_spd", counting)
-    # at 100^2, dt = 1e-6 puts the phi solve at regime ~1e-3, where the
-    # stepper also factors N1 + tau*lam2, and at dt = 5e-9 (regime ~40) it
-    # does not; every factor is of an interior-node operator
-    for dt, factors in ((1e-6, 2), (5e-9, 1)):
+    # at 100^2, dt = 1e-6 puts both solves below regime 1, where the
+    # stepper factors N1 and N1 + tau*lam2; at dt = 5e-9 (regimes ~2500
+    # and ~40) both are shift-dominated and it factors nothing.  n0 = 2
+    # doubles phi's coefficient: at dt = 2.5e-8 its reported regime falls
+    # below 1 while the unit-coefficient test that picks the branch stays
+    # above it.  Every factor is of an interior-node operator, and no step
+    # factors anything
+    for dt, n0, factors in ((1e-6, 1.0, 2), (5e-9, 1.0, 0),
+                            (2.5e-8, 2.0, 0)):
         factored.clear()
-        cfg, grid, field, s0 = stationary_setup(nx=100, dt=dt)
+        cfg, grid, field, s0 = stationary_setup(nx=100, dt=dt, n0=n0)
         stepper = APStepper(cfg.phys_params(), grid, field)
-        s1, diag = stepper.step(s0)
-        stepper.step(s1)
-        assert (diag.values["regime_phi"] < 1.0) == (factors == 2)
-        # the n and phi solves of both steps use the stepper's factors
-        assert len(factored) == factors
-        assert stepper.macro_lu is not None
-        assert (stepper.phi_lu is not None) == (factors == 2)
         n_int = int(grid.interior_node_mask.sum())
         assert factored == [(n_int, n_int)] * factors
+        assert (stepper.macro_lu is not None) == (factors == 2)
+        assert (stepper.phi_lu is not None) == (factors == 2)
+        factored.clear()
+        s1, diag = stepper.step(s0)
+        stepper.step(s1)
+        assert not diag.diverged and factored == []
+        assert (diag.values["regime_phi"] < 1.0) == (factors == 2 or n0 != 1)
         # the density operator N1 + tau*lam1 is formed at every regime,
         # once per stepper
         second = APStepper(cfg.phys_params(), grid, field)

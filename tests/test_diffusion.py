@@ -475,6 +475,41 @@ def test_regime_flags_shift_dominated_problem():
     prob = AnisoDiffusionProblem(field=f, coeff=np.ones(g.shape_nodes),
                                  lam=1.0, tau=1e9,
                                  rhs=np.ones(g.shape_cells))
-    assert solve_micro_macro(prob, g).regime > 1.0
+    sol = solve_micro_macro(prob, g)
+    assert sol.regime > 1.0 and sol.iterations["macro"] == 0
+    # the branch test is the regime at unit coefficient, and regime 1
+    # itself is shift-dominated
+    scale = diffusion.operator_scale(g)
+    assert diffusion.shift_dominated(g, scale)
+    assert not diffusion.shift_dominated(g, np.nextafter(scale, 0.0))
     prob.tau = 1e-3
-    assert solve_micro_macro(prob, g).regime < 1.0
+    prob.rhs = np.cos(np.arange(g.num_cells)).reshape(g.shape_cells)
+    sol = solve_micro_macro(prob, g)
+    assert sol.regime < 1.0 and sol.iterations["macro"] == 1
+
+
+@pytest.mark.parametrize("regime", [1.0, 10.0, 1e3])
+def test_shift_dominated_solve_matches_direct(regime):
+    # at and above regime 1 the solve is one micro solve for p - f/lam,
+    # with no macro part: on a curved field with a curved coefficient it
+    # matches the direct solve of the assembled cell system, which also
+    # ties the matrix-free dh(f) of its data to the assembled DE of its
+    # operator, as the kernel check does below regime 1
+    g = Grid((1, 1), (2, 2), (24, 20))
+    f = circular_field(g)
+    xn, yn = g.node_coords()
+    coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
+    rng = np.random.default_rng(5)
+    lam = 3.0
+    prob = AnisoDiffusionProblem(
+        field=f, coeff=coeff, lam=lam,
+        tau=regime * diffusion.operator_scale(g) / lam,
+        rhs=2.0 + rng.standard_normal(g.shape_cells))
+    assert diffusion.shift_dominated(g, prob.tau * lam)
+    sol = solve_micro_macro(prob, g)
+    direct = solve_direct(prob, g)
+    assert np.linalg.norm(sol.p - direct) <= 1e-12 * np.linalg.norm(direct)
+    assert sol.iterations["macro"] == 0 and sol.iterations["micro"] > 0
+    assert sol.residuals["macro"] == 0.0 and sol.kernel_residual == 0.0
+    assert np.array_equal(sol.pi, prob.rhs / lam)
+    assert np.array_equal(sol.p, sol.pi + sol.q)

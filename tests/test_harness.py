@@ -361,15 +361,40 @@ def test_final_state_dumped_once(tmp_path, monkeypatch):
     header = rows[0].split(",")
     ap_row = dict(zip(header, rows[1].split(",")))
     assert ap_row["scheme"] == "ap"
-    # the reference parameters put both AP solves in the shift-dominated regime
+    # the reference parameters put both AP solves in the shift-dominated
+    # regime, where each is one micro solve: no macro part, so 0 macro
+    # iterations and a kernel residual of 0 on every AP step
     assert float(ap_row["regime_n"]) > 1.0 and float(ap_row["regime_phi"]) > 1.0
-    # the macro parts stay in the discrete kernel, below the absolute floor
-    # 1e-12 of the solver's kernel tolerance, on every AP step
-    for line in rows[1:]:
-        row = dict(zip(header, line.split(",")))
-        if row["scheme"] == "ap":
-            assert 0.0 <= float(row["kernel_n"]) < 1e-12
-            assert 0.0 <= float(row["kernel_phi"]) < 1e-12
+    ap_rows = [dict(zip(header, line.split(","))) for line in rows[1:]]
+    ap_rows = [row for row in ap_rows if row["scheme"] == "ap"]
+    assert len(ap_rows) == 20
+    for row in ap_rows:
+        for slot in ("n", "phi"):
+            assert int(row[f"iters_{slot}_macro"]) == 0
+            assert float(row[f"resid_{slot}_macro"]) == 0.0
+            assert float(row[f"kernel_{slot}"]) == 0.0
+            assert int(row[f"iters_{slot}_micro"]) > 0
+
+
+def test_underresolved_run_keeps_the_macro_parts_in_the_kernel(tmp_path):
+    # at dt = 1e-6 on 32^2 both AP solves sit below regime 1, where each
+    # is split into a macro and a micro part: one macro PCG iteration on
+    # the stepper's complete factor, and the macro part in the discrete
+    # kernel below the absolute floor 1e-12 of the solver's kernel
+    # tolerance, on every AP step
+    cfg = parse_config(overrides=["nx=32", "ny=32", "dt=1e-6", "t_end=3e-6",
+                                  "scheme=ap"], out_dir=str(tmp_path))
+    run_two_fluid(cfg)
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    ap_rows = [dict(zip(header, line.split(","))) for line in rows[1:]]
+    assert len(ap_rows) == 3
+    for row in ap_rows:
+        assert row["scheme"] == "ap" and row["diverged"] == "0"
+        for slot in ("n", "phi"):
+            assert float(row[f"regime_{slot}"]) < 1.0
+            assert int(row[f"iters_{slot}_macro"]) == 1
+            assert 0.0 <= float(row[f"kernel_{slot}"]) < 1e-12
 
 
 def test_failed_step_keeps_the_time_of_its_state(tmp_path, monkeypatch):
