@@ -38,8 +38,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .diffusion import AnisoDiffusionProblem, SolverError, macro_factor, \
-    micro_factor, node_operator, shift_dominated, solve_micro_macro
+from .diffusion import AnisoDiffusionProblem, SolverError, node_factor, \
+    shift_dominated, solve_micro_macro
 from .flux import fv_divergence
 from .grid import Grid, cell_from_nodes, components, cross, dot, \
     interleave, node_average
@@ -285,21 +285,19 @@ class APStepper:
     """AP stepper on a static field.  A step is a function of its input
     state alone: no solve is warm-started from an earlier step.
 
-    The stepper builds and owns its factors and its density micro
-    operator.  Its shifts tau*lam1 and tau*lam2 are fixed, so
-    ``diffusion.shift_dominated`` decides once which branch each of its
-    two diffusion problems takes, and no step factors anything.  A
-    shift-dominated problem is one micro solve, with no macro part and no
-    factor.  When at least one problem is below regime 1, the stepper
-    factors the field's macro operator N1 for the macro parts.  Each micro
-    part is solved for its node potential (``diffusion.solve_micro``).
-    The density micro operator N1 + tau*lam1 (coefficient 1) never
-    changes, so the stepper forms it once, and its CG runs
-    unpreconditioned.  The potential's coefficient node_average(n)
-    changes every step, so each solve forms its operator; below regime 1
-    its CG is preconditioned by the stepper's factor of N1 + tau*lam2,
-    which depends on tau, dt and C and is spectrally equivalent while the
-    coefficient stays close to 1."""
+    The stepper builds and owns its factors.  Its shifts tau*lam1 and
+    tau*lam2 are fixed, so ``diffusion.shift_dominated`` decides once
+    which branch each of its two diffusion problems takes and which
+    factors it builds, and no step factors anything.  A shift-dominated
+    problem is one micro solve, with no macro part and no factor.  When
+    at least one problem is below regime 1, the stepper factors the
+    field's macro operator N1 for the macro parts.  Each micro part is
+    solved for its node potential (``diffusion.solve_micro``), on an
+    operator the solve forms.  The density's coefficient is 1, so its
+    micro CG is plain CG.  Below regime 1 the
+    potential's micro CG is preconditioned by the stepper's factor of
+    N1 + tau*lam2, which depends on tau, dt and C and is spectrally
+    equivalent while the coefficient node_average(n) stays close to 1."""
 
     def __init__(self, params: PhysParams, grid: Grid, field: MagneticField):
         self.params = params
@@ -308,10 +306,10 @@ class APStepper:
         shifts = (params.tau * params.lam1, params.tau * params.lam2)
         self.macro_lu = None
         if not all(shift_dominated(grid, s) for s in shifts):
-            self.macro_lu = macro_factor(field, grid)
-        self.phi_lu = micro_factor(field, grid, shifts[1])
-        self.n_operator = node_operator(field, grid,
-                                        np.ones(grid.shape_nodes), shifts[0])
+            self.macro_lu = node_factor(field, grid, 0.0)
+        self.phi_lu = None
+        if not shift_dominated(grid, shifts[1]):
+            self.phi_lu = node_factor(field, grid, shifts[1])
 
     def step(self, state: PlasmaState) -> tuple[PlasmaState, StepDiagnostics]:
         p, grid, field = self.params, self.grid, self.field
@@ -329,8 +327,7 @@ class APStepper:
         try:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
-                tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu,
-                micro_A=self.n_operator)
+                tau=p.tau, rhs=R), grid, macro_lu=self.macro_lu)
             n_new = sol_n.p
             if not np.all(np.isfinite(n_new)) or np.any(n_new <= 0.0):
                 diag.diverged, diag.note = True, "density lost positivity"

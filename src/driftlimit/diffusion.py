@@ -15,12 +15,14 @@ K_perp = range of dhstar over interior-supported node fields:
 2.                      pi = (f + dhstar(h)) / lam
    is exactly the orthogonal projection of f/lam onto K.
 3. micro part q = tau * w, where w solves (A_H + tau*lam) w = -DE h.  w
-   lies in K_perp, the range of DE, and is solved for its node potential:
-   with D = diag(sqrt(H)) on the interior nodes and w = DE D y, the cell
-   system is the SPD node system
-                        (D N1 D + tau*lam) y = -h / sqrt(H),
-   whose spectrum is that of A_H on K_perp, so CG stays well conditioned
-   uniformly in tau and the returned q = tau * w scales exactly with tau.
+   lies in K_perp, the range of DE, and is solved for its node potential
+   z on the interior nodes: with s = tau*lam and w = DE z,
+   (A_H + s) DE z = DE H (N1 + s/H) z, so the cell system is the SPD
+   node system
+                        (N1 + tau*lam/H) z = -h / H.
+   Preconditioned by diag(H), its spectrum is that of A_H on K_perp, so
+   CG stays well conditioned uniformly in tau and the returned
+   q = tau * w scales exactly with tau.
 4.                      p = pi + q.
 
 At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
@@ -30,12 +32,12 @@ decomposition against an independent tau > 0 oracle, a sparse direct
 solve of the assembled cell system.
 
 The regime of a solve is tau*lam over the eigenvalue scale
-``operator_scale`` of A_H (``MicroMacroSolution.regime``, at the
-coefficient's maximum).  The split exists for the stiff limit
-tau*lam -> 0.  At and above regime 1 at unit coefficient
-(``shift_dominated``, the one test that picks the branch and the factors
-an owner builds) the shift dominates, and ``solve_micro_macro`` has no
-macro part: with s = tau*lam and p = f/lam + r,
+``operator_scale`` of A_H at unit coefficient
+(``MicroMacroSolution.regime``).  The split exists for the stiff limit
+tau*lam -> 0.  At and above regime 1 (``shift_dominated``, the one test
+that picks the branch and the factors an owner builds) the shift
+dominates, and ``solve_micro_macro`` has no macro part: with s = tau*lam
+and p = f/lam + r,
 
                         (A_H + s) r = DE (H dh(f)) / lam,
 
@@ -48,15 +50,15 @@ its relative precision, which is why the split stays there.
 A macro solve is CG on N1 preconditioned by its owner's factor, and a
 complete factor takes one iteration.  The normal operator N1 of step 1
 depends only on the field and the grid: a time stepper with a problem
-below regime 1 builds its ``macro_factor`` (sparse LU, symmetric
-minimum-degree ordering) once, and ``solve_micro_macro`` called without
-one below regime 1 builds it for its single solve.  With the exact
-inverse as preconditioner the first CG step lands on the solution, and
-the loop's own residual test confirms it.  The manufactured sweep
-factors N1 per grid up to a node bound: its two projections and every
-micro PCG of the grid use that factor.  Above the bound a complete
-factor's fill costs more memory than the solves (at 200^2 it has 4.27M
-nonzeros, +53 MB of peak RSS), so the sweep builds
+below regime 1 builds its ``node_factor`` of shift 0 (sparse LU,
+symmetric minimum-degree ordering) once, and ``solve_micro_macro``
+called without one below regime 1 builds it for its single solve.  With
+the exact inverse as preconditioner the first CG step lands on the
+solution, and the loop's own residual test confirms it.  The
+manufactured sweep factors N1 per grid up to a node bound: its two
+projections and every micro PCG of the grid use that factor.  Above the
+bound a complete factor's fill costs more memory than the solves (at
+200^2 it has 4.27M nonzeros, +53 MB of peak RSS), so the sweep builds
 ``incomplete_macro_factor`` instead, an incomplete LU in the natural
 ordering with drop tolerance ILU_DROP_TOL (0.67M nonzeros at 200^2), and
 all four CGs of the grid are preconditioned by it: 9 iterations each at
@@ -66,24 +68,25 @@ Every CG stops with a ``SolverError`` as soon as r.z or p.Ap turns
 negative, so an indefinite preconditioner or operator fails at once
 instead of running to its iteration limit.
 
-A micro solve is CG on ``node_operator``, D N1 D + shift formed by
-scaling the nine diagonals of N1, and a caller holding a factor F of
-N1 + s I (s >= 0) preconditions it with D^-1 F^-1 D^-1.  The manufactured
-sweep passes its macro factor (s = 0): tau*lam is tiny against the
-spectrum of D N1 D, so PCG takes a few iterations.  The AP stepper
-passes, for its potential, a ``micro_factor`` of N1 + tau*lam2: the
-coefficient node_average(n) stays close to 1, so the two operators are
-spectrally equivalent.  That factor is built only below regime 1, where
-the micro condition number on K_perp, at most 1 + 1/regime, makes plain
-CG slow; above it CG converges in a few iterations and no factor repays
-its build.  An owner whose coefficient stays fixed forms the node
-operator once (the AP stepper's density, coefficient 1); otherwise
-``solve_micro`` forms it per solve.  No solve is warm-started and no
-operator is cached, so a solution depends only on its problem and the
-operators passed with it.
+A micro solve is CG on ``node_operator``, N1 + shift/H formed by adding
+shift/H to the main diagonal of a copy of N1's diagonals.  A caller
+holding a factor F of N1 + s I (s >= 0) preconditions it with F^-1;
+without one, the preconditioner is diag(H), under which the iterates are
+those of plain CG on D N1 D + shift, D = diag(sqrt(H)), in the variable
+y = z / sqrt(H): a coefficient far from 1 costs unpreconditioned CG
+more iterations.  The manufactured sweep passes its factor of N1
+(s = 0): tau*lam is tiny against the spectrum of the node operator, so
+PCG takes a few iterations.  The AP stepper passes, for its potential, a
+``node_factor`` of N1 + tau*lam2: the coefficient node_average(n) stays
+close to 1, so the two operators are spectrally equivalent.  The stepper
+builds that factor only below regime 1, where the micro condition number
+on K_perp, at most 1 + 1/regime, makes CG slow; above it CG converges in
+a few iterations and no factor repays its build.  Every solve forms its
+operator, and no solve is warm-started and no operator is cached, so a
+solution depends only on its problem and the factors passed with it.
 
-Every CG of the module, macro or micro, preconditioned or not, is one
-loop (``_cg_solve``) on a product callable: a zero start, vectors updated
+Every CG of the module, macro or micro, is one preconditioned loop
+(``_cg_solve``) on a product callable: a zero start, vectors updated
 in place in the arithmetic order of ``scipy.sparse.linalg.cg`` (so its
 iterates are scipy's, bit for bit), stopped when ||r|| < SOLVER_RTOL
 ||b||.  Each solve reports that achieved ||r|| / ||b|| with its
@@ -94,7 +97,7 @@ interior block DE of the assembled dhstar: N1 = DE^T DE, a nine-point
 stencil stored on its diagonals (``dia_from_csr``), whose products read no
 column indices, and the node operator on the same diagonals.  The cell
 operator A_H = DE diag(H) DE^T is never formed.  Factors take ``.tocsc()``
-of the node operators.  The data dh(f), of a macro or a shift-dominated
+of the node operator.  The data dh(f), of a macro or a shift-dominated
 solve, and the kernel check dh(pi) stay on the matrix-free stencil: it
 maps constants to exactly 0, while DE^T, whose merged entries round,
 leaves about 1e-14 on a curved field.
@@ -147,7 +150,8 @@ class MicroMacroSolution:
     part.  A shift-dominated solve has no macro part: pi is f/lam, q is
     the K_perp correction r, and it reports macro iterations 0, macro
     residual 0.0 and kernel residual 0.0, as the tau = 0 branch reports
-    its skipped micro solve.
+    its skipped micro solve.  Its regime is 1 or more exactly when the
+    solve is shift-dominated.
     """
 
     p: np.ndarray
@@ -156,15 +160,14 @@ class MicroMacroSolution:
     iterations: dict = dataclass_field(default_factory=dict)
     residuals: dict = dataclass_field(default_factory=dict)   # ||r|| / ||b||
     kernel_residual: float = 0.0
-    regime: float = 0.0        # tau*lam / operator eigenvalue scale
+    regime: float = 0.0        # tau*lam / operator_scale(grid)
 
 
-def _cg_solve(matvec, b: np.ndarray, label: str = "cg",
-              psolve=None) -> tuple[np.ndarray, int, float]:
+def _cg_solve(matvec, b: np.ndarray, label: str,
+              psolve) -> tuple[np.ndarray, int, float]:
     """CG from a zero start to SOLVER_RTOL on the product v -> matvec(v),
-    preconditioned by psolve if given; returns the solution, the
-    iteration count and the relative residual ||r|| / ||b|| that stopped
-    it.
+    preconditioned by r -> psolve(r); returns the solution, the iteration
+    count and the relative residual ||r|| / ||b|| that stopped it.
 
     One loop with its vectors updated in place, in the arithmetic order of
     ``scipy.sparse.linalg.cg``, so its iterates are those of scipy's.  A
@@ -184,7 +187,7 @@ def _cg_solve(matvec, b: np.ndarray, label: str = "cg",
         r_norm = np.sqrt(np.dot(r, r))
         if r_norm < tol:
             return x, it, float(r_norm / b_norm)
-        z = r if psolve is None else psolve(r)
+        z = psolve(r)
         rho = np.dot(r, z)
         # strict comparisons: an exact 0 or a NaN takes the usual path
         if rho < 0.0:
@@ -236,14 +239,29 @@ class _SymmetricILU:
         return z
 
 
-def operator_scale(grid: Grid, coeff_max: float = 1.0) -> float:
-    """Eigenvalue scale of A_H, the denominator of the regime tau*lam / scale."""
-    return 4.0 * sum(1.0 / d**2 for d in grid.spacing) * coeff_max
+def operator_scale(grid: Grid) -> float:
+    """Eigenvalue scale of A_H at unit coefficient, the denominator of the
+    regime tau*lam / scale."""
+    return 4.0 * sum(1.0 / d**2 for d in grid.spacing)
 
 
-def macro_factor(field: MagneticField, grid: Grid):
-    """Factor of the macro operator N1 of (field, grid) for ``macro_lu``."""
-    return _factor_spd(get_operator_set(field, grid).N1)
+def node_operator(field: MagneticField, grid: Grid, coeff: np.ndarray,
+                  shift: float) -> sp.dia_matrix:
+    """N1 + diag(shift / coeff) on the interior nodes, the operator of the
+    micro node system, on a copy of the diagonals of N1."""
+    ops = get_operator_set(field, grid)
+    N1 = ops.N1
+    data = N1.data.copy()
+    data[list(N1.offsets).index(0)] += shift / coeff.ravel()[ops.interior]
+    return sp.dia_matrix((data, N1.offsets), shape=N1.shape)
+
+
+def node_factor(field: MagneticField, grid: Grid, shift: float):
+    """Factor of N1 + shift I on the interior nodes: with shift 0 the
+    macro factor of ``macro_potential``, with shift tau*lam the micro
+    preconditioner of a coefficient close to 1."""
+    return _factor_spd(node_operator(field, grid, np.ones(grid.shape_nodes),
+                                     shift))
 
 
 def incomplete_macro_factor(field: MagneticField, grid: Grid):
@@ -252,52 +270,10 @@ def incomplete_macro_factor(field: MagneticField, grid: Grid):
     return _SymmetricILU(get_operator_set(field, grid).N1)
 
 
-def node_operator(field: MagneticField, grid: Grid, coeff: np.ndarray,
-                  shift: float) -> sp.dia_matrix:
-    """D N1 D + shift I with D = diag(sqrt(coeff)) on the interior nodes,
-    the operator of the micro node system, on the diagonals of N1: the
-    entry (j - o, j) of the diagonal at offset o scales by d[j - o] d[j],
-    and the slots of a diagonal that fall outside the matrix stay 0."""
-    ops = get_operator_set(field, grid)
-    N1, d = ops.N1, np.sqrt(coeff.ravel()[ops.interior])
-    n = d.size
-    data = N1.data * d
-    for k, offset in enumerate(N1.offsets):
-        if offset >= 0:
-            data[k, offset:] *= d[:n - offset]
-        else:
-            data[k, :n + offset] *= d[-offset:]
-    data[list(N1.offsets).index(0)] += shift
-    return sp.dia_matrix((data, N1.offsets), shape=N1.shape)
-
-
-class _ScaledFactor:
-    """D^-1 F^-1 D^-1 with D = diag(d), from lu, a complete or incomplete
-    factor F of N1 + s I: the (approximate) inverse of D N1 D + shift, the
-    preconditioner of a micro CG."""
-
-    def __init__(self, lu, d: np.ndarray):
-        self.lu, self.d = lu, d
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.lu.solve(r / self.d) / self.d
-
-
 def shift_dominated(grid: Grid, shift: float) -> bool:
-    """Whether a solve of shift tau*lam is at or above regime 1 at unit
-    coefficient: the one test that picks the solve's branch and the
-    factors an owner builds."""
+    """Whether a solve of shift tau*lam is at or above regime 1: the one
+    test that picks the solve's branch and the factors an owner builds."""
     return shift >= operator_scale(grid)
-
-
-def micro_factor(field: MagneticField, grid: Grid, shift: float):
-    """Factor of N1 + shift I on the interior nodes, the micro
-    preconditioner of a coefficient close to 1; None when
-    ``shift_dominated``."""
-    if shift_dominated(grid, shift):
-        return None
-    return _factor_spd(node_operator(field, grid, np.ones(grid.shape_nodes),
-                                     shift))
 
 
 def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
@@ -307,8 +283,8 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
 
     -dhstar(h) is then the orthogonal projection of the cell field g onto
     K_perp, and g + dhstar(h) its projection onto the kernel K.  Solved by
-    CG on N1 preconditioned by lu, a ``macro_factor`` of (field, grid),
-    which takes one iteration, or an ``incomplete_macro_factor``.
+    CG on N1 preconditioned by lu, a ``node_factor`` of shift 0 of (field,
+    grid), which takes one iteration, or an ``incomplete_macro_factor``.
     """
     ops = get_operator_set(field, grid)
     # matrix-free stencil annihilates constants exactly, unlike DE^T whose
@@ -322,47 +298,43 @@ def macro_potential(g: np.ndarray, field: MagneticField, grid: Grid,
 
 
 def solve_micro(h: np.ndarray, field: MagneticField, grid: Grid,
-                coeff: np.ndarray, shift: float, A=None,
+                coeff: np.ndarray, shift: float,
                 lu=None) -> tuple[np.ndarray, int, float]:
     """Cell field w with (A_H + shift) w = -DE h, A_H = -dhstar(coeff dh(.)),
     for a node potential h; its boundary node layer is not read.
 
     The micro step of the decomposition, shift = tau*lam, solved for the
-    node potential y of w = DE D y, D = diag(sqrt(coeff)) on the interior
-    nodes: CG on (D N1 D + shift) y = -h / sqrt(coeff), preconditioned by
-    D^-1 F^-1 D^-1 when lu, a complete or incomplete factor F of N1 + s I,
-    is given.  A is the ``node_operator`` of (coeff, shift), formed here
-    when not passed.  Returns w, the CG iteration count and the achieved
-    relative residual of the node system.
+    node potential z of w = DE z on the interior nodes: CG on the
+    ``node_operator`` system (N1 + shift/coeff) z = -h / coeff,
+    preconditioned by lu, a complete or incomplete factor of N1 + s I,
+    when given, and by diag(coeff) otherwise.  Returns w, the CG
+    iteration count and the achieved relative residual of the node
+    system.
     """
     ops = get_operator_set(field, grid)
-    d = np.sqrt(coeff.ravel()[ops.interior])
-    if A is None:
-        A = node_operator(field, grid, coeff, shift)
-    y, iters, resid = _cg_solve(
-        A.dot, -h.ravel()[ops.interior] / d, label="micro part",
-        psolve=None if lu is None else _ScaledFactor(lu, d).solve)
-    return (ops.DE @ (d * y)).reshape(grid.shape_cells), iters, resid
+    H = coeff.ravel()[ops.interior]
+    A = node_operator(field, grid, coeff, shift)
+    z, iters, resid = _cg_solve(
+        A.dot, -h.ravel()[ops.interior] / H, "micro part",
+        psolve=(lambda r: H * r) if lu is None else lu.solve)
+    return (ops.DE @ z).reshape(grid.shape_cells), iters, resid
 
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
-                      micro_lu=None, macro_lu=None,
-                      micro_A=None) -> MicroMacroSolution:
+                      micro_lu=None, macro_lu=None) -> MicroMacroSolution:
     """Solve the degenerate diffusion problem, uniformly in tau >= 0.
 
     Below regime 1 (``shift_dominated`` false) the solve is the
     micro-macro split of the module docstring.  macro_lu, a
-    ``macro_factor`` of the problem's field and grid, preconditions the
-    macro PCG, which then takes one iteration; without one the solve
-    factors N1 itself.  At and above regime 1 it has no macro part and
-    reads no macro_lu: pi = f/lam, and the micro part q = tau * w, with
-    (A_H + tau*lam) w = DE (H dh(f)) / (tau*lam), is the K_perp
-    correction r of p = f/lam + r.
+    ``node_factor`` of shift 0 of the problem's field and grid,
+    preconditions the macro PCG, which then takes one iteration; without
+    one the solve factors N1 itself.  At and above regime 1 it has no
+    macro part and reads no macro_lu: pi = f/lam, and the micro part
+    q = tau * w, with (A_H + tau*lam) w = DE (H dh(f)) / (tau*lam), is the
+    K_perp correction r of p = f/lam + r.
 
-    micro_A, the ``node_operator`` of the problem's coefficient and shift
-    tau*lam, is the micro operator, formed by the solve when not passed;
-    micro_lu, a ``micro_factor`` of shift tau*lam, preconditions the micro
-    CG.
+    micro_lu, a ``node_factor`` of shift tau*lam, preconditions the micro
+    CG; without one the micro CG is preconditioned by the coefficient.
     """
     lam, tau = prob.lam, prob.tau
     shift = tau * lam
@@ -373,7 +345,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_h, res_h, kernel_resid = 0, 0.0, 0.0
     else:
         if macro_lu is None:
-            macro_lu = macro_factor(prob.field, grid)
+            macro_lu = node_factor(prob.field, grid, 0.0)
         h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid,
                                          macro_lu)
         pi = (prob.rhs + apply_dhstar(h, prob.field, grid)) / lam
@@ -392,7 +364,7 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_w, res_w = 0, 0.0
     else:
         w, it_w, res_w = solve_micro(h, prob.field, grid, prob.coeff,
-                                     shift, micro_A, micro_lu)
+                                     shift, micro_lu)
         q = tau * w
 
     return MicroMacroSolution(
@@ -400,4 +372,4 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         iterations={"macro": it_h, "micro": it_w},
         residuals={"macro": res_h, "micro": res_w},
         kernel_residual=kernel_resid,
-        regime=shift / operator_scale(grid, float(prob.coeff.max())))
+        regime=shift / operator_scale(grid))

@@ -25,8 +25,8 @@ import scipy
 
 from .ap_stepper import APStepper, PhysParams, PlasmaState
 from .classical import stable_dt, step_classical
-from .diffusion import incomplete_macro_factor, macro_factor, \
-    macro_potential, solve_micro
+from .diffusion import incomplete_macro_factor, macro_potential, \
+    node_factor, solve_micro
 from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar
 
@@ -133,7 +133,7 @@ class ManufacturedDiffusion:
         xn, yn = grid.node_coords()
         self.H_nodes = coeff_H(xn, yn)
         if grid.num_nodes <= MAX_FACTORED_NODES:
-            self.macro_lu = macro_factor(self.field, grid)
+            self.macro_lu = node_factor(self.field, grid, 0.0)
         else:
             self.macro_lu = incomplete_macro_factor(self.field, grid)
         x, y = grid.cell_coords()

@@ -12,6 +12,14 @@ loop: ``scipy.sparse.linalg.cg`` with an iteration-counting callback.
 The package's in-place CG keeps scipy's arithmetic order, and is checked
 against it for identical iterates.
 
+``scaled_node_operator`` and ``ScaledFactor`` are the micro node system
+the package solved before it solved for the node potential z itself: the
+scaled potential y = z / sqrt(H), on the operator D N1 D + shift with
+D = diag(sqrt(H)), preconditioned by D^-1 F^-1 D^-1 for a factor F.
+``scaled_micro_solve`` runs that system's (P)CG, against which the
+package's micro solve is checked for equal iteration counts and
+solutions.
+
 ``ghost_fv_divergence`` is the Rusanov divergence written on the
 (..., 3) vector layout with a copy-ghost ring around the state, against
 which the component-plane kernel of ``driftlimit.flux`` is checked.
@@ -118,6 +126,53 @@ def scipy_cg_solve(A, b, label: str = "cg", M=None) -> tuple[np.ndarray, int]:
         raise SolverError(f"{label}: no convergence after {count[0]} iterations,"
                           f" relative residual {resid:.3e}")
     return x, count[0]
+
+
+def scaled_node_operator(field: MagneticField, grid: Grid,
+                         coeff: np.ndarray, shift: float) -> sp.dia_matrix:
+    """D N1 D + shift I with D = diag(sqrt(coeff)) on the interior nodes,
+    the operator of the micro node system, on the diagonals of N1: the
+    entry (j - o, j) of the diagonal at offset o scales by d[j - o] d[j],
+    and the slots of a diagonal that fall outside the matrix stay 0."""
+    ops = get_operator_set(field, grid)
+    N1, d = ops.N1, np.sqrt(coeff.ravel()[ops.interior])
+    n = d.size
+    data = N1.data * d
+    for k, offset in enumerate(N1.offsets):
+        if offset >= 0:
+            data[k, offset:] *= d[:n - offset]
+        else:
+            data[k, :n + offset] *= d[-offset:]
+    data[list(N1.offsets).index(0)] += shift
+    return sp.dia_matrix((data, N1.offsets), shape=N1.shape)
+
+
+class ScaledFactor:
+    """D^-1 F^-1 D^-1 with D = diag(d), from lu, a complete or incomplete
+    factor F of N1 + s I: the (approximate) inverse of D N1 D + shift, the
+    preconditioner of a micro CG."""
+
+    def __init__(self, lu, d: np.ndarray):
+        self.lu, self.d = lu, d
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return self.lu.solve(r / self.d) / self.d
+
+
+def scaled_micro_solve(h: np.ndarray, field: MagneticField, grid: Grid,
+                       coeff: np.ndarray, shift: float,
+                       lu=None) -> tuple[np.ndarray, int]:
+    """Cell field w with (A_H + shift) w = -DE h, by scipy's CG on the
+    scaled node system (D N1 D + shift) y = -h / sqrt(coeff), w = DE D y,
+    preconditioned by D^-1 F^-1 D^-1 when lu, a factor F, is given; with
+    the CG iteration count."""
+    ops = get_operator_set(field, grid)
+    d = np.sqrt(coeff.ravel()[ops.interior])
+    A = scaled_node_operator(field, grid, coeff, shift)
+    M = None if lu is None else spla.LinearOperator(
+        A.shape, matvec=ScaledFactor(lu, d).solve, dtype=float)
+    y, iters = scipy_cg_solve(A, -h.ravel()[ops.interior] / d, M=M)
+    return (ops.DE @ (d * y)).reshape(grid.shape_cells), iters
 
 
 def _vector_flux(n: np.ndarray, q: np.ndarray, b_cells: np.ndarray,

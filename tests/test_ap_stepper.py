@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlimit import ap_stepper, diffusion
-from driftlimit.ap_stepper import APStepper, PhysParams, assemble_R, \
-    assemble_S, solve_momentum_rotation, species_fv_divergence, \
-    step_residuals, stiff_force_terms
+from driftlimit.ap_stepper import APStepper, PhysParams, PlasmaState, \
+    assemble_R, assemble_S, solve_momentum_rotation, \
+    species_fv_divergence, step_residuals, stiff_force_terms
 from driftlimit.diffusion import SolverError
-from driftlimit.grid import components
+from driftlimit.grid import Grid, components
 from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
     run_c_study
+from driftlimit.stencil import MagneticField
 
 PARAMS = dict(tau=1e-8, eps=1.0, T_e=3.0, C=1e-2, dt=1e-6)
 
@@ -323,10 +324,10 @@ def test_steps_share_one_macro_factor(monkeypatch):
     # at 100^2, dt = 1e-6 puts both solves below regime 1, where the
     # stepper factors N1 and N1 + tau*lam2; at dt = 5e-9 (regimes ~2500
     # and ~40) both are shift-dominated and it factors nothing.  n0 = 2
-    # doubles phi's coefficient: at dt = 2.5e-8 its reported regime falls
-    # below 1 while the unit-coefficient test that picks the branch stays
-    # above it.  Every factor is of an interior-node operator, and no step
-    # factors anything
+    # doubles phi's coefficient: at dt = 2.5e-8 its regime, tau*lam2 over
+    # the operator scale at unit coefficient, stays above 1, as does the
+    # branch it picks.  Every factor is of an interior-node operator, and
+    # no step factors anything
     for dt, n0, factors in ((1e-6, 1.0, 2), (5e-9, 1.0, 0),
                             (2.5e-8, 2.0, 0)):
         factored.clear()
@@ -340,12 +341,28 @@ def test_steps_share_one_macro_factor(monkeypatch):
         s1, diag = stepper.step(s0)
         stepper.step(s1)
         assert not diag.diverged and factored == []
-        assert (diag.values["regime_phi"] < 1.0) == (factors == 2 or n0 != 1)
-        # the density operator N1 + tau*lam1 is formed at every regime,
-        # once per stepper
-        second = APStepper(cfg.phys_params(), grid, field)
-        assert stepper.n_operator.shape == (n_int, n_int)
-        assert stepper.n_operator is not second.n_operator
+        assert (diag.values["regime_phi"] < 1.0) == (factors == 2)
+
+
+def test_no_phi_factor_at_regime_one():
+    # regime 1 itself is shift-dominated: the stepper builds no factor for
+    # a potential solve whose shift tau*lam2 is the operator scale, and
+    # the step reports regime_phi >= 1 with no macro iterations
+    cfg = RunConfig(nx=12, ny=12, dt=1e-6)
+    lam2 = cfg.phys_params().lam2
+    scale = diffusion.operator_scale(cfg.build_grid())
+    tau = scale / lam2
+    while tau * lam2 < scale:
+        tau = float(np.nextafter(tau, np.inf))
+    cfg = dataclasses.replace(cfg, tau=tau)
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    stepper = APStepper(cfg.phys_params(), grid, field)
+    assert stepper.phi_lu is None and stepper.macro_lu is None
+    _, diag = stepper.step(s0)
+    assert not diag.diverged
+    assert diag.values["regime_phi"] >= 1.0
+    assert diag.values["iters_phi_macro"] == 0
+    assert diag.values["iters_phi_micro"] > 0
 
 
 def test_steps_leave_the_operator_cache_unchanged():
@@ -371,3 +388,58 @@ def test_phi_micro_preconditioned_at_large_dt():
         assert diag.values[f"momentum_{a}"] <= 1e-6
         assert diag.values[f"continuity_{a}"] <= max(
             1e-6, 8.0 * diag.values[f"continuity_floor_{a}"])
+
+
+def curved_run(eta, dt, steps=30):
+    """30 AP steps on the circular field B = (y, -x, 0) on [1,2]^2 at 50^2,
+    tau = 1e-8, from n = 1 + tau * bump (the test case's bump of width
+    parameter eta, 0 for a constant), q = 0 and phi = 0: the initial
+    state, the final state and every step's diagnostics values.  Where b
+    varies the aligned derivative has a non-trivial kernel, so both
+    branches of each diffusion solve see it."""
+    grid = Grid((1.0, 1.0), (2.0, 2.0), (50, 50))
+    field = MagneticField.from_function(grid, lambda x, y: (y, -x, 0 * x))
+    x, y = grid.cell_coords()
+    tau = 1e-8
+    bump = np.maximum(0.0, 1.0 - eta * (x - 1.5) ** 2 - eta * (y - 1.5) ** 2)
+    zeros = np.zeros(grid.shape_cells + (3,))
+    s0 = PlasmaState(n=1.0 + tau * bump, q_i=zeros, q_e=zeros.copy(),
+                     phi=np.zeros(grid.shape_cells))
+    stepper = APStepper(PhysParams(**dict(PARAMS, tau=tau, dt=dt)), grid,
+                        field)
+    state, values = s0, []
+    for _ in range(steps):
+        state, diag = stepper.step(state)
+        assert not diag.diverged, diag.note
+        values.append(diag.values)
+    return s0, state, values
+
+
+@pytest.fixture(scope="module", params=[5e-9, 1e-6])
+def curved_bump_run(request):
+    return curved_run(80.0, request.param)
+
+
+def test_curved_field_continuity_within_criterion_9(curved_bump_run):
+    # measured: at most 0.063 of the bound max(1e-6, 8 * floor)
+    for values in curved_bump_run[2]:
+        for a in ("i", "e"):
+            assert values[f"continuity_{a}"] <= max(
+                1e-6, 8.0 * values[f"continuity_floor_{a}"])
+
+
+@pytest.mark.parametrize("dt", [5e-9, 1e-6])
+def test_curved_field_constant_state_stays_exactly_stationary(dt):
+    s0, final, _ = curved_run(0.0, dt)
+    for name in ("n", "q_i", "q_e", "phi"):
+        assert np.array_equal(getattr(final, name), getattr(s0, name)), name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: where b varies, update_momentum adds the part of "
+    "F_par perpendicular to b_cell outside the Lorentz rotation; measured "
+    "worst momentum_i 1.1e-3 at dt = 5e-9 and 1.3e-3 at dt = 1e-6"))
+def test_curved_field_momentum_within_criterion_9(curved_bump_run):
+    for values in curved_bump_run[2]:
+        for a in ("i", "e"):
+            assert values[f"momentum_{a}"] <= 1e-6

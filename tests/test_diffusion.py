@@ -12,7 +12,7 @@ from driftlimit.harness import ManufacturedDiffusion
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
 from oracles import direct_macro_potential, manufactured_problem, \
-    scipy_cg_solve, solve_direct
+    scaled_micro_solve, scipy_cg_solve, solve_direct
 
 
 def circular_field(grid):
@@ -129,7 +129,7 @@ def test_micro_macro_decomposition_structure():
     assert np.array_equal(sol.p, sol.pi + sol.q)
     # the micro part lies in K_perp: its projection onto the kernel vanishes
     h_q = macro_potential(sol.q, prob.field, g,
-                          diffusion.macro_factor(prob.field, g))[0]
+                          diffusion.node_factor(prob.field, g, 0.0))[0]
     q_kernel = sol.q + apply_dhstar(h_q, prob.field, g)
     assert np.linalg.norm(q_kernel) <= 1e-9 * (1 + np.linalg.norm(sol.q))
     # kernel membership of the macro part
@@ -172,10 +172,10 @@ def node_field(values, grid):
 
 
 def test_micro_operator_matches_matrix_free():
-    # the micro node operator D N1 D + shift, mapped to cells by DE D,
+    # the micro node operator N1 + shift/H, mapped to cells by DE H,
     # against the stencil realisation -dhstar(masked * dh(.)) + shift of
-    # the cell system it stands for: DE D (D N1 D + shift) y
-    # = (A_H + shift) DE D y, for a curved coefficient and for 1
+    # the cell system it stands for: DE H (N1 + shift/H) z
+    # = (A_H + shift) DE z, for a curved coefficient and for 1
     g = Grid((1, 1), (2, 2), (12, 9))
     f = circular_field(g)
     xn, yn = g.node_coords()
@@ -183,77 +183,129 @@ def test_micro_operator_matches_matrix_free():
     rng = np.random.default_rng(3)
     for coeff in (1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2,
                   np.ones(g.shape_nodes)):
-        d = np.sqrt(coeff[g.interior_node_mask])
+        H = coeff[g.interior_node_mask]
         A = diffusion.node_operator(f, g, coeff, shift)
         for _ in range(20):
-            y = rng.standard_normal(d.size)
-            w = apply_dhstar(node_field(d * y, g), f, g)
+            z = rng.standard_normal(H.size)
+            w = apply_dhstar(node_field(z, g), f, g)
             ref = stiffness_matrix_free(w, f, coeff, g) + shift * w
-            got = apply_dhstar(node_field(d * A.dot(y), g), f, g)
+            got = apply_dhstar(node_field(H * A.dot(z), g), f, g)
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def micro_problem():
-    """A micro problem whose coefficient is far from 1, at regime 0.05,
-    with a node potential h that is 0 on the boundary layer, as the
-    decomposition hands it over."""
-    g = Grid((1, 1), (2, 2), (16, 16))
+def micro_problem(n=16, regime=0.05):
+    """A micro problem on n x n cells whose coefficient is far from 1, at
+    the given regime, with a node potential h that is 0 on the boundary
+    layer, as the decomposition hands it over."""
+    g = Grid((1, 1), (2, 2), (n, n))
     f = circular_field(g)
     xn, yn = g.node_coords()
     coeff = 1.0 + 0.5 * np.sin(3 * xn + 2 * yn)
-    shift = 0.05 * diffusion.operator_scale(g)
+    shift = regime * diffusion.operator_scale(g)
     rng = np.random.default_rng(12)
     h = rng.standard_normal(g.shape_nodes) * g.interior_node_mask
     return g, f, coeff, shift, h
 
 
 def node_system(h, field, grid, coeff, shift):
-    """The micro node system's operator and right-hand side, and the map
-    y -> w = DE D y back to cells."""
+    """The micro node system's operator and right-hand side, its
+    coefficient H on the interior nodes, and the map z -> w = DE z back
+    to cells."""
     ops = get_operator_set(field, grid)
-    d = np.sqrt(coeff.ravel()[ops.interior])
+    H = coeff.ravel()[ops.interior]
     return (diffusion.node_operator(field, grid, coeff, shift),
-            -h.ravel()[ops.interior] / d, d,
-            lambda y: (ops.DE @ (d * y)).reshape(grid.shape_cells))
+            -h.ravel()[ops.interior] / H, H,
+            lambda z: (ops.DE @ z).reshape(grid.shape_cells))
 
 
 def test_preconditioned_micro_matches_cg():
     # a factor of the unit-coefficient operator N1 + shift preconditions a
-    # micro solve whose coefficient is far from 1; the answer is the plain
-    # CG answer
+    # micro solve whose coefficient is far from 1; the answer is the CG
+    # answer without a factor
     g, f, coeff, shift, h = micro_problem()
-    lu = diffusion.micro_factor(f, g, shift)
-    assert lu is not None
-    assert diffusion.micro_factor(f, g, diffusion.operator_scale(g)) is None
+    lu = diffusion.node_factor(f, g, shift)
     w_cg, it_cg, _ = diffusion.solve_micro(h, f, g, coeff, shift)
     w_pcg, it_pcg, _ = diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
     assert it_pcg <= 30 < it_cg
     assert np.linalg.norm(w_pcg - w_cg) <= 1e-10 * np.linalg.norm(w_cg)
     # the in-place PCG iterates are scipy's, bit for bit
-    A, rhs, d, to_cells = node_system(h, f, g, coeff, shift)
-    y_ref, it_ref = scipy_cg_solve(
-        A, rhs, M=spla.LinearOperator(
-            A.shape, matvec=diffusion._ScaledFactor(lu, d).solve,
-            dtype=float))
-    assert np.array_equal(w_pcg, to_cells(y_ref)) and it_pcg == it_ref
+    A, rhs, _, to_cells = node_system(h, f, g, coeff, shift)
+    z_ref, it_ref = scipy_cg_solve(
+        A, rhs, M=spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float))
+    assert np.array_equal(w_pcg, to_cells(z_ref)) and it_pcg == it_ref
 
 
 @pytest.mark.parametrize("tau", [1e-2, 1e-9])
 def test_micro_cg_iterates_are_scipy_cg(tau):
     # the in-place CG keeps scipy's arithmetic order: same solution bits,
-    # same iteration count, on the manufactured sweep's micro solve
+    # same iteration count, on the manufactured sweep's micro solve,
+    # preconditioned by its coefficient when no factor is passed
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g)
     h = m.lam * tau * m.h_p + m.h_g
-    A, rhs, _, to_cells = node_system(h, m.field, g, m.H_nodes, tau * m.lam)
+    A, rhs, H, to_cells = node_system(h, m.field, g, m.H_nodes, tau * m.lam)
     w, iters, resid = diffusion.solve_micro(h, m.field, g, m.H_nodes,
-                                            tau * m.lam, A)
-    y_ref, iters_ref = scipy_cg_solve(A, rhs)
-    assert np.array_equal(w, to_cells(y_ref)) and iters == iters_ref > 0
+                                            tau * m.lam)
+    z_ref, iters_ref = scipy_cg_solve(
+        A, rhs, M=spla.LinearOperator(A.shape, matvec=lambda r: H * r,
+                                      dtype=float))
+    assert np.array_equal(w, to_cells(z_ref)) and iters == iters_ref > 0
     assert 0.0 < resid < diffusion.SOLVER_RTOL
 
 
-FACTORS = {"complete": diffusion.macro_factor,
+ORACLE_CASES = ["micro_problem-factor", "manufactured-complete",
+                "manufactured-incomplete",
+                *(f"regime{regime:g}-{n}" for n in (16, 64)
+                  for regime in (1.0, 10.0, 1e3))]
+
+
+def oracle_case_solves(case, monkeypatch):
+    """The ``solve_micro`` arguments of an oracle case: micro_problem with
+    its factor; the 20^2 manufactured sweep's micro solves with its
+    complete or (no grid factored) incomplete N1 factor; or micro_problem
+    at regime 1, 10 or 1e3 on 16^2 or 64^2 without a factor."""
+    if case == "micro_problem-factor":
+        g, f, coeff, shift, h = micro_problem()
+        return [(h, f, g, coeff, shift, diffusion.node_factor(f, g, shift))]
+    if case.startswith("manufactured"):
+        incomplete = case == "manufactured-incomplete"
+        if incomplete:
+            monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
+        g = Grid((1, 1), (2, 2), (20, 20))
+        m = ManufacturedDiffusion(g, lam=1.5)
+        assert isinstance(m.macro_lu, diffusion._SymmetricILU) == incomplete
+        return [(m.lam * tau * m.h_p + m.h_g, m.field, g, m.H_nodes,
+                 tau * m.lam, m.macro_lu) for tau in (1e-2, 1e-5, 1e-9)]
+    regime, n = case.removeprefix("regime").split("-")
+    g, f, coeff, shift, h = micro_problem(int(n), float(regime))
+    return [(h, f, g, coeff, shift, None)]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_micro_solve_matches_scaled_oracle(case, monkeypatch):
+    # solving for the node potential z with preconditioner F^-1, or
+    # diag(H) without a factor, is PCG on the scaled system
+    # (D N1 D + shift) y = -h / D, D = diag(sqrt(H)), with preconditioner
+    # D^-1 F^-1 D^-1, or none, rewritten in z = D y: the same iteration
+    # count, and the same solution up to the changed stopping norm
+    for h, f, g, coeff, shift, lu in oracle_case_solves(case, monkeypatch):
+        w, iters, _ = diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
+        w_ref, iters_ref = scaled_micro_solve(h, f, g, coeff, shift, lu=lu)
+        assert iters == iters_ref > 0
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_shift_dominated_micro_solve_is_preconditioned_by_its_coefficient(n):
+    # at regime 1 a coefficient in [0.5, 1.5] takes 12-13 iterations with
+    # the diag(H) preconditioner, and 19-22 without it
+    g, f, coeff, shift, h = micro_problem(n, 1.0)
+    assert diffusion.shift_dominated(g, shift)
+    _, iters, _ = diffusion.solve_micro(h, f, g, coeff, shift)
+    assert 0 < iters <= 15
+
+
+FACTORS = {"complete": lambda f, g: diffusion.node_factor(f, g, 0.0),
            "incomplete": diffusion.incomplete_macro_factor}
 
 
@@ -291,19 +343,21 @@ def test_cg_without_convergence_names_its_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("negated", ["preconditioner", "operator"])
-def test_cg_stops_at_once_on_a_non_positive_product(negated):
+def test_cg_stops_at_once_on_a_non_positive_product(negated, monkeypatch):
     # an indefinite preconditioner or operator would otherwise run CG to
     # its maxiter; r.z < 0 or p.Ap < 0 ends the solve where it shows
     g, f, coeff, shift, h = micro_problem()
-    A = diffusion.node_operator(f, g, coeff, shift)
+    lu = None
     if negated == "preconditioner":
-        lu = diffusion.micro_factor(f, g, shift)
-        kwargs = {"A": A, "lu": SimpleNamespace(solve=lambda r: -lu.solve(r))}
+        factor = diffusion.node_factor(f, g, shift)
+        lu = SimpleNamespace(solve=lambda r: -factor.solve(r))
     else:
-        kwargs = {"A": -A}
+        node_operator = diffusion.node_operator
+        monkeypatch.setattr(diffusion, "node_operator",
+                            lambda *args: -node_operator(*args))
     with pytest.raises(SolverError, match=f"^micro part: {negated} not "
                                           "positive at iteration 0$"):
-        diffusion.solve_micro(h, f, g, coeff, shift, **kwargs)
+        diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
 
 
 class CountingFactor:
@@ -320,7 +374,7 @@ class CountingFactor:
 def test_preconditioned_micro_solve_is_one_factor_solve_per_iteration():
     # no probe solve: each PCG iteration applies the factor once
     g, f, coeff, shift, h = micro_problem()
-    lu = CountingFactor(diffusion.micro_factor(f, g, shift))
+    lu = CountingFactor(diffusion.node_factor(f, g, shift))
     _, iters, _ = diffusion.solve_micro(h, f, g, coeff, shift, lu=lu)
     assert iters > 0 and lu.calls == iters
 
@@ -354,8 +408,8 @@ def test_manufactured_deviation_matches_matrix_free_solve(factored,
 @pytest.mark.parametrize("tau", [1e-2, 1e-9])
 def test_factored_manufactured_solve_is_a_few_factor_solves(tau,
                                                             monkeypatch):
-    # tau*lam is tiny against the node operator's spectrum, so the scaled
-    # N1 factor is an almost exact preconditioner: each PCG iteration
+    # tau*lam is tiny against the node operator's spectrum, so the N1
+    # factor is an almost exact preconditioner: each PCG iteration
     # applies it once, and a few iterations reach the tolerance
     g = Grid((1, 1), (2, 2), (20, 20))
     m = ManufacturedDiffusion(g)
@@ -451,7 +505,7 @@ def test_factored_macro_solve_is_one_factor_solve():
     g = Grid((1, 1), (2, 2), (20, 20))
     f = circular_field(g)
     gfield = np.random.default_rng(9).standard_normal(g.shape_cells)
-    lu = CountingFactor(diffusion.macro_factor(f, g))
+    lu = CountingFactor(diffusion.node_factor(f, g, 0.0))
     _, iters, _ = macro_potential(gfield, f, g, lu=lu)
     assert lu.calls == 1 and iters == 1
 
@@ -461,7 +515,7 @@ def test_macro_potential_projects_onto_complement():
     f = circular_field(g)
     rng = np.random.default_rng(8)
     gfield = rng.standard_normal(g.shape_cells)
-    h = macro_potential(gfield, f, g, diffusion.macro_factor(f, g))[0]
+    h = macro_potential(gfield, f, g, diffusion.node_factor(f, g, 0.0))[0]
     kernel_part = gfield + apply_dhstar(h, f, g)
     # the projection onto K is orthogonal to every dhstar image
     w = rng.standard_normal(g.shape_nodes) * g.interior_node_mask

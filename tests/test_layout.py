@@ -10,10 +10,10 @@ AST scans of the package modules:
   attribute, as in ``spla.cg``) would be a second CG path beside
   ``diffusion._cg_solve``, the in-place loop every solve shares;
 - a ``.solve(`` call outside a method named ``solve`` would apply a
-  factor directly, beside that loop.  Inside one, it is a preconditioner
-  adapter such as ``diffusion._SymmetricILU`` or
-  ``diffusion._ScaledFactor``; elsewhere a factor is handed to the loop as
-  its preconditioner, ``psolve=lu.solve``, and never called;
+  factor directly, beside that loop.  Inside one, it is the one
+  preconditioner adapter, ``diffusion._SymmetricILU``; elsewhere a factor
+  is handed to the loop as its preconditioner, ``psolve=lu.solve``, and
+  never called;
 - a top-level function or class that no package module names outside its
   own definition (``__init__.py``'s re-exports do not count) is reached
   only from tests: an alternative path the package never runs.  The one

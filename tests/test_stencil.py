@@ -178,8 +178,9 @@ def test_sbp_property_random_fields(nx, ny, angle):
 def test_diagonal_operators_equal_their_csr_products(cells):
     # both square operators are stored on at most nine diagonals: N1 bit
     # for bit the CSR product it comes from, and the micro node operator,
-    # N1 scaled on its diagonals, entry for entry (DE D)^T (DE D) + shift I;
-    # on 2 x 2 cells the stencil offsets +-1, +-(ny - 1) collide
+    # N1 shifted on its main diagonal, entry for entry
+    # DE^T DE + diag(shift / H); on 2 x 2 cells the stencil offsets +-1,
+    # +-(ny - 1) collide
     g = Grid((1, 1), (2, 2), cells)
     f = circular_field(g)
     ops = get_operator_set(f, g)
@@ -187,8 +188,8 @@ def test_diagonal_operators_equal_their_csr_products(cells):
     coeff = 1.0 + 0.5 * np.sin(3 * xn) ** 2 * np.cos(yn) ** 2
     shift = 0.37
     A = node_operator(f, g, coeff, shift)
-    DE_D = ops.DE @ sp.diags(np.sqrt(coeff.ravel()[ops.interior]))
-    A_ref = (DE_D.T @ DE_D + shift * sp.identity(ops.interior.size)).toarray()
+    A_ref = (ops.DE.T @ ops.DE
+             + sp.diags(shift / coeff.ravel()[ops.interior])).toarray()
     for dia in (A, ops.N1):
         assert isinstance(dia, sp.dia_matrix) and len(dia.offsets) <= 9
     assert np.array_equal(ops.N1.toarray(), (ops.DE.T @ ops.DE).toarray())
