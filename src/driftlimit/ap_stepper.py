@@ -9,9 +9,9 @@ A step advances (n, q_i, q_e, phi) by:
 3. assembling the potential source S (uses the new density) and solving
    the aligned diffusion problem for phi with coefficient n averaged to
    nodes and lam2 = T_e C / (dt^2 (1 + T_e));
-4. updating the parallel momentum per species, with the stiff pressure +
-   electric force coupled through the node gradient and averaged back to
-   cells;
+4. updating the parallel momentum per species as one scalar along b:
+   the stiff pressure + electric force enters as the cell average of the
+   node scalar s whose dhstar the eliminations use;
 5. updating the perpendicular momentum per species through the closed-form
    Lorentz rotation v - mu v x B = r with B = b, mu = -gamma, which is
    (I - gamma b x) q_perp = r_perp.
@@ -230,16 +230,15 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     """Node-coupled stiff pressure + electric force at one time level.
 
     With n_star = node_average(n), returns per species a the triple
-    (s, F_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
-    the parallel force F_par = cell average of b s, and the cell average
-    P_c of the perpendicular term b x (q_a T_a grad n + n_star grad phi)
-    / |B|; F_par and P_c are three cell planes each.
+    (s, f_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
+    the force along b, f_par = cell average of s (one plane: the force
+    points along b), and the cell average P_c (three planes) of the
+    perpendicular term b x (q_a T_a grad n + n_star grad phi) / |B|.
     """
     n_star = node_average(n, grid)
     grad_n = apply_grad_star(n, grid)
     grad_phi = apply_grad_star(phi, grid)
-    b_n = field.b_node_planes
-    bx, by, bz = b_n
+    bx, by, bz = field.b_node_planes
     # apply_dh with the flux condition: zero on the boundary node layer
     dh_n, dh_phi = (np.where(grid.interior_node_mask, bx * gx + by * gy, 0.0)
                     for gx, gy in (grad_n, grad_phi))
@@ -248,13 +247,12 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     for a in SPECIES:
         qa, Ta = p.charge(a), p.T_a(a)
         s = Ta * dh_n + qa * n_star * dh_phi
-        F_par = tuple(cell_from_nodes(bk * s, grid) for bk in b_n)
         # b x (ux, uy, 0): the gradient on the 2D mesh has no z component
         ux, uy = (qa * Ta * g + ng for g, ng in zip(grad_n, n_grad_phi))
         P_node = (-(bz * uy), bz * ux, bx * uy - by * ux)
         P_c = tuple(cell_from_nodes(Pk / field.bmag_nodes, grid)
                     for Pk in P_node)
-        terms[a] = (s, F_par, P_c)
+        terms[a] = (s, cell_from_nodes(s, grid), P_c)
     return terms
 
 
@@ -262,9 +260,10 @@ def update_momentum(a: str, q: tuple, fv: dict, force: tuple,
                     field: MagneticField, p: PhysParams) -> tuple:
     """New momentum planes of species a: q is its momentum planes, fv its
     ``species_fv_divergence`` entry and force its ``stiff_force_terms``
-    entry at the new time level."""
+    entry at the new time level; the parallel part is b_cell times one
+    scalar."""
     qa, eta, dt = p.charge(a), p.eps_a(a) * p.tau, p.dt
-    _, F_par, P_c = force
+    _, f_par, P_c = force
     b, bmag, mom = field.b_cell_planes, field.bmag_cells, fv["mom"]
 
     # perpendicular update; electric/pressure term node-coupled
@@ -275,10 +274,9 @@ def update_momentum(a: str, q: tuple, fv: dict, force: tuple,
     r_perp = [rk - bk * b_r for rk, bk in zip(r, b)]
     q_perp = solve_momentum_rotation(r_perp, b, -(qa * eta / (dt * bmag)))
 
-    # parallel update; stiff force via the node coupling
-    b_q, b_mom = dot(b, q), dot(b, mom)
-    return tuple(bk * b_q - dt * (bk * b_mom) - (dt / eta) * Fk + qk
-                 for bk, Fk, qk in zip(b, F_par, q_perp))
+    # parallel update; stiff force f_par along b via the node coupling
+    q_par = dot(b, q) - dt * dot(b, mom) - (dt / eta) * f_par
+    return tuple(bk * q_par + qk for bk, qk in zip(b, q_perp))
 
 
 class APStepper:
@@ -378,12 +376,12 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     step itself used.  Continuity uses the same realisations the
     eliminations used: explicit parallel flux via dhstar(b .
     node_average(.)), stiff force via the three-point composite
-    dhstar(s).  Momentum recombines the parallel and perpendicular force
-    realisations into the full equation.  Residual norms are reported
-    relative to the largest constituent term.  Returns the residual
-    columns of diagnostics.csv per species a: continuity_a, its float64
-    floor continuity_floor_a, momentum_a and the aligned-derivative norm
-    ap_node_a.
+    dhstar(s).  Momentum recombines the parallel force b_cell f_par and
+    the perpendicular force realisation into the full equation.  Residual
+    norms are reported relative to the largest constituent term.  Returns
+    the residual columns of diagnostics.csv per species a: continuity_a,
+    its float64 floor continuity_floor_a, momentum_a and the
+    aligned-derivative norm ap_node_a.
     """
     values = {}
     dt = p.dt
@@ -395,7 +393,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
 
     for a in SPECIES:
         qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
-        s, F_par, P_c = forces[a]
+        s, f_par, P_c = forces[a]
         mom = fv[a]["mom"]
 
         # continuity
@@ -424,8 +422,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         coeff = -qa * bmag
         mterms = [(state_new.q(a) - state_m.q(a)) / dt,
                   interleave(mom),
-                  interleave([(Fk + coeff * ck) / eta
-                              for Fk, ck in zip(F_par, cross(b_c, P_c))]),
+                  interleave([(bk * f_par + coeff * ck) / eta
+                              for bk, ck in zip(b_c, cross(b_c, P_c))]),
                   interleave([-(qa / eta) * ck
                               for ck in cross(q_new[a], B_c)])]
         # the Lorentz bound keeps the relative residual meaningful when the

@@ -30,8 +30,8 @@ component: ``stiff_force_terms``, ``ap_momentum_update`` (both species),
 ``step_residuals``, ``_div_parallel`` and ``central_gradient``, against
 which the component-plane kernels of ``driftlimit.ap_stepper`` and
 ``driftlimit.classical`` are checked.  Their ``fv`` entries and forces
-are vectors too: ``fv[a]["mom"]``, ``F_par`` and ``P_c`` have shape
-(..., 3).
+are vectors too: ``fv[a]["mom"]`` and ``P_c`` have shape (..., 3); the
+force along b, ``f_par``, is one cell plane.
 
 ``write_field_csv`` is the field dump that formats each cell's
 coordinates in every call, against whose bytes the template writer of
@@ -283,8 +283,8 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     """Node-coupled stiff pressure + electric force at one time level.
 
     With n_star = node_average(n), returns per species a the triple
-    (s, F_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
-    the parallel force F_par = cell average of b s, and the cell average
+    (s, f_par, P_c): the node field s = T_a dh(n) + q_a n_star dh(phi),
+    the force along b, f_par = cell average of s, and the cell average
     of the perpendicular term b x (q_a T_a grad n + n_star grad phi) / |B|.
     """
     n_star = node_average(n, grid)
@@ -299,11 +299,11 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     for a in SPECIES:
         qa, Ta = p.charge(a), p.T_a(a)
         s = Ta * dh_n + qa * n_star * dh_phi
-        F_par = cell_from_nodes(b_n * s[..., None], grid)
         P_node = np.cross(
             b_n, qa * Ta * grad_n + n_star[..., None] * grad_phi) \
             / field.bmag_nodes[..., None]
-        terms[a] = (s, F_par, cell_from_nodes(P_node, grid))
+        terms[a] = (s, cell_from_nodes(s, grid),
+                    cell_from_nodes(P_node, grid))
     return terms
 
 
@@ -316,12 +316,13 @@ def ap_momentum_update(state: PlasmaState, fv: dict, forces: dict,
     q_new = {}
     for a in SPECIES:
         qa, eta = p.charge(a), p.eps_a(a) * p.tau
-        _, F_par, P_c = forces[a]
+        _, f_par, P_c = forces[a]
 
-        # parallel update; stiff force via the node coupling
-        q_par = (_parallel(state.q(a), b_c)
-                 - p.dt * _parallel(fv[a]["mom"], b_c)
-                 - (p.dt / eta) * F_par)
+        # parallel update: b_c times one scalar; stiff force along b
+        q_par = b_c * (np.einsum("...k,...k->...", b_c, state.q(a))
+                       - p.dt * np.einsum("...k,...k->...", b_c,
+                                          fv[a]["mom"])
+                       - (p.dt / eta) * f_par)[..., None]
 
         # perpendicular update; electric/pressure term node-coupled
         r = P_c + (qa * eta / bmag_c)[..., None] * np.cross(
@@ -360,7 +361,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
 
     for a in SPECIES:
         qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
-        s, F_par, P_c = forces[a]
+        s, f_par, P_c = forces[a]
 
         # continuity
         expl_par = _parallel(state_m.q(a) - dt * fv[a]["mom"], b_c)
@@ -387,7 +388,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         B_c = b_c * field.bmag_cells[..., None]
         mterms = [(state_new.q(a) - state_m.q(a)) / dt,
                   fv[a]["mom"],
-                  (F_par + F_perp) / eta,
+                  (b_c * f_par[..., None] + F_perp) / eta,
                   -(qa / eta) * np.cross(state_new.q(a), B_c)]
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust

@@ -390,21 +390,27 @@ def test_phi_micro_preconditioned_at_large_dt():
             1e-6, 8.0 * diag.values[f"continuity_floor_{a}"])
 
 
-def curved_run(eta, dt, steps=30):
-    """30 AP steps on the circular field B = (y, -x, 0) on [1,2]^2 at 50^2,
-    tau = 1e-8, from n = 1 + tau * bump (the test case's bump of width
-    parameter eta, 0 for a constant), q = 0 and phi = 0: the initial
-    state, the final state and every step's diagnostics values.  Where b
-    varies the aligned derivative has a non-trivial kernel, so both
-    branches of each diffusion solve see it."""
+def circular_setup(eta, tau):
+    """The circular field B = (y, -x, 0) on [1,2]^2 at 50^2 and the state
+    n = 1 + tau * bump (the test case's bump of width parameter eta, 0
+    for a constant), q = 0 and phi = 0: grid, field and state.  With
+    eta = 0 the state is exactly stationary on any field."""
     grid = Grid((1.0, 1.0), (2.0, 2.0), (50, 50))
     field = MagneticField.from_function(grid, lambda x, y: (y, -x, 0 * x))
     x, y = grid.cell_coords()
-    tau = 1e-8
     bump = np.maximum(0.0, 1.0 - eta * (x - 1.5) ** 2 - eta * (y - 1.5) ** 2)
     zeros = np.zeros(grid.shape_cells + (3,))
-    s0 = PlasmaState(n=1.0 + tau * bump, q_i=zeros, q_e=zeros.copy(),
-                     phi=np.zeros(grid.shape_cells))
+    return grid, field, PlasmaState(n=1.0 + tau * bump, q_i=zeros,
+                                    q_e=zeros.copy(),
+                                    phi=np.zeros(grid.shape_cells))
+
+
+def curved_run(eta, dt, steps=30, tau=1e-8):
+    """AP steps (30 by default) on ``circular_setup(eta, tau)``: the
+    initial state, the final state and every step's diagnostics values.
+    Where b varies the aligned derivative has a non-trivial kernel, so
+    both branches of each diffusion solve see it."""
+    grid, field, s0 = circular_setup(eta, tau)
     stepper = APStepper(PhysParams(**dict(PARAMS, tau=tau, dt=dt)), grid,
                         field)
     state, values = s0, []
@@ -421,7 +427,7 @@ def curved_bump_run(request):
 
 
 def test_curved_field_continuity_within_criterion_9(curved_bump_run):
-    # measured: at most 0.063 of the bound max(1e-6, 8 * floor)
+    # measured: at most 0.034 of the bound max(1e-6, 8 * floor)
     for values in curved_bump_run[2]:
         for a in ("i", "e"):
             assert values[f"continuity_{a}"] <= max(
@@ -435,11 +441,19 @@ def test_curved_field_constant_state_stays_exactly_stationary(dt):
         assert np.array_equal(getattr(final, name), getattr(s0, name)), name
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 8: where b varies, update_momentum adds the part of "
-    "F_par perpendicular to b_cell outside the Lorentz rotation; measured "
-    "worst momentum_i 1.1e-3 at dt = 5e-9 and 1.3e-3 at dt = 1e-6"))
 def test_curved_field_momentum_within_criterion_9(curved_bump_run):
+    # measured: worst 2.4e-16 at dt = 5e-9 and 7.4e-17 at dt = 1e-6
     for values in curved_bump_run[2]:
         for a in ("i", "e"):
             assert values[f"momentum_{a}"] <= 1e-6
+
+
+@pytest.mark.parametrize("dt", [5e-9, 1e-6])
+def test_curved_field_ap_node_residual_linear_in_tau(dt):
+    # criterion 8 on the circular field; measured slopes 1.000 (both
+    # species) at dt = 5e-9, 0.950 (ion) and 1.047 (electron) at 1e-6
+    taus = (1e-4, 1e-6, 1e-8)
+    res = [curved_run(80.0, dt, steps=1, tau=tau)[2][0] for tau in taus]
+    for a in ("i", "e"):
+        slope = fit_slope(list(taus), [v[f"ap_node_{a}"] for v in res])
+        assert 0.7 <= slope <= 1.3

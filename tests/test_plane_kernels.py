@@ -15,7 +15,7 @@ import oracles
 from driftlimit import ap_stepper
 from driftlimit.ap_stepper import SPECIES, PhysParams, PlasmaState
 from driftlimit.classical import central_gradient
-from driftlimit.grid import Grid, components, interleave
+from driftlimit.grid import Grid, components, dot, interleave
 from driftlimit.harness import RunConfig, make_two_fluid_setup
 from driftlimit.stencil import MagneticField
 
@@ -42,9 +42,9 @@ def kernel_pairs(field, grid, p, rng):
     want_q = oracles.ap_momentum_update(s0, fv_vec, want_forces, field, p)
     pairs = []
     for a in SPECIES:
-        s, F_par, P_c = forces[a]
-        for name, got, want in zip(("s", "F_par", "P_c"),
-                                   (s, interleave(F_par), interleave(P_c)),
+        s, f_par, P_c = forces[a]
+        for name, got, want in zip(("s", "f_par", "P_c"),
+                                   (s, f_par, interleave(P_c)),
                                    want_forces[a]):
             pairs.append((f"{name}_{a}", got, want))
         q_new = ap_stepper.update_momentum(a, q0[a], fv[a], forces[a], field,
@@ -69,12 +69,18 @@ def kernel_pairs(field, grid, p, rng):
     return pairs
 
 
-def test_plane_kernels_match_oracles_on_curved_field():
+def curved_case():
+    """A 13x11 grid, a field with a z component whose direction varies
+    from cell to cell, and parameters with two distinct eta_a."""
     g = Grid((1.0, 1.0), (2.0, 2.0), (13, 11))
     f = MagneticField.from_function(
         g, lambda x, y: (np.sin(3 * y), 1.0 + 0.5 * np.cos(2 * x), 0.3 + x * y))
     assert np.min(np.abs(f.b_cells[..., 2])) > 0.05
-    p = PhysParams(tau=1e-3, eps=0.25, T_e=3.0, C=1e-2, dt=1e-3)
+    return g, f, PhysParams(tau=1e-3, eps=0.25, T_e=3.0, C=1e-2, dt=1e-3)
+
+
+def test_plane_kernels_match_oracles_on_curved_field():
+    g, f, p = curved_case()
     rng = np.random.default_rng(23)
     for _ in range(3):
         for name, got, want in kernel_pairs(f, g, p, rng):
@@ -92,3 +98,29 @@ def test_plane_kernels_bitwise_oracles_on_reference_field():
         for name, got, want in kernel_pairs(f, g, cfg.phys_params(), rng):
             assert got.shape == want.shape, name
             assert np.array_equal(got, want), name
+
+
+def test_force_along_b_moves_only_the_parallel_momentum():
+    # zeroing f_par leaves q_new's part across b_cell unchanged and moves
+    # its part along b_cell by (dt/eta) f_par: the stiff parallel force
+    # enters the momentum along b_cell alone, also where b varies
+    g, f, p = curved_case()
+    rng = np.random.default_rng(31)
+    s0, s1 = random_state(g, rng), random_state(g, rng)
+    q0 = {a: components(s0.q(a)) for a in SPECIES}
+    fv = ap_stepper.species_fv_divergence(s0, q0, f, g)
+    forces = ap_stepper.stiff_force_terms(s1.n, s1.phi, f, p, g)
+    b = f.b_cell_planes
+    for a in SPECIES:
+        s, f_par, P_c = forces[a]
+        kick = (p.dt / (p.eps_a(a) * p.tau)) * f_par
+        parts = []
+        for force in (forces[a], (s, np.zeros_like(f_par), P_c)):
+            q_new = np.array(ap_stepper.update_momentum(a, q0[a], fv[a],
+                                                        force, f, p))
+            par = dot(b, q_new)
+            parts.append((par, q_new - b * par))
+        (par, perp), (par0, perp0) = parts
+        assert np.max(np.abs(perp - perp0)) <= 1e-14 * np.max(np.abs(perp))
+        assert np.max(np.abs(par0 - par - kick)) <= \
+            1e-14 * np.max(np.abs(kick))
