@@ -10,8 +10,8 @@ A step advances (n, q_i, q_e, phi) by:
    the aligned diffusion problem for phi with coefficient n averaged to
    nodes and lam2 = T_e C / (dt^2 (1 + T_e));
 4. updating the parallel momentum per species as one scalar along b:
-   the stiff pressure + electric force enters as the cell average of the
-   node scalar s whose dhstar the eliminations use;
+   par (below) minus the stiff pressure + electric force, the cell
+   average of the node scalar s whose dhstar the eliminations use;
 5. updating the perpendicular momentum per species through the closed-form
    Lorentz rotation v - mu v x B = r with B = b, mu = -gamma, which is
    (I - gamma b x) q_perp = r_perp.
@@ -21,10 +21,12 @@ splits each momentum once on entry into its three contiguous (nx, ny)
 component planes (``grid.components``), computes every kernel plane by
 plane, and stacks the new momenta once on exit.
 
-Divergence composites of parallel vector fields, written div(b (b . v)),
-are realised as dhstar(b_nodes . node_average(v)); applied to the implicit
-force this reduces exactly to the three-point operator pair dhstar o dh,
-which is what makes the n/phi eliminations close.
+Divergence composites div(b (b . v)) are realised as
+dhstar(node_average(b_cell . v)), so momentum across b_cell carries no
+parallel flux.  The explicit one takes par = b_cell . (q - dt mom), one
+plane per species formed once per step and shared by the sources, the
+momentum update and the residuals; the implicit one takes the node
+scalar s and is exactly dhstar o dh, so the n/phi eliminations close.
 
 The stiff force terms are evaluated literally (no analytic cancellation
 of 1/tau): the diffusion solves keep the aligned gradients O(tau), so the
@@ -187,41 +189,33 @@ def species_fv_divergence(state: PlasmaState, q: dict, field: MagneticField,
 
 
 def _div_parallel(v, field: MagneticField, grid: Grid) -> np.ndarray:
-    """div(b (b . v)) composite: dhstar of b . node_average(v), v given as
-    cell component planes."""
-    w = dot(field.b_node_planes, [node_average(vk, grid) for vk in v])
-    return apply_dhstar(w, field, grid)
+    """div(b (b . u)) composite of the cell plane v = b_cell . u: dhstar
+    of node_average(v)."""
+    return apply_dhstar(node_average(v, grid), field, grid)
 
 
-def assemble_R(state: PlasmaState, q: dict, field: MagneticField,
+def assemble_R(state: PlasmaState, par: dict, field: MagneticField,
                p: PhysParams, grid: Grid, fv: dict) -> np.ndarray:
-    """Source of the density diffusion equation (explicit data only); q
-    holds the state's momentum planes and fv is their
-    ``species_fv_divergence``."""
+    """Source of the density diffusion equation (explicit data only); par
+    holds each species' explicit parallel momentum b_cell . (q - dt mom)
+    and fv is the ``species_fv_divergence`` it was formed from."""
     dt, eps = p.dt, p.eps
-    arg = [-(qi + eps * qe) / dt + mi + eps * me
-           for qi, qe, mi, me in zip(q["i"], q["e"], fv["i"]["mom"],
-                                     fv["e"]["mom"])]
     return ((1.0 + eps) / dt**2 * state.n
-            + _div_parallel(arg, field, grid)
+            - _div_parallel((par["i"] + eps * par["e"]) / dt, field, grid)
             - (fv["i"]["mass"] + eps * fv["e"]["mass"]) / dt) / (1.0 + p.T_e)
 
 
-def assemble_S(state: PlasmaState, q: dict, n_new: np.ndarray,
+def assemble_S(state: PlasmaState, par: dict, n_new: np.ndarray,
                field: MagneticField, p: PhysParams, grid: Grid,
                fv: dict) -> np.ndarray:
     """Source of the potential diffusion equation (needs the new density);
-    q holds the state's momentum planes and fv is their
-    ``species_fv_divergence``."""
+    par and fv are as for ``assemble_R``."""
     dt, eps, Te = p.dt, p.eps, p.T_e
     r = eps / Te
-    arg = [-(qi - r * qe) / dt + mi - r * me
-           for qi, qe, mi, me in zip(q["i"], q["e"], fv["i"]["mom"],
-                                     fv["e"]["mom"])]
     return (Te / (1.0 + Te)) * (
         (eps - Te) / (dt**2 * Te) * (n_new - state.n)
         + p.C / dt**2 * state.phi
-        + _div_parallel(arg, field, grid)
+        - _div_parallel((par["i"] - r * par["e"]) / dt, field, grid)
         - (fv["i"]["mass"] - r * fv["e"]["mass"]) / dt)
 
 
@@ -256,9 +250,11 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     return terms
 
 
-def update_momentum(a: str, q: tuple, fv: dict, force: tuple,
-                    field: MagneticField, p: PhysParams) -> tuple:
-    """New momentum planes of species a: q is its momentum planes, fv its
+def update_momentum(a: str, q: tuple, par: np.ndarray, fv: dict,
+                    force: tuple, field: MagneticField,
+                    p: PhysParams) -> tuple:
+    """New momentum planes of species a: q is its momentum planes, par its
+    explicit parallel momentum b_cell . (q - dt mom), fv its
     ``species_fv_divergence`` entry and force its ``stiff_force_terms``
     entry at the new time level; the parallel part is b_cell times one
     scalar."""
@@ -275,7 +271,7 @@ def update_momentum(a: str, q: tuple, fv: dict, force: tuple,
     q_perp = solve_momentum_rotation(r_perp, b, -(qa * eta / (dt * bmag)))
 
     # parallel update; stiff force f_par along b via the node coupling
-    q_par = dot(b, q) - dt * dot(b, mom) - (dt / eta) * f_par
+    q_par = par - (dt / eta) * f_par
     return tuple(bk * q_par + qk for bk, qk in zip(b, q_perp))
 
 
@@ -320,8 +316,10 @@ class APStepper:
 
         q = {a: components(state.q(a)) for a in SPECIES}
         fv = species_fv_divergence(state, q, field, grid)
+        b = field.b_cell_planes
+        par = {a: dot(b, q[a]) - p.dt * dot(b, fv[a]["mom"]) for a in SPECIES}
 
-        R = assemble_R(state, q, field, p, grid, fv)
+        R = assemble_R(state, par, field, p, grid, fv)
         try:
             sol_n = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=np.ones(grid.shape_nodes), lam=p.lam1,
@@ -331,7 +329,7 @@ class APStepper:
                 diag.diverged, diag.note = True, "density lost positivity"
                 return state, diag
 
-            S = assemble_S(state, q, n_new, field, p, grid, fv)
+            S = assemble_S(state, par, n_new, field, p, grid, fv)
             sol_phi = solve_micro_macro(AnisoDiffusionProblem(
                 field=field, coeff=node_average(n_new, grid), lam=p.lam2,
                 tau=p.tau, rhs=S), grid, micro_lu=self.phi_lu,
@@ -346,7 +344,8 @@ class APStepper:
             return state, diag
 
         forces = stiff_force_terms(n_new, phi_new, field, p, grid)
-        q_new = {a: update_momentum(a, q[a], fv[a], forces[a], field, p)
+        q_new = {a: update_momentum(a, q[a], par[a], fv[a], forces[a],
+                                    field, p)
                  for a in SPECIES}
         new = PlasmaState(n=n_new, q_i=interleave(q_new["i"]),
                           q_e=interleave(q_new["e"]), phi=phi_new, t=t_new)
@@ -354,7 +353,7 @@ class APStepper:
             diag.diverged, diag.note = True, "momentum diverged"
             return new, diag
 
-        diag.values = step_residuals(state, new, q, q_new, field, p, grid,
+        diag.values = step_residuals(state, new, par, q_new, field, p, grid,
                                      fv, forces)
         for slot, sol in (("n", sol_n), ("phi", sol_phi)):
             for part, count in sol.iterations.items():
@@ -366,16 +365,17 @@ class APStepper:
 
 
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
-                   q_m: dict, q_new: dict, field: MagneticField,
+                   par: dict, q_new: dict, field: MagneticField,
                    p: PhysParams, grid: Grid, fv: dict, forces: dict) -> dict:
     """Plug both time levels into the discrete equations.
 
-    q_m and q_new hold the momentum planes of the two states, fv is
+    par holds each species' explicit parallel momentum b_cell . (q - dt
+    mom) at state_m, q_new the momentum planes of state_new, fv is
     ``species_fv_divergence`` of state_m and forces is
     ``stiff_force_terms`` of (state_new.n, state_new.phi): the terms the
     step itself used.  Continuity uses the same realisations the
-    eliminations used: explicit parallel flux via dhstar(b .
-    node_average(.)), stiff force via the three-point composite
+    eliminations used: explicit parallel flux via
+    dhstar(node_average(par)), stiff force via the three-point composite
     dhstar(s).  Momentum recombines the parallel force b_cell f_par and
     the perpendicular force realisation into the full equation.  Residual
     norms are reported relative to the largest constituent term.  Returns
@@ -397,10 +397,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         mom = fv[a]["mom"]
 
         # continuity
-        b_expl = dot(b_c, [qk - dt * mk for qk, mk in zip(q_m[a], mom)])
-        w = dot(field.b_node_planes,
-                [node_average(bk * b_expl, grid) for bk in b_c]) \
-            - (dt / eta) * s
+        w = node_average(par[a], grid) - (dt / eta) * s
         terms = [(state_new.n - state_m.n) / dt,
                  p.C_a(a) * (state_new.phi - state_m.phi) / dt,
                  apply_dhstar(w, field, grid),

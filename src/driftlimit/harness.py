@@ -30,7 +30,7 @@ from .diffusion import incomplete_macro_factor, macro_potential, \
 from .grid import Grid, discrete_norms, write_field_csv
 from .stencil import MagneticField, apply_dhstar
 
-MOMENTUM_GROWTH_LIMIT = 1e6     # max |q| over its initial value ends a run
+MOMENTUM_GROWTH_LIMIT = 1e6     # max |q| over max(|q0|, |B|) ends a run
 # SuperLU takes int32 indices, and a micro or macro operator holds up to 9
 # nonzeros per row (a cell or node couples to its 3x3 neighbourhood)
 MAX_CELLS = (2**31 - 1) // 9
@@ -498,8 +498,9 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
                    dump_dir=None) -> SimulationResult:
     """Advance one scheme by cfg.dt to cfg.t_end, recording per-step
     diagnostics and divergence: a step's own flag, or momentum growth
-    beyond MOMENTUM_GROWTH_LIMIT.  With a dump_dir, the state is dumped
-    every cfg.output_interval steps and after the last step."""
+    beyond MOMENTUM_GROWTH_LIMIT times the larger of max|q0| and max|B|
+    (a state at rest starts from q0 = 0).  With a dump_dir, the state is
+    dumped every cfg.output_interval steps and after the last step."""
     params = cfg.phys_params()
     steps = _num_steps(cfg.t_end, cfg.dt)
     if scheme == "ap":
@@ -510,7 +511,8 @@ def run_simulation(scheme: str, cfg: RunConfig, grid: Grid,
 
     state = state0.copy()
     q_limit = MOMENTUM_GROWTH_LIMIT * max(np.abs(state0.q_i).max(),
-                                          np.abs(state0.q_e).max())
+                                          np.abs(state0.q_e).max(),
+                                          field.bmag_cells.max())
     result = SimulationResult(scheme=scheme, dt=cfg.dt, final_state=state)
     for m in range(1, steps + 1):
         new, diag = step(state)

@@ -271,11 +271,19 @@ def solve_momentum_rotation(r: np.ndarray, B: np.ndarray, mu) -> np.ndarray:
                     axis=-1)
 
 
+def _explicit_parallel(q: np.ndarray, mom: np.ndarray,
+                       b_c: np.ndarray, dt: float) -> np.ndarray:
+    """The explicit parallel momentum b_c . q - dt b_c . mom, one cell
+    plane."""
+    return (np.einsum("...k,...k->...", b_c, q)
+            - dt * np.einsum("...k,...k->...", b_c, mom))
+
+
 def _div_parallel(v_cells: np.ndarray, field: MagneticField,
                   grid: Grid) -> np.ndarray:
-    """div(b (b . v)) composite: dhstar of b . node_average(v)."""
-    w = np.einsum("...k,...k->...", field.b_nodes, node_average(v_cells, grid))
-    return apply_dhstar(w, field, grid)
+    """div(b (b . v)) composite: dhstar of node_average(b_cell . v)."""
+    par = np.einsum("...k,...k->...", field.b_cells, v_cells)
+    return apply_dhstar(node_average(par, grid), field, grid)
 
 
 def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
@@ -319,9 +327,8 @@ def ap_momentum_update(state: PlasmaState, fv: dict, forces: dict,
         _, f_par, P_c = forces[a]
 
         # parallel update: b_c times one scalar; stiff force along b
-        q_par = b_c * (np.einsum("...k,...k->...", b_c, state.q(a))
-                       - p.dt * np.einsum("...k,...k->...", b_c,
-                                          fv[a]["mom"])
+        q_par = b_c * (_explicit_parallel(state.q(a), fv[a]["mom"], b_c,
+                                          p.dt)
                        - (p.dt / eta) * f_par)[..., None]
 
         # perpendicular update; electric/pressure term node-coupled
@@ -343,8 +350,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     fv is ``species_fv_divergence`` of state_m and forces is
     ``stiff_force_terms`` of (state_new.n, state_new.phi): the terms the
     step itself used.  Continuity uses the same realisations the
-    eliminations used: explicit parallel flux via dhstar(b .
-    node_average(.)), stiff force via the three-point composite
+    eliminations used: explicit parallel flux via dhstar(node_average(
+    b_c . (q - dt mom))), stiff force via the three-point composite
     dhstar(s).  Momentum recombines the parallel and perpendicular force
     realisations into the full equation.  Residual norms are reported
     relative to the largest constituent term.  Returns the residual
@@ -354,7 +361,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     """
     values = {}
     dt = p.dt
-    b_c, b_n = field.b_cells, field.b_nodes
+    b_c = field.b_cells
 
     def l2(x):
         return float(np.linalg.norm(x))
@@ -364,9 +371,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         s, f_par, P_c = forces[a]
 
         # continuity
-        expl_par = _parallel(state_m.q(a) - dt * fv[a]["mom"], b_c)
-        w = np.einsum("...k,...k->...", b_n, node_average(expl_par, grid)) \
-            - (dt / eta) * s
+        par = _explicit_parallel(state_m.q(a), fv[a]["mom"], b_c, dt)
+        w = node_average(par, grid) - (dt / eta) * s
         terms = [(state_new.n - state_m.n) / dt,
                  p.C_a(a) * (state_new.phi - state_m.phi) / dt,
                  apply_dhstar(w, field, grid),

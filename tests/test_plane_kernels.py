@@ -15,7 +15,7 @@ import oracles
 from driftlimit import ap_stepper
 from driftlimit.ap_stepper import SPECIES, PhysParams, PlasmaState
 from driftlimit.classical import central_gradient
-from driftlimit.grid import Grid, components, dot, interleave
+from driftlimit.grid import Grid, components, cross, dot, interleave
 from driftlimit.harness import RunConfig, make_two_fluid_setup
 from driftlimit.stencil import MagneticField
 
@@ -28,6 +28,12 @@ def random_state(grid, rng):
                        phi=rng.standard_normal(grid.shape_cells))
 
 
+def explicit_parallel(q, fv, field, dt):
+    """Per species the plane b_cell . (q - dt mom), as a step forms it."""
+    b = field.b_cell_planes
+    return {a: dot(b, q[a]) - dt * dot(b, fv[a]["mom"]) for a in SPECIES}
+
+
 def kernel_pairs(field, grid, p, rng):
     """(name, plane kernel, oracle) results on the (..., 3) layout for a
     random pair of time levels."""
@@ -35,6 +41,7 @@ def kernel_pairs(field, grid, p, rng):
     q0 = {a: components(s0.q(a)) for a in SPECIES}
     q1 = {a: components(s1.q(a)) for a in SPECIES}
     fv = ap_stepper.species_fv_divergence(s0, q0, field, grid)
+    par = explicit_parallel(q0, fv, field, p.dt)
     fv_vec = {a: {"mass": fv[a]["mass"], "mom": interleave(fv[a]["mom"])}
               for a in SPECIES}
     forces = ap_stepper.stiff_force_terms(s1.n, s1.phi, field, p, grid)
@@ -47,11 +54,11 @@ def kernel_pairs(field, grid, p, rng):
                                    (s, f_par, interleave(P_c)),
                                    want_forces[a]):
             pairs.append((f"{name}_{a}", got, want))
-        q_new = ap_stepper.update_momentum(a, q0[a], fv[a], forces[a], field,
-                                           p)
+        q_new = ap_stepper.update_momentum(a, q0[a], par[a], fv[a],
+                                           forces[a], field, p)
         pairs.append((f"q_new_{a}", interleave(q_new), want_q[a]))
 
-    got = ap_stepper.step_residuals(s0, s1, q0, q1, field, p, grid, fv,
+    got = ap_stepper.step_residuals(s0, s1, par, q1, field, p, grid, fv,
                                     forces)
     want = oracles.step_residuals(s0, s1, field, p, grid, fv_vec,
                                   want_forces)
@@ -60,7 +67,9 @@ def kernel_pairs(field, grid, p, rng):
                   np.array(list(want.values()))))
 
     v = rng.standard_normal((3,) + grid.shape_cells)
-    pairs.append(("_div_parallel", ap_stepper._div_parallel(v, field, grid),
+    pairs.append(("_div_parallel",
+                  ap_stepper._div_parallel(dot(field.b_cell_planes, v),
+                                           field, grid),
                   oracles._div_parallel(interleave(v), field, grid)))
     gx, gy = central_gradient(s0.phi, grid)
     pairs.append(("central_gradient",
@@ -109,6 +118,7 @@ def test_force_along_b_moves_only_the_parallel_momentum():
     s0, s1 = random_state(g, rng), random_state(g, rng)
     q0 = {a: components(s0.q(a)) for a in SPECIES}
     fv = ap_stepper.species_fv_divergence(s0, q0, f, g)
+    expl = explicit_parallel(q0, fv, f, p.dt)
     forces = ap_stepper.stiff_force_terms(s1.n, s1.phi, f, p, g)
     b = f.b_cell_planes
     for a in SPECIES:
@@ -116,11 +126,36 @@ def test_force_along_b_moves_only_the_parallel_momentum():
         kick = (p.dt / (p.eps_a(a) * p.tau)) * f_par
         parts = []
         for force in (forces[a], (s, np.zeros_like(f_par), P_c)):
-            q_new = np.array(ap_stepper.update_momentum(a, q0[a], fv[a],
-                                                        force, f, p))
+            q_new = np.array(ap_stepper.update_momentum(
+                a, q0[a], expl[a], fv[a], force, f, p))
             par = dot(b, q_new)
             parts.append((par, q_new - b * par))
         (par, perp), (par0, perp0) = parts
         assert np.max(np.abs(perp - perp0)) <= 1e-14 * np.max(np.abs(perp))
         assert np.max(np.abs(par0 - par - kick)) <= \
             1e-14 * np.max(np.abs(kick))
+
+
+def test_momentum_across_b_carries_no_parallel_flux():
+    # the sources see momentum only through b_cell . q: a momentum across
+    # b_cell adds no parallel flux to R or S where b varies, while one of
+    # equal size along b_cell does
+    g, f, p = curved_case()
+    rng = np.random.default_rng(37)
+    b = f.b_cell_planes
+    perp = np.array(cross(b, rng.standard_normal((3,) + g.shape_cells)))
+    along = b * np.sqrt(dot(perp, perp))
+    zero = np.zeros(g.shape_cells)
+    rest = PlasmaState(n=zero, q_i=None, q_e=None, phi=zero)
+    fv = {a: {"mass": zero, "mom": np.zeros((3,) + g.shape_cells)}
+          for a in SPECIES}
+
+    def sources(v):
+        # what momentum v of both species adds to R and to S
+        par = explicit_parallel({a: v for a in SPECIES}, fv, f, p.dt)
+        return (ap_stepper.assemble_R(rest, par, f, p, g, fv),
+                ap_stepper.assemble_S(rest, par, zero, f, p, g, fv))
+
+    for leak, flux in zip(sources(perp), sources(along)):
+        assert np.max(np.abs(flux)) > 0.0
+        assert np.max(np.abs(leak)) <= 1e-14 * np.max(np.abs(flux))
