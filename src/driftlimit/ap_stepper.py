@@ -19,7 +19,10 @@ A step advances (n, q_i, q_e, phi) by:
 Layout: the state stores the momenta as (nx, ny, 3) vectors.  A step
 splits each momentum once on entry into its three contiguous (nx, ny)
 component planes (``grid.components``), computes every kernel plane by
-plane, and stacks the new momenta once on exit.
+plane, and stacks the new momenta once on exit.  The residual check
+(``step_residuals``) streams its momentum terms one component plane at
+a time and measures a vector field by its planes' squared norms summed
+in component order, so it builds no (..., 3) array at all.
 
 Divergence composites div(b (b . v)) are realised as
 dhstar(node_average(b_cell . v)), so momentum across b_cell carries no
@@ -382,8 +385,13 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     the residual columns of diagnostics.csv per species a: continuity_a,
     its float64 floor continuity_floor_a, momentum_a and the
     aligned-derivative norm ap_node_a.
+
+    The momentum check streams one component plane at a time: it forms
+    that plane of each term, adds its squared norm to the term's, and
+    sums the terms in place.  The norm of a vector field is therefore
+    the root of its planes' squared norms summed in component order, and
+    no (..., 3) array is built.  No input is modified.
     """
-    values = {}
     dt = p.dt
     b_c, bmag = field.b_cell_planes, field.bmag_cells
     B_c = [bk * bmag for bk in b_c]
@@ -391,43 +399,78 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     def l2(x):
         return float(np.linalg.norm(x))
 
-    for a in SPECIES:
-        qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
-        s, f_par, P_c = forces[a]
-        mom = fv[a]["mom"]
+    def sq(x):
+        """Squared norm of a plane, as np.linalg.norm sums it."""
+        x = x.ravel()
+        return float(np.dot(x, x))
 
-        # continuity
+    # species-independent continuity terms
+    dn_dt = (state_new.n - state_m.n) / dt
+    dphi = state_new.phi - state_m.phi
+    n_norm = l2(state_new.n)
+    eps_m = np.finfo(float).eps
+
+    # a species' planes are freed when its helper returns, so those of
+    # the two species never coexist
+    def continuity(a, eta, s):
+        """Norm of the continuity residual of species a and the largest
+        norm of its terms."""
         w = node_average(par[a], grid) - (dt / eta) * s
-        terms = [(state_new.n - state_m.n) / dt,
-                 p.C_a(a) * (state_new.phi - state_m.phi) / dt,
+        terms = [dn_dt,
+                 p.C_a(a) * dphi / dt,
                  apply_dhstar(w, field, grid),
                  fv[a]["mass"]]
-        scale = max(l2(t) for t in terms)
-        values[f"continuity_{a}"] = l2(sum(terms)) / scale if scale > 0 \
-            else 0.0
+        return l2(sum(terms)), max(l2(t) for t in terms)
+
+    def momentum(a, eta, f_par, P_c):
+        """Norms of the four momentum terms of species a (dq/dt, mom, the
+        force (b f_par - q_a |B| b x P_c) / eta and the Lorentz term
+        -(q_a / eta) q x B), of the Lorentz bound |B| q and of the
+        residual ((t0 + t1) + t2) + t3, each summed over the component
+        planes in order."""
+        qa, mom, q1, q0 = p.charge(a), fv[a]["mom"], q_new[a], state_m.q(a)
+        coeff = -qa * bmag
+        sums = [0.0] * 6
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            force = b_c[i] * P_c[j]
+            force -= b_c[j] * P_c[i]
+            force *= coeff
+            force += b_c[k] * f_par
+            force /= eta
+            lorentz = q1[i] * B_c[j]
+            lorentz -= q1[j] * B_c[i]
+            lorentz *= -(qa / eta)
+            total = q1[k] - q0[..., k]
+            total /= dt
+            for m, t in enumerate((total, mom[k], force, lorentz)):
+                sums[m] += sq(t)
+            sums[4] += sq(bmag * q1[k])
+            total += mom[k]
+            total += force
+            total += lorentz
+            sums[5] += sq(total)
+        return [math.sqrt(x) for x in sums]
+
+    values = {}
+    for a in SPECIES:
+        Ta, eta = p.T_a(a), p.eps_a(a) * p.tau
+        s, f_par, P_c = forces[a]
+
+        resid, scale = continuity(a, eta, s)
+        values[f"continuity_{a}"] = resid / scale if scale > 0 else 0.0
         # smallest relative residual resolvable in float64: the stored
         # density is rounded to machine epsilon of its own magnitude, and
         # the identity divides that by dt (plus the stiff-force echo)
-        eps_m = np.finfo(float).eps
         stiff_echo = 1.0 + 4.0 * Ta * dt**2 * sum(
             1.0 / d**2 for d in grid.spacing) / eta
-        floor = eps_m * l2(state_new.n) / dt * stiff_echo
+        floor = eps_m * n_norm / dt * stiff_echo
         values[f"continuity_floor_{a}"] = floor / scale if scale > 0 else 0.0
 
-        # momentum; the terms are summed and measured as (..., 3) vectors,
-        # so each norm sums in the order of the stored layout
-        coeff = -qa * bmag
-        mterms = [(state_new.q(a) - state_m.q(a)) / dt,
-                  interleave(mom),
-                  interleave([(bk * f_par + coeff * ck) / eta
-                              for bk, ck in zip(b_c, cross(b_c, P_c))]),
-                  interleave([-(qa / eta) * ck
-                              for ck in cross(q_new[a], B_c)])]
+        *terms, bound, resid = momentum(a, eta, f_par, P_c)
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust
-        mscale = max(max(l2(t) for t in mterms),
-                     l2(interleave([bmag * qk for qk in q_new[a]])) / eta)
-        values[f"momentum_{a}"] = l2(sum(mterms)) / mscale if mscale > 0 \
-            else 0.0
+        mscale = max(max(terms), bound / eta)
+        values[f"momentum_{a}"] = resid / mscale if mscale > 0 else 0.0
         values[f"ap_node_{a}"] = l2(s)
     return values

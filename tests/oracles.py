@@ -357,7 +357,9 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
     relative to the largest constituent term.  Returns the residual
     columns of diagnostics.csv per species a: continuity_a, its float64
     floor continuity_floor_a, momentum_a and the aligned-derivative norm
-    ap_node_a.
+    ap_node_a.  The norm of a (..., 3) vector field is the root of the
+    squared norms of its contiguous component planes, summed in
+    component order.
     """
     values = {}
     dt = p.dt
@@ -365,6 +367,10 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
 
     def l2(x):
         return float(np.linalg.norm(x))
+
+    def l2_vector(v):
+        planes = (np.ascontiguousarray(v[..., k]).ravel() for k in range(3))
+        return float(np.sqrt(sum(np.dot(x, x) for x in planes)))
 
     for a in SPECIES:
         qa, Ta, eta = p.charge(a), p.T_a(a), p.eps_a(a) * p.tau
@@ -398,10 +404,11 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
                   -(qa / eta) * np.cross(state_new.q(a), B_c)]
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust
-        mscale = max(max(l2(t) for t in mterms),
-                     l2(field.bmag_cells[..., None] * state_new.q(a)) / eta)
-        values[f"momentum_{a}"] = l2(sum(mterms)) / mscale if mscale > 0 \
-            else 0.0
+        mscale = max(max(l2_vector(t) for t in mterms),
+                     l2_vector(field.bmag_cells[..., None] * state_new.q(a))
+                     / eta)
+        values[f"momentum_{a}"] = l2_vector(sum(mterms)) / mscale \
+            if mscale > 0 else 0.0
         values[f"ap_node_{a}"] = l2(s)
     return values
 

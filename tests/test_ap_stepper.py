@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +280,62 @@ def test_step_diagnostics_match_fresh_residuals():
     assert len(fresh) == 8
     for key, value in fresh.items():
         assert diag.values[key] == value, key
+
+
+def reference_residual_args(monkeypatch):
+    """The arguments the first step of the reference AP run (100², dt =
+    5e-9) hands to step_residuals."""
+    cfg = RunConfig()
+    assert (cfg.nx, cfg.ny, cfg.dt) == (100, 100, 5e-9)
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return step_residuals(*args)
+
+    monkeypatch.setattr(ap_stepper, "step_residuals", record)
+    _, diag = APStepper(cfg.phys_params(), grid, field).step(s0)
+    assert not diag.diverged and len(calls) == 1
+    return calls[0]
+
+
+def test_step_residuals_streams_its_planes(monkeypatch):
+    # the check forms its momentum terms one component plane at a time
+    # and builds no (..., 3) array: one call peaks at about 12 cell
+    # planes, where summing the terms as (..., 3) vectors took 35
+    args = reference_residual_args(monkeypatch)
+    grid = args[6]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step_residuals(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 8 * grid.num_cells
+
+
+def test_step_residuals_leaves_its_inputs_unchanged(monkeypatch):
+    # the momentum terms are summed in place; none of them may be an input
+    args = reference_residual_args(monkeypatch)
+    state_m, state_new, par, q_new, _, _, _, fv, forces = args
+
+    def as_bytes(x):
+        if isinstance(x, PlasmaState):
+            x = [x.n, x.q_i, x.q_e, x.phi, x.t]
+        if isinstance(x, dict):
+            return {k: as_bytes(v) for k, v in x.items()}
+        if isinstance(x, (tuple, list)):
+            return [as_bytes(v) for v in x]
+        x = np.asarray(x)
+        return x.shape, x.dtype.str, x.tobytes()
+
+    inputs = (state_m, state_new, par, q_new, fv, forces)
+    before = as_bytes(copy.deepcopy(inputs))
+    step_residuals(*args)
+    assert as_bytes(inputs) == before
 
 
 def test_stiff_force_evaluated_once_per_step(monkeypatch):
