@@ -16,13 +16,10 @@ A step advances (n, q_i, q_e, phi) by:
    Lorentz rotation v - mu v x B = r with B = b, mu = -gamma, which is
    (I - gamma b x) q_perp = r_perp.
 
-Layout: the state stores the momenta as (nx, ny, 3) vectors.  A step
-splits each momentum once on entry into its three contiguous (nx, ny)
-component planes (``grid.components``), computes every kernel plane by
-plane, and stacks the new momenta once on exit.  The residual check
-(``step_residuals``) streams its momentum terms one component plane at
-a time and measures a vector field by its planes' squared norms summed
-in component order, so it builds no (..., 3) array at all.
+Layout: there is one.  Every kernel works on the (3, nx, ny) momentum
+planes the state stores, the momentum update returns the planes the new
+state stores, and the residual check (``step_residuals``) streams its
+momentum terms one plane at a time.
 
 Divergence composites div(b (b . v)) are realised as
 dhstar(node_average(b_cell . v)), so momentum across b_cell carries no
@@ -46,8 +43,8 @@ import numpy as np
 from .diffusion import AnisoDiffusionProblem, SolverError, node_factor, \
     shift_dominated, solve_micro_macro
 from .flux import fv_divergence
-from .grid import Grid, cell_from_nodes, components, cross, dot, \
-    interleave, node_average
+from .grid import Grid, PlasmaState, cell_from_nodes, cross, dot, \
+    node_average
 from .stencil import MagneticField, apply_dhstar, apply_grad_star
 
 SPECIES = ("i", "e")
@@ -135,26 +132,6 @@ class PhysParams:
 
 
 @dataclass
-class PlasmaState:
-    n: np.ndarray
-    q_i: np.ndarray
-    q_e: np.ndarray
-    phi: np.ndarray
-    t: float = 0.0
-
-    def q(self, a: str) -> np.ndarray:
-        return self.q_i if a == "i" else self.q_e
-
-    def copy(self) -> "PlasmaState":
-        return PlasmaState(self.n.copy(), self.q_i.copy(), self.q_e.copy(),
-                           self.phi.copy(), self.t)
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(f))
-                   for f in (self.n, self.q_i, self.q_e, self.phi))
-
-
-@dataclass
 class StepDiagnostics:
     """What a step reports: its diagnostics.csv values keyed by column
     name (none for the classical step), and its divergence flag and note."""
@@ -164,29 +141,32 @@ class StepDiagnostics:
     note: str = ""
 
 
-def solve_momentum_rotation(r, B, mu) -> tuple:
+def solve_momentum_rotation(r, B, mu) -> np.ndarray:
     """Closed form of v - mu v x B = r,
 
         v = (r + mu r x B + mu^2 (r . B) B) / (1 + mu^2 |B|^2),
 
-    on component planes: r, B and the returned v are three planes each;
-    mu is a scalar or a per-cell array.
+    on component planes: r and B are three planes each, and v is one new
+    (3,) + plane-shape array; mu is a scalar or a per-cell array.
     """
     mu2 = np.multiply(mu, mu)
     s = mu2 * dot(r, B)
     den = 1.0 + mu2 * dot(B, B)
     rxB = cross(r, B)
-    return tuple((r[k] + mu * rxB[k] + s * B[k]) / den for k in range(3))
+    v = np.empty((3,) + np.shape(den))
+    for k in range(3):
+        # v[k, ...] is a view of v even when v holds a single vector
+        np.divide(r[k] + mu * rxB[k] + s * B[k], den, out=v[k, ...])
+    return v
 
 
-def species_fv_divergence(state: PlasmaState, q: dict, field: MagneticField,
+def species_fv_divergence(state: PlasmaState, field: MagneticField,
                           grid: Grid) -> dict:
     """Explicit FV divergences per species: the mass plane (perp flux) and
-    the three momentum planes; q maps each species to the component
-    planes of its momentum in the state."""
+    the three momentum planes."""
     out = {}
     for a in SPECIES:
-        div = fv_divergence(state.n, q[a], field, grid)
+        div = fv_divergence(state.n, state.q(a), field, grid)
         out[a] = {"mass": div[0], "mom": div[1:]}
     return out
 
@@ -253,14 +233,14 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     return terms
 
 
-def update_momentum(a: str, q: tuple, par: np.ndarray, fv: dict,
+def update_momentum(a: str, q: np.ndarray, par: np.ndarray, fv: dict,
                     force: tuple, field: MagneticField,
-                    p: PhysParams) -> tuple:
-    """New momentum planes of species a: q is its momentum planes, par its
-    explicit parallel momentum b_cell . (q - dt mom), fv its
-    ``species_fv_divergence`` entry and force its ``stiff_force_terms``
-    entry at the new time level; the parallel part is b_cell times one
-    scalar."""
+                    p: PhysParams) -> np.ndarray:
+    """New momentum planes of species a, one (3, nx, ny) array: q is its
+    momentum planes, par its explicit parallel momentum b_cell . (q - dt
+    mom), fv its ``species_fv_divergence`` entry and force its
+    ``stiff_force_terms`` entry at the new time level; the parallel part
+    is b_cell times one scalar."""
     qa, eta, dt = p.charge(a), p.eps_a(a) * p.tau, p.dt
     _, f_par, P_c = force
     b, bmag, mom = field.b_cell_planes, field.bmag_cells, fv["mom"]
@@ -271,11 +251,13 @@ def update_momentum(a: str, q: tuple, par: np.ndarray, fv: dict,
     r = [Pk + coeff * ck for Pk, ck in zip(P_c, bxw)]
     b_r = dot(b, r)
     r_perp = [rk - bk * b_r for rk, bk in zip(r, b)]
-    q_perp = solve_momentum_rotation(r_perp, b, -(qa * eta / (dt * bmag)))
+    q_new = solve_momentum_rotation(r_perp, b, -(qa * eta / (dt * bmag)))
 
     # parallel update; stiff force f_par along b via the node coupling
     q_par = par - (dt / eta) * f_par
-    return tuple(bk * q_par + qk for bk, qk in zip(b, q_perp))
+    for bk, qk in zip(b, q_new):
+        qk += bk * q_par
+    return q_new
 
 
 class APStepper:
@@ -317,10 +299,10 @@ class APStepper:
             diag.diverged, diag.note = True, "invalid input state"
             return state, diag
 
-        q = {a: components(state.q(a)) for a in SPECIES}
-        fv = species_fv_divergence(state, q, field, grid)
+        fv = species_fv_divergence(state, field, grid)
         b = field.b_cell_planes
-        par = {a: dot(b, q[a]) - p.dt * dot(b, fv[a]["mom"]) for a in SPECIES}
+        par = {a: dot(b, state.q(a)) - p.dt * dot(b, fv[a]["mom"])
+               for a in SPECIES}
 
         R = assemble_R(state, par, field, p, grid, fv)
         try:
@@ -347,17 +329,16 @@ class APStepper:
             return state, diag
 
         forces = stiff_force_terms(n_new, phi_new, field, p, grid)
-        q_new = {a: update_momentum(a, q[a], par[a], fv[a], forces[a],
+        q_new = {a: update_momentum(a, state.q(a), par[a], fv[a], forces[a],
                                     field, p)
                  for a in SPECIES}
-        new = PlasmaState(n=n_new, q_i=interleave(q_new["i"]),
-                          q_e=interleave(q_new["e"]), phi=phi_new, t=t_new)
+        new = PlasmaState(n_new, q_new["i"], q_new["e"], phi_new, t_new)
         if not new.is_finite():
             diag.diverged, diag.note = True, "momentum diverged"
             return new, diag
 
-        diag.values = step_residuals(state, new, par, q_new, field, p, grid,
-                                     fv, forces)
+        diag.values = step_residuals(state, new, par, field, p, grid, fv,
+                                     forces)
         for slot, sol in (("n", sol_n), ("phi", sol_phi)):
             for part, count in sol.iterations.items():
                 diag.values[f"iters_{slot}_{part}"] = count
@@ -368,15 +349,14 @@ class APStepper:
 
 
 def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
-                   par: dict, q_new: dict, field: MagneticField,
-                   p: PhysParams, grid: Grid, fv: dict, forces: dict) -> dict:
+                   par: dict, field: MagneticField, p: PhysParams, grid: Grid,
+                   fv: dict, forces: dict) -> dict:
     """Plug both time levels into the discrete equations.
 
     par holds each species' explicit parallel momentum b_cell . (q - dt
-    mom) at state_m, q_new the momentum planes of state_new, fv is
-    ``species_fv_divergence`` of state_m and forces is
-    ``stiff_force_terms`` of (state_new.n, state_new.phi): the terms the
-    step itself used.  Continuity uses the same realisations the
+    mom) at state_m, fv is ``species_fv_divergence`` of state_m and
+    forces is ``stiff_force_terms`` of (state_new.n, state_new.phi): the
+    terms the step itself used.  Continuity uses the same realisations the
     eliminations used: explicit parallel flux via
     dhstar(node_average(par)), stiff force via the three-point composite
     dhstar(s).  Momentum recombines the parallel force b_cell f_par and
@@ -428,7 +408,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         -(q_a / eta) q x B), of the Lorentz bound |B| q and of the
         residual ((t0 + t1) + t2) + t3, each summed over the component
         planes in order."""
-        qa, mom, q1, q0 = p.charge(a), fv[a]["mom"], q_new[a], state_m.q(a)
+        qa, mom = p.charge(a), fv[a]["mom"]
+        q1, q0 = state_new.q(a), state_m.q(a)
         coeff = -qa * bmag
         sums = [0.0] * 6
         for k in range(3):
@@ -441,7 +422,7 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
             lorentz = q1[i] * B_c[j]
             lorentz -= q1[j] * B_c[i]
             lorentz *= -(qa / eta)
-            total = q1[k] - q0[..., k]
+            total = q1[k] - q0[k]
             total /= dt
             for m, t in enumerate((total, mom[k], force, lorentz)):
                 sums[m] += sq(t)

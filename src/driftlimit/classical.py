@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ap_stepper import PhysParams, PlasmaState, SPECIES, StepDiagnostics, \
+from .ap_stepper import PhysParams, SPECIES, StepDiagnostics, \
     solve_momentum_rotation
 from .flux import fv_divergence
-from .grid import Grid, components, interleave, pad_cells
+from .grid import Grid, PlasmaState, dot, pad_cells
 from .stencil import MagneticField
 
 
@@ -34,8 +34,8 @@ def stable_dt(state: PlasmaState, p: PhysParams, grid: Grid,
     h = min(grid.spacing)
     c_max = 0.0
     for a in SPECIES:
-        u = state.q(a) / state.n[..., None]
-        speed = np.sqrt((u * u).sum(axis=-1)).max() \
+        u = state.q(a) / state.n
+        speed = np.sqrt(dot(u, u)).max() \
             + np.sqrt(p.T_a(a) / (p.eps_a(a) * p.tau))
         c_max = max(c_max, float(speed))
     return sigma * h / c_max
@@ -60,11 +60,10 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
 
     grad_phi = central_gradient(state.phi, grid)
     B_c = [bk * field.bmag_cells for bk in field.b_cell_planes]
-    q = {a: components(state.q(a)) for a in SPECIES}
 
     fv = {}
     for a in SPECIES:
-        div = fv_divergence(state.n, q[a], field, grid,
+        div = fv_divergence(state.n, state.q(a), field, grid,
                             c2=p.T_a(a) / (p.eps_a(a) * p.tau))
         fv[a] = {"mass": div[0], "mom": div[1:]}
 
@@ -78,11 +77,10 @@ def step_classical(state: PlasmaState, field: MagneticField, p: PhysParams,
         mom = fv[a]["mom"]
         expl = [mk + (qa / eta) * state.n * g
                 for mk, g in zip(mom, grad_phi)] + [mom[2]]
-        r = [qk - p.dt * ek for qk, ek in zip(q[a], expl)]
+        r = [qk - p.dt * ek for qk, ek in zip(state.q(a), expl)]
         q_new[a] = solve_momentum_rotation(r, B_c, p.dt * qa / eta)
 
-    new = PlasmaState(n=n_new, q_i=interleave(q_new["i"]),
-                      q_e=interleave(q_new["e"]), phi=phi_new, t=t_new)
+    new = PlasmaState(n_new, q_new["i"], q_new["e"], phi_new, t_new)
     if not new.is_finite() or np.any(n_new <= 0.0):
         diag.diverged = True
         diag.note = "non-finite field" if not new.is_finite() else "n <= 0"

@@ -23,14 +23,12 @@ A number c2, the squared isothermal sound speed, is the classical full
 flux: F0 = q_a, the pressure c2 * n added on the axis momentum row, and
 the speed |u_a| + sqrt(c2).
 
-Layout: a state stores q as (nx, ny, 3) vectors, while these kernels work
-on component planes.  ``fv_divergence`` takes q as its three contiguous
-(nx, ny) planes, shape (3, nx, ny), takes b from the field's planes, and
-returns the divergence as four planes, shape (4, nx, ny): every operation
-is a plain 2D elementwise one.  Boundaries are zero-gradient: a copy
-ghost cell would make the viscosity term vanish on the boundary face, so
-that face carries the adjacent cell's own flux, and no ghost copy is
-made.
+Layout: there is one.  ``fv_divergence`` takes q as the state stores
+it, component planes of shape (3, nx, ny), and b from the
+field's planes, and returns four planes, shape (4, nx, ny).  Boundaries
+are zero-gradient: a copy ghost cell would make the viscosity term
+vanish on the boundary face, so that face carries the adjacent cell's
+own flux, and no ghost copy is made.
 """
 
 from __future__ import annotations

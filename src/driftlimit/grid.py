@@ -1,18 +1,16 @@
-"""Uniform 2D Cartesian mesh with cell-center and node samplings.
+"""Uniform 2D Cartesian mesh, its cell and node samplings, and the state.
 
 Conventions used throughout the package:
 
 - Cells are indexed 0..n_a-1 per axis (a = x, y); cell centers sit at
   ``lo_a + (i + 1/2) * da``.  A scalar cell field is an ndarray of shape
-  ``grid.shape_cells``.  A stored vector field (the momenta of a state,
-  the field samples, the CSV dumps) appends a trailing axis of length 3:
-  the field has a z component, so vectors keep 3 components while the z
-  axis of the mesh is inert.
-- Kernels work on component planes: ``components`` splits a vector into
-  a ``(3,) + shape`` array of three contiguous scalar planes, so every
-  operation is a plain 2D elementwise one, and ``interleave`` stacks the
-  planes back.  ``dot`` and ``cross`` act on such planes.  A gradient on
-  the 2D mesh has two components, (x, y), and no z plane.
+  ``grid.shape_cells``.
+- Layout: there is one.  A vector field (a momentum of the state, the
+  field direction b) keeps 3 components, as the field has a z component
+  while the z axis of the mesh is inert, and is stored once, as a
+  ``(3,) + shape`` array of contiguous planes, on which every kernel and
+  ``dot`` and ``cross`` act.  Readers of the (..., 3) form (the CSV dumps)
+  get ``np.moveaxis`` views; ``components`` splits a sampled field once.
 - Nodes are the cell corners, indexed 0..n_a per axis (``n_a + 1`` values);
   node ``nu`` sits at ``lo_a + nu * da``.  Interior nodes are those with
   0 < nu < n_a on both axes; the remaining layer is the boundary node set.
@@ -20,6 +18,8 @@ Conventions used throughout the package:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +71,36 @@ class Grid:
         return tuple(np.meshgrid(*self.node_axes, indexing="ij"))
 
 
+@dataclass
+class PlasmaState:
+    """n, momenta and phi at time t.  A momentum is stored once, as planes
+    of shape (3, nx, ny), ``q(a)``; ``q_i``, ``q_e`` are (nx, ny, 3) views."""
+
+    n: np.ndarray
+    q_i_planes: np.ndarray
+    q_e_planes: np.ndarray
+    phi: np.ndarray
+    t: float = 0.0
+
+    def q(self, a: str) -> np.ndarray:
+        return self.q_i_planes if a == "i" else self.q_e_planes
+
+    q_i = property(lambda self: np.moveaxis(self.q_i_planes, 0, -1))
+    q_e = property(lambda self: np.moveaxis(self.q_e_planes, 0, -1))
+
+    def copy(self) -> "PlasmaState":
+        return PlasmaState(self.n.copy(), self.q_i_planes.copy(),
+                           self.q_e_planes.copy(), self.phi.copy(), self.t)
+
+    def is_finite(self) -> bool:
+        return all(np.all(np.isfinite(f)) for f in (
+            self.n, self.q_i_planes, self.q_e_planes, self.phi))
+
+
 def components(v: np.ndarray) -> np.ndarray:
     """The three contiguous component planes of a (..., 3) vector field,
     as one array of shape (3, ...)."""
     return np.moveaxis(v, -1, 0).copy()
-
-
-def interleave(v) -> np.ndarray:
-    """The (..., 3) vector field of three component planes."""
-    return np.stack(v, axis=-1)
 
 
 def dot(u, v) -> np.ndarray:

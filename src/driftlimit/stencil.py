@@ -12,11 +12,11 @@ Three stencils are provided, all second-order on the uniform 2D mesh:
   without the b contraction; ``bx*gx + by*gy == apply_dh(p)`` entry for
   entry.
 
-Layout: the stencils act on scalar planes.  A gradient has two
-components, the planes (gx, gy); the mesh is 2D, so there is no z
-plane.  ``MagneticField`` stores b as contiguous component planes
-(``b_node_planes``, ``b_cell_planes``, shape (3,) + shape) for the
-kernels, and shows them to its other readers as (..., 3) views.
+Layout: there is one.  The stencils act on scalar planes, and a
+gradient is the two planes (gx, gy): the mesh is 2D, so there is no z
+plane.  ``MagneticField`` stores b as the state stores a momentum, as
+contiguous component planes (``b_node_planes``, ``b_cell_planes``,
+shape (3,) + shape), with (..., 3) views for other readers.
 
 Raw stencils are defined at every node via edge-replicated ghost cells
 (one-sided at the boundary layer).  The homogeneous flux condition of the

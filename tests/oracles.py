@@ -24,6 +24,10 @@ solutions.
 (..., 3) vector layout with a copy-ghost ring around the state, against
 which the component-plane kernel of ``driftlimit.flux`` is checked.
 
+``interleave`` stacks component planes into a (..., 3) vector field, and
+``q_vector`` is the (..., 3) view of a state's momentum planes, through
+which the oracles below read the state.
+
 The rest are the step kernels written on the (..., 3) vector layout with
 ``einsum`` dots, ``np.cross`` and a node gradient that carries a zero z
 component: ``stiff_force_terms``, ``ap_momentum_update`` (both species),
@@ -247,6 +251,16 @@ def apply_grad_star(p: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def interleave(v) -> np.ndarray:
+    """The (..., 3) vector field of three component planes."""
+    return np.stack(v, axis=-1)
+
+
+def q_vector(state: PlasmaState, a: str) -> np.ndarray:
+    """The momentum of species a as an (nx, ny, 3) view of its planes."""
+    return state.q_i if a == "i" else state.q_e
+
+
 def _parallel(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b * np.einsum("...k,...k->...", b, v)[..., None]
 
@@ -323,17 +337,16 @@ def ap_momentum_update(state: PlasmaState, fv: dict, forces: dict,
 
     q_new = {}
     for a in SPECIES:
-        qa, eta = p.charge(a), p.eps_a(a) * p.tau
+        qa, eta, q = p.charge(a), p.eps_a(a) * p.tau, q_vector(state, a)
         _, f_par, P_c = forces[a]
 
         # parallel update: b_c times one scalar; stiff force along b
-        q_par = b_c * (_explicit_parallel(state.q(a), fv[a]["mom"], b_c,
-                                          p.dt)
+        q_par = b_c * (_explicit_parallel(q, fv[a]["mom"], b_c, p.dt)
                        - (p.dt / eta) * f_par)[..., None]
 
         # perpendicular update; electric/pressure term node-coupled
         r = P_c + (qa * eta / bmag_c)[..., None] * np.cross(
-            b_c, -state.q(a) / p.dt + fv[a]["mom"])
+            b_c, -q / p.dt + fv[a]["mom"])
         r_perp = r - _parallel(r, b_c)
         gamma = qa * eta / (p.dt * bmag_c)
         q_perp = solve_momentum_rotation(r_perp, b_c, -gamma)
@@ -377,7 +390,8 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         s, f_par, P_c = forces[a]
 
         # continuity
-        par = _explicit_parallel(state_m.q(a), fv[a]["mom"], b_c, dt)
+        q0, q1 = q_vector(state_m, a), q_vector(state_new, a)
+        par = _explicit_parallel(q0, fv[a]["mom"], b_c, dt)
         w = node_average(par, grid) - (dt / eta) * s
         terms = [(state_new.n - state_m.n) / dt,
                  p.C_a(a) * (state_new.phi - state_m.phi) / dt,
@@ -398,14 +412,14 @@ def step_residuals(state_m: PlasmaState, state_new: PlasmaState,
         # momentum
         F_perp = -qa * field.bmag_cells[..., None] * np.cross(b_c, P_c)
         B_c = b_c * field.bmag_cells[..., None]
-        mterms = [(state_new.q(a) - state_m.q(a)) / dt,
+        mterms = [(q1 - q0) / dt,
                   fv[a]["mom"],
                   (b_c * f_par[..., None] + F_perp) / eta,
-                  -(qa / eta) * np.cross(state_new.q(a), B_c)]
+                  -(qa / eta) * np.cross(q1, B_c)]
         # the Lorentz bound keeps the relative residual meaningful when the
         # state is (near) stationary and every term degenerates to dust
         mscale = max(max(l2_vector(t) for t in mterms),
-                     l2_vector(field.bmag_cells[..., None] * state_new.q(a))
+                     l2_vector(field.bmag_cells[..., None] * q1)
                      / eta)
         values[f"momentum_{a}"] = l2_vector(sum(mterms)) / mscale \
             if mscale > 0 else 0.0

@@ -250,11 +250,11 @@ def test_criterion_7_stability_law_shifted_map(paper_c_map):
     marginal = run(1e-4, 1e-5, 6e-5)
     assert marginal.diverged_step == -1
     assert classify_boundary_artifacts(marginal.final_state, ref.final_state,
-                                       B_REF[0], grid, cfg.band_frac)
+                                       s0, grid, cfg.band_frac)
     quiet = run(1e-4, 1e-6, 6e-5)
     assert quiet.diverged_step == -1
     assert not classify_boundary_artifacts(quiet.final_state, ref.final_state,
-                                           B_REF[0], grid, cfg.band_frac)
+                                           s0, grid, cfg.band_frac)
 
     # bottom row analog: divergence at the middle step, recovery below
     blown = run(1e-5, 1e-7, 6e-6)

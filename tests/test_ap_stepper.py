@@ -11,8 +11,9 @@ from driftlimit import ap_stepper, diffusion
 from driftlimit.ap_stepper import APStepper, PhysParams, PlasmaState, \
     assemble_R, assemble_S, solve_momentum_rotation, \
     species_fv_divergence, step_residuals, stiff_force_terms
+from driftlimit.classical import step_classical
 from driftlimit.diffusion import SolverError
-from driftlimit.grid import Grid, components, dot
+from driftlimit.grid import Grid, dot
 from driftlimit.harness import RunConfig, fit_slope, make_two_fluid_setup, \
     run_c_study, run_simulation
 from driftlimit.stencil import MagneticField
@@ -63,10 +64,9 @@ def parallel_and_fv(s, field, grid, dt):
     """The explicit parallel momentum b_cell . (q - dt mom) per species
     of a state and the FV divergences it is formed from, as a step
     computes them."""
-    q = {a: components(s.q(a)) for a in ("i", "e")}
-    fv = species_fv_divergence(s, q, field, grid)
+    fv = species_fv_divergence(s, field, grid)
     b = field.b_cell_planes
-    return {a: dot(b, q[a]) - dt * dot(b, fv[a]["mom"]) for a in fv}, fv
+    return {a: dot(b, s.q(a)) - dt * dot(b, fv[a]["mom"]) for a in fv}, fv
 
 
 def test_assemble_R_stationary_value():
@@ -124,6 +124,32 @@ def test_assemble_S_constant_phi_consistency():
     new, diag = stepper.step(s)
     assert not diag.diverged
     assert np.max(np.abs(new.phi - phi0)) <= 1e-7 * abs(phi0)
+
+
+@pytest.mark.parametrize("scheme, dt", [("ap", 5e-9), ("ap", 1e-6),
+                                        ("classical", 5e-9)])
+def test_steps_store_contiguous_momentum_planes(scheme, dt):
+    # one layout: a step builds its new state from the momentum planes it
+    # computed, one C-contiguous (3, nx, ny) array per species, which q_i
+    # and q_e view without a copy; a copy of the state keeps both
+    cfg = RunConfig(dt=dt)
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    p = cfg.phys_params()
+    if scheme == "ap":
+        new, diag = APStepper(p, grid, field).step(s0)
+    else:
+        new, diag = step_classical(s0, field, p, grid)
+    assert not diag.diverged and new is not s0
+    dup = new.copy()
+    for state in (new, dup):
+        for a, view in (("i", state.q_i), ("e", state.q_e)):
+            planes = state.q(a)
+            assert planes.shape == (3,) + grid.shape_cells
+            assert planes.flags.c_contiguous
+            assert view.shape == grid.shape_cells + (3,)
+            assert np.shares_memory(view, planes)
+    for a in ("i", "e"):
+        assert not np.shares_memory(dup.q(a), new.q(a))
 
 
 def test_stationary_state_preserved_100_steps():
@@ -258,8 +284,7 @@ def test_step_residuals_on_stationary_pair():
     stepper = APStepper(p, grid, field)
     s1, _ = stepper.step(s0)
     par, fv = parallel_and_fv(s0, field, grid, p.dt)
-    q1 = {a: components(s1.q(a)) for a in ("i", "e")}
-    values = step_residuals(s0, s1, par, q1, field, p, grid, fv,
+    values = step_residuals(s0, s1, par, field, p, grid, fv,
                             stiff_force_terms(s1.n, s1.phi, field, p, grid))
     for a in ("i", "e"):
         assert values[f"continuity_{a}"] <= 1e-8
@@ -273,8 +298,7 @@ def test_step_diagnostics_match_fresh_residuals():
     cfg, grid, field, s0, s1, diag = perturbed_step(1e-8, nx=16)
     p = cfg.phys_params()
     par, fv = parallel_and_fv(s0, field, grid, p.dt)
-    q1 = {a: components(s1.q(a)) for a in ("i", "e")}
-    fresh = step_residuals(s0, s1, par, q1, field, p, grid, fv,
+    fresh = step_residuals(s0, s1, par, field, p, grid, fv,
                            stiff_force_terms(s1.n, s1.phi, field, p, grid))
     assert not diag.diverged
     assert len(fresh) == 8
@@ -305,7 +329,7 @@ def test_step_residuals_streams_its_planes(monkeypatch):
     # and builds no (..., 3) array: one call peaks at about 12 cell
     # planes, where summing the terms as (..., 3) vectors took 35
     args = reference_residual_args(monkeypatch)
-    grid = args[6]
+    grid = args[5]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -320,7 +344,7 @@ def test_step_residuals_streams_its_planes(monkeypatch):
 def test_step_residuals_leaves_its_inputs_unchanged(monkeypatch):
     # the momentum terms are summed in place; none of them may be an input
     args = reference_residual_args(monkeypatch)
-    state_m, state_new, par, q_new, _, _, _, fv, forces = args
+    state_m, state_new, par, _, _, _, fv, forces = args
 
     def as_bytes(x):
         if isinstance(x, PlasmaState):
@@ -332,7 +356,7 @@ def test_step_residuals_leaves_its_inputs_unchanged(monkeypatch):
         x = np.asarray(x)
         return x.shape, x.dtype.str, x.tobytes()
 
-    inputs = (state_m, state_new, par, q_new, fv, forces)
+    inputs = (state_m, state_new, par, fv, forces)
     before = as_bytes(copy.deepcopy(inputs))
     step_residuals(*args)
     assert as_bytes(inputs) == before
@@ -461,10 +485,10 @@ def circular_setup(eta, tau, q0=(0.0, 0.0, 0.0)):
     field = MagneticField.from_function(grid, lambda x, y: (y, -x, 0 * x))
     x, y = grid.cell_coords()
     bump = np.maximum(0.0, 1.0 - eta * (x - 1.5) ** 2 - eta * (y - 1.5) ** 2)
-    q = np.broadcast_to(np.asarray(q0, dtype=float),
-                        grid.shape_cells + (3,))
-    return grid, field, PlasmaState(n=1.0 + tau * bump, q_i=q.copy(),
-                                    q_e=q.copy(),
+    q = np.broadcast_to(np.asarray(q0, dtype=float)[:, None, None],
+                        (3,) + grid.shape_cells)
+    return grid, field, PlasmaState(n=1.0 + tau * bump, q_i_planes=q.copy(),
+                                    q_e_planes=q.copy(),
                                     phi=np.zeros(grid.shape_cells))
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from driftlimit.grid import Grid, cell_from_nodes, discrete_norms, \
-    node_average, write_field_csv
+from driftlimit.grid import Grid, cell_from_nodes, components, \
+    discrete_norms, node_average, write_field_csv
 
 
 def test_smallest_grid_counts():
@@ -144,14 +144,20 @@ def _dump_bytes(writer, u, grid, path):
 def test_csv_dump_matches_oracle_bytes(grid, tmp_path):
     """Scalar and vector dumps, two fields of each on one grid and each
     written twice, write the bytes of the writer that formats every
-    coordinate in every call."""
-    for seed, width in enumerate((1, 3, 1, 3)):
-        u = _field(grid, width, seed)
+    coordinate in every call.  Two more vector fields come as a state
+    hands its momenta to the writer: strided (nx, ny, 3) views of
+    contiguous (3, nx, ny) planes."""
+    fields = [_field(grid, width, seed)
+              for seed, width in enumerate((1, 3, 1, 3))]
+    fields += [np.moveaxis(components(_field(grid, 3, seed)), 0, -1)
+               for seed in (4, 5)]
+    assert not fields[-1].flags.c_contiguous
+    for seed, u in enumerate(fields):
         want = _dump_bytes(oracles.write_field_csv, u, grid,
                            tmp_path / "want.csv")
         for path in ("got.csv", "again.csv"):
             assert _dump_bytes(write_field_csv, u, grid,
-                               tmp_path / path) == want, (seed, width, path)
+                               tmp_path / path) == want, (seed, u.ndim, path)
 
 
 def test_csv_dump_coordinates_follow_the_domain(tmp_path):

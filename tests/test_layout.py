@@ -6,6 +6,11 @@ AST scans of the package modules:
   on the interleaved (..., 3) layout, which numpy runs several times
   slower per element than the same work on contiguous (nx, ny) planes.
   ``grid.dot`` and ``grid.cross`` are the plane forms;
+- a call to ``components``, ``interleave``, ``np.moveaxis`` or
+  ``np.stack`` in a stepper module (``ap_stepper.py``, ``classical.py``)
+  would convert a momentum between the state's component planes and
+  another layout inside a step.  The state stores the planes every
+  kernel reads, so neither step converts;
 - a call to a scipy Krylov solver (``cg``, ``minres``, ``gmres`` as an
   attribute, as in ``spla.cg``) would be a second CG path beside
   ``diffusion._cg_solve``, the in-place loop every solve shares;
@@ -56,6 +61,46 @@ def test_scan_finds_interleaved_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_calls_no_interleaved_kernel(path):
     assert interleaved_calls(path.read_text()) == []
+
+
+STEPPERS = ("ap_stepper.py", "classical.py")
+CONVERSIONS = {"components", "interleave", "moveaxis", "stack"}
+
+
+def layout_conversions(source: str) -> list[tuple[int, str]]:
+    """(line, callee) of every call, bare or as an attribute, of a name in
+    CONVERSIONS, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) \
+                else getattr(f, "id", None)
+            if name in CONVERSIONS:
+                found.append((node.lineno, ast.unparse(f)))
+    return sorted(found)
+
+
+def test_scan_finds_layout_conversions():
+    src = ("import numpy as np\n"
+           "q = {a: components(state.q(a)) for a in SPECIES}\n"
+           "v = interleave(q_new['i'])\n"
+           "w = np.moveaxis(q, 0, -1)\n"
+           "x = numpy.stack(planes, axis=-1)\n"
+           "y = grid.components(v)\n"
+           "z = dot(b, q)\n"
+           "t = np.stack\n")
+    assert layout_conversions(src) == [(2, "components"),
+                                       (3, "interleave"),
+                                       (4, "np.moveaxis"),
+                                       (5, "numpy.stack"),
+                                       (6, "grid.components")]
+
+
+@pytest.mark.parametrize("name", STEPPERS)
+def test_stepper_converts_no_momentum_layout(name):
+    path = ROOT / "src" / "driftlimit" / name
+    assert layout_conversions(path.read_text()) == []
 
 
 def krylov_calls(source: str) -> list[str]:

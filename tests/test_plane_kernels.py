@@ -15,16 +15,17 @@ import oracles
 from driftlimit import ap_stepper
 from driftlimit.ap_stepper import SPECIES, PhysParams, PlasmaState
 from driftlimit.classical import central_gradient
-from driftlimit.grid import Grid, components, cross, dot, interleave
+from driftlimit.grid import Grid, components, cross, dot
 from driftlimit.harness import RunConfig, make_two_fluid_setup
 from driftlimit.stencil import MagneticField
+from oracles import interleave
 
 
 def random_state(grid, rng):
     vector = grid.shape_cells + (3,)
     return PlasmaState(n=rng.uniform(0.5, 2.0, grid.shape_cells),
-                       q_i=rng.uniform(-1.5, 1.5, vector),
-                       q_e=rng.uniform(-1.5, 1.5, vector),
+                       q_i_planes=components(rng.uniform(-1.5, 1.5, vector)),
+                       q_e_planes=components(rng.uniform(-1.5, 1.5, vector)),
                        phi=rng.standard_normal(grid.shape_cells))
 
 
@@ -38,9 +39,8 @@ def kernel_pairs(field, grid, p, rng):
     """(name, plane kernel, oracle) results on the (..., 3) layout for a
     random pair of time levels."""
     s0, s1 = random_state(grid, rng), random_state(grid, rng)
-    q0 = {a: components(s0.q(a)) for a in SPECIES}
-    q1 = {a: components(s1.q(a)) for a in SPECIES}
-    fv = ap_stepper.species_fv_divergence(s0, q0, field, grid)
+    q0 = {a: s0.q(a) for a in SPECIES}
+    fv = ap_stepper.species_fv_divergence(s0, field, grid)
     par = explicit_parallel(q0, fv, field, p.dt)
     fv_vec = {a: {"mass": fv[a]["mass"], "mom": interleave(fv[a]["mom"])}
               for a in SPECIES}
@@ -58,8 +58,7 @@ def kernel_pairs(field, grid, p, rng):
                                            forces[a], field, p)
         pairs.append((f"q_new_{a}", interleave(q_new), want_q[a]))
 
-    got = ap_stepper.step_residuals(s0, s1, par, q1, field, p, grid, fv,
-                                    forces)
+    got = ap_stepper.step_residuals(s0, s1, par, field, p, grid, fv, forces)
     want = oracles.step_residuals(s0, s1, field, p, grid, fv_vec,
                                   want_forces)
     assert list(got) == list(want)
@@ -116,8 +115,8 @@ def test_force_along_b_moves_only_the_parallel_momentum():
     g, f, p = curved_case()
     rng = np.random.default_rng(31)
     s0, s1 = random_state(g, rng), random_state(g, rng)
-    q0 = {a: components(s0.q(a)) for a in SPECIES}
-    fv = ap_stepper.species_fv_divergence(s0, q0, f, g)
+    q0 = {a: s0.q(a) for a in SPECIES}
+    fv = ap_stepper.species_fv_divergence(s0, f, g)
     expl = explicit_parallel(q0, fv, f, p.dt)
     forces = ap_stepper.stiff_force_terms(s1.n, s1.phi, f, p, g)
     b = f.b_cell_planes
@@ -146,7 +145,7 @@ def test_momentum_across_b_carries_no_parallel_flux():
     perp = np.array(cross(b, rng.standard_normal((3,) + g.shape_cells)))
     along = b * np.sqrt(dot(perp, perp))
     zero = np.zeros(g.shape_cells)
-    rest = PlasmaState(n=zero, q_i=None, q_e=None, phi=zero)
+    rest = PlasmaState(n=zero, q_i_planes=None, q_e_planes=None, phi=zero)
     fv = {a: {"mass": zero, "mom": np.zeros((3,) + g.shape_cells)}
           for a in SPECIES}
 
