@@ -71,10 +71,9 @@ class PhysParams:
             raise ValueError("tau must be positive")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        if self.T_e == 1.0:
-            raise ValueError("T_e = 1 makes lam2 singular (division by T_e - 1)")
-        if self.T_e < 1.0:
-            raise ValueError("T_e must exceed 1 so that lam2 > 0")
+        if self.T_e <= 0.0:
+            raise ValueError("T_e must be positive (T_a, C_i and lam2 need "
+                             "T_e > 0)")
         if self.C <= 0.0:
             raise ValueError("C must be positive (phi problem loses uniqueness)")
         if self.dt <= 0.0:

@@ -49,12 +49,12 @@ its relative precision, which is why the split stays there.
 
 A macro solve is CG on N1 preconditioned by its owner's factor, and a
 complete factor takes one iteration.  The normal operator N1 of step 1
-depends only on the field and the grid: a time stepper with a problem
-below regime 1 builds its ``node_factor`` of shift 0 (sparse LU,
-symmetric minimum-degree ordering) once, and ``solve_micro_macro``
-called without one below regime 1 builds it for its single solve.  With
-the exact inverse as preconditioner the first CG step lands on the
-solution, and the loop's own residual test confirms it.  The
+depends only on the field and the grid: its owner (a time stepper with
+a problem below regime 1) builds its ``node_factor`` of shift 0 (sparse
+LU, symmetric minimum-degree ordering) once and passes it to every
+solve, and ``solve_micro_macro`` builds none.  With the exact inverse
+as preconditioner the first CG step lands on the solution, and the
+loop's own residual test confirms it.  The
 manufactured sweep factors N1 per grid up to a node bound: its two
 projections and every micro PCG of the grid use that factor.  Above the
 bound a complete factor's fill costs more memory than the solves (at
@@ -327,11 +327,11 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
     Below regime 1 (``shift_dominated`` false) the solve is the
     micro-macro split of the module docstring.  macro_lu, a
     ``node_factor`` of shift 0 of the problem's field and grid,
-    preconditions the macro PCG, which then takes one iteration; without
-    one the solve factors N1 itself.  At and above regime 1 it has no
-    macro part and reads no macro_lu: pi = f/lam, and the micro part
-    q = tau * w, with (A_H + tau*lam) w = DE (H dh(f)) / (tau*lam), is the
-    K_perp correction r of p = f/lam + r.
+    preconditions the macro PCG, which then takes one iteration; the
+    solve builds no factor, so it needs one.  At and above regime 1 it
+    has no macro part and reads no macro_lu: pi = f/lam, and the micro
+    part q = tau * w, with (A_H + tau*lam) w = DE (H dh(f)) / (tau*lam),
+    is the K_perp correction r of p = f/lam + r.
 
     micro_lu, a ``node_factor`` of shift tau*lam, preconditions the micro
     CG; without one the micro CG is preconditioned by the coefficient.
@@ -345,7 +345,8 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
         it_h, res_h, kernel_resid = 0, 0.0, 0.0
     else:
         if macro_lu is None:
-            macro_lu = node_factor(prob.field, grid, 0.0)
+            raise ValueError("solve below regime 1 needs macro_lu, a "
+                             "node_factor of shift 0 of its field and grid")
         h, it_h, res_h = macro_potential(prob.rhs, prob.field, grid,
                                          macro_lu)
         pi = (prob.rhs + apply_dhstar(h, prob.field, grid)) / lam

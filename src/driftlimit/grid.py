@@ -7,10 +7,10 @@ Conventions used throughout the package:
   ``grid.shape_cells``.
 - Layout: there is one.  A vector field (a momentum of the state, the
   field direction b) keeps 3 components, as the field has a z component
-  while the z axis of the mesh is inert, and is stored once, as a
-  ``(3,) + shape`` array of contiguous planes, on which every kernel and
-  ``dot`` and ``cross`` act.  Readers of the (..., 3) form (the CSV dumps)
-  get ``np.moveaxis`` views; ``components`` splits a sampled field once.
+  while the z axis of the mesh is inert, and enters and is stored once,
+  as a ``(3,) + shape`` array of contiguous planes, on which every kernel
+  and ``dot`` and ``cross`` act.  Readers of the (..., 3) form (the CSV
+  dumps, the benchmark) get ``np.moveaxis`` views.
 - Nodes are the cell corners, indexed 0..n_a per axis (``n_a + 1`` values);
   node ``nu`` sits at ``lo_a + nu * da``.  Interior nodes are those with
   0 < nu < n_a on both axes; the remaining layer is the boundary node set.
@@ -95,12 +95,6 @@ class PlasmaState:
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(f)) for f in (
             self.n, self.q_i_planes, self.q_e_planes, self.phi))
-
-
-def components(v: np.ndarray) -> np.ndarray:
-    """The three contiguous component planes of a (..., 3) vector field,
-    as one array of shape (3, ...)."""
-    return np.moveaxis(v, -1, 0).copy()
 
 
 def dot(u, v) -> np.ndarray:

@@ -24,9 +24,11 @@ solutions.
 (..., 3) vector layout with a copy-ghost ring around the state, against
 which the component-plane kernel of ``driftlimit.flux`` is checked.
 
-``interleave`` stacks component planes into a (..., 3) vector field, and
-``q_vector`` is the (..., 3) view of a state's momentum planes, through
-which the oracles below read the state.
+``interleave`` stacks component planes into a (..., 3) vector field,
+``components`` splits one into contiguous planes (the tests draw random
+momenta in the (..., 3) form), and ``q_vector`` is the (..., 3) view of
+a state's momentum planes, through which the oracles below read the
+state.
 
 The rest are the step kernels written on the (..., 3) vector layout with
 ``einsum`` dots, ``np.cross`` and a node gradient that carries a zero z
@@ -256,6 +258,12 @@ def interleave(v) -> np.ndarray:
     return np.stack(v, axis=-1)
 
 
+def components(v: np.ndarray) -> np.ndarray:
+    """The three contiguous component planes of a (..., 3) vector field,
+    as one array of shape (3, ...)."""
+    return np.moveaxis(v, -1, 0).copy()
+
+
 def q_vector(state: PlasmaState, a: str) -> np.ndarray:
     """The momentum of species a as an (nx, ny, 3) view of its planes."""
     return state.q_i if a == "i" else state.q_e
@@ -312,7 +320,7 @@ def stiff_force_terms(n: np.ndarray, phi: np.ndarray, field: MagneticField,
     n_star = node_average(n, grid)
     grad_n = apply_grad_star(n, grid)
     grad_phi = apply_grad_star(phi, grid)
-    b_n = field.b_nodes
+    b_n = np.moveaxis(field.b_node_planes, 0, -1)
     # apply_dh with the flux condition: zero on the boundary node layer
     dh_n, dh_phi = (np.where(grid.interior_node_mask,
                              np.einsum("...k,...k->...", b_n, g), 0.0)

@@ -34,7 +34,7 @@ def test_params_constraint_identities():
     dict(PARAMS, eps=0.0),
     dict(PARAMS, C=0.0),
     dict(PARAMS, dt=0.0),
-    dict(PARAMS, T_e=0.5),
+    dict(PARAMS, T_e=0.0),
     dict(PARAMS, tau=0.0),
 ])
 def test_params_validation(bad):
@@ -42,9 +42,13 @@ def test_params_validation(bad):
         PhysParams(**bad)
 
 
-def test_te_one_rejected_with_singularity_message():
-    with pytest.raises(ValueError, match="T_e - 1"):
-        PhysParams(**dict(PARAMS, T_e=1.0))
+def test_te_domain_is_positive():
+    # no formula divides by T_e - 1: T_e = 1 and T_e < 1 are valid
+    for T_e in (1.0, 0.5, 1e-3):
+        assert PhysParams(**dict(PARAMS, T_e=T_e)).lam2 > 0.0
+    for T_e in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T_e must be positive"):
+            PhysParams(**dict(PARAMS, T_e=T_e))
 
 
 def test_step_requires_positive_tau():

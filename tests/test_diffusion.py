@@ -21,6 +21,13 @@ def circular_field(grid):
                             np.zeros_like(x)))
 
 
+def solve_factored(prob, grid):
+    """solve_micro_macro with the complete macro factor of the problem's
+    field and grid, as an owner of the problem passes it."""
+    return solve_micro_macro(
+        prob, grid, macro_lu=diffusion.node_factor(prob.field, grid, 0.0))
+
+
 def stiffness_matrix_free(v, field, coeff, grid):
     """A_H v = -dhstar(coeff * dh(v)) on the stencils, the flux zeroed on
     boundary nodes; independent of the assembled DE the solver uses."""
@@ -64,7 +71,7 @@ def test_constant_solution(tau):
     prob = AnisoDiffusionProblem(field=f, coeff=1.0 + 0.4 * np.cos(xn),
                                  lam=2.0, tau=tau,
                                  rhs=np.full(g.shape_cells, 2.0 * 5.0))
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     assert np.max(np.abs(sol.p - 5.0)) < 1e-12
     assert np.max(np.abs(sol.q)) < 1e-12
 
@@ -81,7 +88,7 @@ def test_micro_macro_matches_direct_oracle():
     m = ManufacturedDiffusion(g)
     for tau in (1e-1, 1e-2, 1e-3):
         prob = manufactured_problem(m, tau)
-        mm = solve_micro_macro(prob, g)
+        mm = solve_factored(prob, g)
         direct = solve_direct(prob, g)
         rel = np.linalg.norm(mm.p - direct) / np.linalg.norm(direct + 2.0)
         assert rel <= 1e-8
@@ -94,7 +101,7 @@ def test_random_rhs_cross_method():
     prob = AnisoDiffusionProblem(field=f, coeff=np.ones(g.shape_nodes),
                                  lam=1.0, tau=1e-2,
                                  rhs=rng.standard_normal(g.shape_cells))
-    mm = solve_micro_macro(prob, g)
+    mm = solve_factored(prob, g)
     direct = solve_direct(prob, g)
     assert np.linalg.norm(mm.p - direct) / np.linalg.norm(direct) <= 1e-8
 
@@ -107,7 +114,7 @@ def test_reconstruction_residual_invariant(tau):
     dev = manufactured_problem(ManufacturedDiffusion(g), tau)
     prob = AnisoDiffusionProblem(field=dev.field, coeff=dev.coeff, lam=dev.lam,
                                  tau=tau, rhs=dev.lam * 2.0 + dev.rhs)
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     rr = reconstruction_residual(sol, prob, g)
     assert rr <= 1e-8 * (tau * np.linalg.norm(prob.rhs) + np.linalg.norm(sol.p))
 
@@ -116,7 +123,7 @@ def test_reconstruction_residual_invariant(tau):
 def test_deviation_form_residual_is_solver_quality(tau):
     g = Grid((1, 1), (2, 2), (24, 24))
     prob = manufactured_problem(ManufacturedDiffusion(g), tau)
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     rr = reconstruction_residual(sol, prob, g)
     # dust left by the Krylov solves on the tau-independent data part
     assert rr <= 1e-9 * np.linalg.norm(prob.rhs)
@@ -125,7 +132,7 @@ def test_deviation_form_residual_is_solver_quality(tau):
 def test_micro_macro_decomposition_structure():
     g = Grid((1, 1), (2, 2), (20, 20))
     prob = manufactured_problem(ManufacturedDiffusion(g), 1e-3)
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     assert np.array_equal(sol.p, sol.pi + sol.q)
     # the micro part lies in K_perp: its projection onto the kernel vanishes
     h_q = macro_potential(sol.q, prob.field, g,
@@ -141,7 +148,7 @@ def test_micro_macro_decomposition_structure():
 def test_tau_zero_gives_macro_only():
     g = Grid((1, 1), (2, 2), (16, 16))
     prob = manufactured_problem(ManufacturedDiffusion(g), 0.0)
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     assert np.all(sol.q == 0.0)
     assert np.array_equal(sol.p, sol.pi)
 
@@ -151,12 +158,12 @@ def test_ap_limit_residual_scaling():
     m = ManufacturedDiffusion(g)
     res = {}
     for tau in (1e-3, 1e-4):
-        sol = solve_micro_macro(manufactured_problem(m, tau), g)
+        sol = solve_factored(manufactured_problem(m, tau), g)
         res[tau] = ap_limit_residual(sol, m.field, g)
     ratio = res[1e-3] / res[1e-4]
     assert 5.0 <= ratio <= 20.0
 
-    sol0 = solve_micro_macro(manufactured_problem(m, 0.0), g)
+    sol0 = solve_factored(manufactured_problem(m, 0.0), g)
     kernel_tol = 1e-8 * np.max(np.abs(sol0.pi)) + 1e-12
     # at tau = 0 the solution is pure macro part; grid-size factor covers
     # the L2 accumulation of the per-node kernel tolerance
@@ -538,8 +545,20 @@ def test_regime_flags_shift_dominated_problem():
     assert not diffusion.shift_dominated(g, np.nextafter(scale, 0.0))
     prob.tau = 1e-3
     prob.rhs = np.cos(np.arange(g.num_cells)).reshape(g.shape_cells)
-    sol = solve_micro_macro(prob, g)
+    sol = solve_factored(prob, g)
     assert sol.regime < 1.0 and sol.iterations["macro"] == 1
+
+
+def test_solve_below_regime_one_requires_macro_factor():
+    # the solve builds no factor: a caller in a time loop would pay one
+    # sparse LU per solve
+    g = Grid((1, 1), (2, 2), (8, 8))
+    prob = AnisoDiffusionProblem(field=circular_field(g),
+                                 coeff=np.ones(g.shape_nodes), lam=1.0,
+                                 tau=1e-3, rhs=np.ones(g.shape_cells))
+    assert not diffusion.shift_dominated(g, prob.tau * prob.lam)
+    with pytest.raises(ValueError, match="needs macro_lu"):
+        solve_micro_macro(prob, g)
 
 
 @pytest.mark.parametrize("regime", [1.0, 10.0, 1e3])

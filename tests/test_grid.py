@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from driftlimit.grid import Grid, cell_from_nodes, components, \
+from driftlimit.grid import Grid, cell_from_nodes, \
     discrete_norms, node_average, write_field_csv
 
 
@@ -149,7 +149,7 @@ def test_csv_dump_matches_oracle_bytes(grid, tmp_path):
     contiguous (3, nx, ny) planes."""
     fields = [_field(grid, width, seed)
               for seed, width in enumerate((1, 3, 1, 3))]
-    fields += [np.moveaxis(components(_field(grid, 3, seed)), 0, -1)
+    fields += [np.moveaxis(oracles.components(_field(grid, 3, seed)), 0, -1)
                for seed in (4, 5)]
     assert not fields[-1].flags.c_contiguous
     for seed, u in enumerate(fields):

@@ -47,8 +47,8 @@ def test_config_rejects_invalid_values(tmp_path):
     doc.write_text(json.dumps({"tau": -1.0}))
     with pytest.raises(ValueError):
         parse_config(doc)
-    doc.write_text(json.dumps({"T_e": 1.0}))
-    with pytest.raises(ValueError, match="T_e - 1"):
+    doc.write_text(json.dumps({"T_e": 0.0}))
+    with pytest.raises(ValueError, match="T_e must be positive"):
         parse_config(doc)
 
 
@@ -449,6 +449,30 @@ def test_cli_simulate_and_errors(tmp_path, capsys):
     rc = cli_main(["simulate", "--override", "tau=-1"])
     assert rc == 2
     assert "tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T_e", ["0", "-1"])
+def test_cli_rejects_nonpositive_te(T_e, capsys):
+    assert cli_main(["simulate", "--override", f"T_e={T_e}"]) == 2
+    assert "T_e must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T_e", [1.0, 0.5])
+@pytest.mark.parametrize("dt", [5e-9, 1e-6])
+def test_ap_run_at_low_te_meets_residual_bounds(T_e, dt):
+    # criterion 9's bounds on every step: T_e = 1 and T_e < 1 are in the
+    # model's domain
+    cfg = RunConfig(nx=40, ny=40, tau=1e-8, T_e=T_e, dt=dt,
+                    t_end=8 * dt).validate()
+    grid, field, state0 = make_two_fluid_setup(cfg)
+    res = harness.run_simulation("ap", cfg, grid, field, state0)
+    assert res.steps == 8 and res.diverged_step == -1
+    assert res.final_state.is_finite()
+    for row in res.diag_rows:
+        for a in ("i", "e"):
+            assert row[f"momentum_{a}"] <= 1e-6
+            assert row[f"continuity_{a}"] <= max(
+                1e-6, 8.0 * row[f"continuity_floor_{a}"])
 
 
 def test_cli_diffusion_validate(tmp_path, capsys):

@@ -7,10 +7,14 @@ AST scans of the package modules:
   slower per element than the same work on contiguous (nx, ny) planes.
   ``grid.dot`` and ``grid.cross`` are the plane forms;
 - a call to ``components``, ``interleave``, ``np.moveaxis`` or
-  ``np.stack`` in a stepper module (``ap_stepper.py``, ``classical.py``)
-  would convert a momentum between the state's component planes and
-  another layout inside a step.  The state stores the planes every
-  kernel reads, so neither step converts;
+  ``np.stack`` would convert a vector field (a momentum, the field
+  direction b) between component planes and another layout.  The state
+  stores and ``MagneticField`` takes the planes every kernel reads, so no
+  module converts.  Two kinds of call are not conversions: a stack along
+  axis 0, which joins planes into planes, and the three (..., 3) views
+  kept for readers outside the package, ``PlasmaState.q_i``,
+  ``PlasmaState.q_e`` and ``MagneticField.b_cells``, each an
+  ``np.moveaxis`` assigned to its name in its class;
 - a call to a scipy Krylov solver (``cg``, ``minres``, ``gmres`` as an
   attribute, as in ``spla.cg``) would be a second CG path beside
   ``diffusion._cg_solve``, the in-place loop every solve shares;
@@ -63,21 +67,47 @@ def test_module_calls_no_interleaved_kernel(path):
     assert interleaved_calls(path.read_text()) == []
 
 
-STEPPERS = ("ap_stepper.py", "classical.py")
 CONVERSIONS = {"components", "interleave", "moveaxis", "stack"}
+VIEWS = {("PlasmaState", "q_i"), ("PlasmaState", "q_e"),
+         ("MagneticField", "b_cells")}
+
+
+def _stacks_planes(call: ast.Call) -> bool:
+    """Whether a ``stack`` call joins along axis 0, the default."""
+    axis = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "axis"), None)
+    return axis is None or (isinstance(axis, ast.Constant)
+                            and axis.value == 0)
 
 
 def layout_conversions(source: str) -> list[tuple[int, str]]:
     """(line, callee) of every call, bare or as an attribute, of a name in
-    CONVERSIONS, in line order."""
+    CONVERSIONS, in line order, but for a stack along axis 0 and the
+    ``moveaxis`` of an assignment to one of the VIEWS in the body of its
+    class or of one of the class's methods."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) \
-                else getattr(f, "id", None)
-            if name in CONVERSIONS:
-                found.append((node.lineno, ast.unparse(f)))
+
+    def visit(node, cls, view):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, False)
+                continue
+            if isinstance(child, ast.Assign):
+                targets = {getattr(t, "id", getattr(t, "attr", None))
+                           for t in child.targets}
+                visit(child, cls, any((cls, t) in VIEWS for t in targets))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) \
+                    else getattr(f, "id", None)
+                allowed = (name == "stack" and _stacks_planes(child)) \
+                    or (name == "moveaxis" and view)
+                if name in CONVERSIONS and not allowed:
+                    found.append((child.lineno, ast.unparse(f)))
+            visit(child, cls, view)
+
+    visit(ast.parse(source), None, False)
     return sorted(found)
 
 
@@ -89,17 +119,30 @@ def test_scan_finds_layout_conversions():
            "x = numpy.stack(planes, axis=-1)\n"
            "y = grid.components(v)\n"
            "z = dot(b, q)\n"
-           "t = np.stack\n")
+           "t = np.stack\n"
+           "B = np.stack([bx, by, bz]) + np.stack(planes, axis=0)\n"
+           "C = np.stack(planes, -1)\n"
+           "class PlasmaState:\n"
+           "    q_i = property(lambda self: np.moveaxis(self.q_i_planes, 0, -1))\n"
+           "    r = np.moveaxis(q, 0, -1)\n"
+           "class MagneticField:\n"
+           "    def __init__(self, b):\n"
+           "        self.b_cells = np.moveaxis(b, 0, -1)\n"
+           "        self.b_nodes = np.moveaxis(b, 0, -1)\n"
+           "q_e = np.moveaxis(q, 0, -1)\n")
     assert layout_conversions(src) == [(2, "components"),
                                        (3, "interleave"),
                                        (4, "np.moveaxis"),
                                        (5, "numpy.stack"),
-                                       (6, "grid.components")]
+                                       (6, "grid.components"),
+                                       (10, "np.stack"),
+                                       (13, "np.moveaxis"),
+                                       (17, "np.moveaxis"),
+                                       (18, "np.moveaxis")]
 
 
-@pytest.mark.parametrize("name", STEPPERS)
-def test_stepper_converts_no_momentum_layout(name):
-    path = ROOT / "src" / "driftlimit" / name
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_converts_no_layout(path):
     assert layout_conversions(path.read_text()) == []
 
 

@@ -15,10 +15,10 @@ import oracles
 from driftlimit import ap_stepper
 from driftlimit.ap_stepper import SPECIES, PhysParams, PlasmaState
 from driftlimit.classical import central_gradient
-from driftlimit.grid import Grid, components, cross, dot
+from driftlimit.grid import Grid, cross, dot
 from driftlimit.harness import RunConfig, make_two_fluid_setup
 from driftlimit.stencil import MagneticField
-from oracles import interleave
+from oracles import components, interleave
 
 
 def random_state(grid, rng):

@@ -25,11 +25,62 @@ def small_grid():
 
 def test_field_requires_unit_vectors(small_grid):
     g = small_grid
-    b = np.zeros(g.shape_nodes + (3,))
-    b[..., 0] = 1.1
-    with pytest.raises(ValueError):
-        MagneticField(b, np.ones(g.shape_nodes),
-                      np.zeros(g.shape_cells + (3,)), np.ones(g.shape_cells))
+    b_cells = np.zeros((3,) + g.shape_cells)
+    b_cells[0] = 1.0
+    for bad in (1.1, np.nan):
+        b = np.zeros((3,) + g.shape_nodes)
+        b[0] = bad
+        with pytest.raises(ValueError, match="b must be unit"):
+            MagneticField(b, np.ones(g.shape_nodes), b_cells,
+                          np.ones(g.shape_cells))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("k", [0, 2])
+def test_field_rejects_nonfinite_component(small_grid, bad, k):
+    def B(x, y):
+        comps = [np.ones_like(x), np.zeros_like(x), np.zeros_like(x)]
+        comps[k] = np.where(x > 1.5, bad, comps[k])
+        return comps
+
+    with pytest.raises(ValueError, match="finite and positive"):
+        MagneticField.from_function(small_grid, B)
+
+
+def test_field_stores_contiguous_planes(small_grid):
+    g = small_grid
+    f = circular_field(g)
+    for planes, shape in ((f.b_node_planes, g.shape_nodes),
+                          (f.b_cell_planes, g.shape_cells)):
+        assert planes.shape == (3,) + shape and planes.flags.c_contiguous
+    assert f.b_cells.shape == g.shape_cells + (3,)
+    assert np.shares_memory(f.b_cells, f.b_cell_planes)
+    # strided planes in are stored contiguous
+    again = MagneticField(np.asfortranarray(f.b_node_planes), f.bmag_nodes,
+                          np.asfortranarray(f.b_cell_planes), f.bmag_cells)
+    assert again.b_node_planes.flags.c_contiguous
+    assert again.b_cell_planes.flags.c_contiguous
+    assert np.array_equal(again.b_node_planes, f.b_node_planes)
+    assert np.array_equal(again.b_cell_planes, f.b_cell_planes)
+
+
+def test_field_planes_match_vector_sampling(small_grid):
+    """Planes normalised plane by plane carry the bits of B stacked into
+    (..., 3) vectors and normalised by their summed squares."""
+    g = small_grid
+
+    def B(x, y):
+        return (y / np.hypot(x, y), -x / np.hypot(x, y), 0.3 * np.sin(x * y))
+
+    f = MagneticField.from_function(g, B)
+    for coords, planes, bmag in ((g.node_coords(), f.b_node_planes,
+                                  f.bmag_nodes),
+                                 (g.cell_coords(), f.b_cell_planes,
+                                  f.bmag_cells)):
+        V = np.stack(B(*coords), axis=-1)
+        mag = np.sqrt((V * V).sum(axis=-1))
+        assert np.array_equal(bmag, mag)
+        assert np.array_equal(np.moveaxis(planes, 0, -1), V / mag[..., None])
 
 
 def test_field_requires_positive_magnitude(small_grid):
@@ -81,7 +132,8 @@ def test_b_dot_grad_star_equals_dh(small_grid):
     f = circular_field(g)
     p = rng.standard_normal(g.shape_cells)
     gx, gy = apply_grad_star(p, g)
-    lhs = f.b_nodes[..., 0] * gx + f.b_nodes[..., 1] * gy
+    b_n = np.moveaxis(f.b_node_planes, 0, -1)
+    lhs = b_n[..., 0] * gx + b_n[..., 1] * gy
     assert np.array_equal(lhs, apply_dh(p, f, g))
 
 
