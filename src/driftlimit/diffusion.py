@@ -25,7 +25,8 @@ K_perp = range of dhstar over interior-supported node fields:
    q = tau * w scales exactly with tau.
 4.                      p = pi + q.
 
-At tau = 0 steps 3-4 give q = 0 and p = pi is the formal limit solution.
+pi does not depend on tau: it is the limit solution, and every solve
+below regime 1 returns it.
 Step 3 is ``solve_micro``, which ``solve_micro_macro`` and the manufactured
 sweep (``harness.ManufacturedDiffusion``) share.  The tests check the
 decomposition against an independent tau > 0 oracle, a sparse direct
@@ -136,8 +137,8 @@ class AnisoDiffusionProblem:
         self.rhs = np.asarray(self.rhs, dtype=float)
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        if not self.tau > 0.0:
+            raise ValueError("tau must be positive")
         if not np.all(self.coeff > 0.0):
             raise ValueError("coefficient must be positive everywhere")
 
@@ -149,9 +150,8 @@ class MicroMacroSolution:
     Below regime 1 pi is the macro part in the kernel K and q the micro
     part.  A shift-dominated solve has no macro part: pi is f/lam, q is
     the K_perp correction r, and it reports macro iterations 0, macro
-    residual 0.0 and kernel residual 0.0, as the tau = 0 branch reports
-    its skipped micro solve.  Its regime is 1 or more exactly when the
-    solve is shift-dominated.
+    residual 0.0 and kernel residual 0.0.  Its regime is 1 or more
+    exactly when the solve is shift-dominated.
     """
 
     p: np.ndarray
@@ -322,7 +322,7 @@ def solve_micro(h: np.ndarray, field: MagneticField, grid: Grid,
 
 def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                       micro_lu=None, macro_lu=None) -> MicroMacroSolution:
-    """Solve the degenerate diffusion problem, uniformly in tau >= 0.
+    """Solve the degenerate diffusion problem, uniformly in tau > 0.
 
     Below regime 1 (``shift_dominated`` false) the solve is the
     micro-macro split of the module docstring.  macro_lu, a
@@ -360,13 +360,9 @@ def solve_micro_macro(prob: AnisoDiffusionProblem, grid: Grid,
                               f"({kernel_resid:.3e} > {kernel_tol:.3e}); "
                               "operator assembly inconsistent")
 
-    if tau == 0.0:
-        q = np.zeros(grid.shape_cells)
-        it_w, res_w = 0, 0.0
-    else:
-        w, it_w, res_w = solve_micro(h, prob.field, grid, prob.coeff,
-                                     shift, micro_lu)
-        q = tau * w
+    w, it_w, res_w = solve_micro(h, prob.field, grid, prob.coeff, shift,
+                                 micro_lu)
+    q = tau * w
 
     return MicroMacroSolution(
         p=pi + q, pi=pi, q=q,

@@ -236,7 +236,6 @@ class RunConfig:
     x0: float = 1.5
     y0: float = 1.5
     n0: float = 1.0
-    phi0: float = 0.0
     classical_dt: object = None         # None -> dt, "stable" -> CFL bound
     sigma: float = 0.5
     output_interval: int = 0
@@ -252,7 +251,6 @@ class RunConfig:
     c_values: tuple = (1e-2, 1e-3, 1e-4)
     dt_values: tuple = (1e-6, 1e-7, 1e-8)
     c_horizons: tuple = (6e-6, 4e-6, 2e-6)
-    band_frac: float = 0.08
 
     def validate(self):
         for f in dataclasses.fields(self):
@@ -342,15 +340,15 @@ class RunConfig:
         for key in ("eta", "output_interval"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r}: must be nonnegative")
-        if not 0.0 < self.band_frac < 0.5:
-            raise ValueError("config key 'band_frac': must lie in (0, 0.5)")
-        # the steps a simulate run takes: dt for the AP scheme, and for the
-        # classical one classical_dt when it is a number, else dt
-        steps = {"dt": self.dt}
+        # the steps of a simulate run known at parse time: dt for the AP
+        # scheme, and for the classical one dt when classical_dt is null
+        # and classical_dt when it is a number; a "stable" step is known
+        # only at run time
+        steps = {}
+        if self.scheme != "classical" or self.classical_dt is None:
+            steps["dt"] = self.dt
         if self.scheme != "ap" and _is_number(self.classical_dt):
             steps["classical_dt"] = self.classical_dt
-            if self.scheme == "classical":
-                del steps["dt"]
         for key, step in steps.items():
             if self.experiment == "simulate" and self.t_end < step:
                 raise ValueError(f"config key 't_end': {self.t_end!r} is "
@@ -465,7 +463,7 @@ def make_two_fluid_setup(cfg: RunConfig):
     q = np.broadcast_to(np.asarray(B)[:, None, None],
                         (3,) + grid.shape_cells).copy()
     state = PlasmaState(n=n, q_i_planes=q, q_e_planes=q.copy(),
-                        phi=np.full(grid.shape_cells, cfg.phi0), t=0.0)
+                        phi=np.zeros(grid.shape_cells), t=0.0)
     return grid, field, state
 
 
@@ -638,6 +636,10 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
 # C study
 # ---------------------------------------------------------------------------
 
+# Width of the classifier's boundary band, a fraction of the domain extent
+BAND_FRAC = 0.08
+
+
 def boundary_band_mask(grid: Grid, frac: float) -> np.ndarray:
     """Cells whose center lies within frac * extent of the domain boundary."""
     x, y = grid.cell_coords()
@@ -647,11 +649,11 @@ def boundary_band_mask(grid: Grid, frac: float) -> np.ndarray:
 
 
 def classify_boundary_artifacts(state: PlasmaState, reference: PlasmaState,
-                                initial: PlasmaState, grid: Grid,
-                                band_frac: float) -> bool:
-    """True when the near-boundary q_i,x deviation from the reference run
-    exceeds half the reference run's deviation from the initial state."""
-    band = boundary_band_mask(grid, band_frac)
+                                initial: PlasmaState, grid: Grid) -> bool:
+    """True when the q_i,x deviation from the reference run in the
+    BAND_FRAC boundary band exceeds half the reference run's deviation
+    from the initial state."""
+    band = boundary_band_mask(grid, BAND_FRAC)
     dev = state.q("i")[0] - reference.q("i")[0]
     pert = reference.q("i")[0] - initial.q("i")[0]
     scale = float(np.linalg.norm(pert))
@@ -676,7 +678,7 @@ def run_c_study(cfg: RunConfig) -> dict:
             elif dt != ref_dt and runs[(C, ref_dt)].diverged_step < 0 and \
                 classify_boundary_artifacts(res.final_state,
                                             runs[(C, ref_dt)].final_state,
-                                            state0, grid, cfg.band_frac):
+                                            state0, grid):
                 verdicts[(C, dt)] = "boundary-artifacts"
             else:
                 verdicts[(C, dt)] = "stable"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from driftlimit import ap_stepper, diffusion
 from driftlimit.ap_stepper import APStepper, PhysParams, PlasmaState, \
     assemble_R, assemble_S, solve_momentum_rotation, \
-    species_fv_divergence, step_residuals, stiff_force_terms
+    species_fv_divergence, step_residuals, stiff_force_terms, update_momentum
 from driftlimit.classical import step_classical
 from driftlimit.diffusion import SolverError
 from driftlimit.grid import Grid, dot
@@ -280,6 +280,53 @@ def test_solver_failure_recorded_as_divergence(monkeypatch):
     cfg = RunConfig(nx=8, ny=8, c_values=(1e-2,), dt_values=(1e-6, 1e-7),
                     c_horizons=(2e-6,))
     assert set(run_c_study(cfg)["verdicts"].values()) == {"diverged"}
+
+
+def inject_fault(fault, monkeypatch):
+    """Patch the step so that its density solve returns a cell at 0, its
+    potential solve a NaN cell, or its momentum update inf everywhere."""
+    if fault == "momentum":
+        def blown_update(*args):
+            q = update_momentum(*args)
+            q[...] = np.inf
+            return q
+
+        monkeypatch.setattr(ap_stepper, "update_momentum", blown_update)
+        return
+    calls = []
+    corrupted_call, value = {"density": (1, 0.0),
+                             "potential": (2, np.nan)}[fault]
+
+    def corrupted_solve(*args, **kwargs):
+        sol = diffusion.solve_micro_macro(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == corrupted_call:
+            sol.p[0, 0] = value
+        return sol
+
+    monkeypatch.setattr(ap_stepper, "solve_micro_macro", corrupted_solve)
+
+
+@pytest.mark.parametrize("fault, note", [
+    ("density", "density lost positivity"),
+    ("potential", "potential diverged"),
+    ("momentum", "momentum diverged")])
+def test_step_flags_a_diverged_result(fault, note, monkeypatch):
+    cfg, grid, field, s0 = stationary_setup()
+    inject_fault(fault, monkeypatch)
+    s1, diag = APStepper(cfg.phys_params(), grid, field).step(s0)
+    assert diag.diverged and diag.note == note
+    if fault == "momentum":
+        # the new state comes back, with its finite density and potential
+        assert s1 is not s0 and s1.t == s0.t + cfg.dt
+        assert np.all(np.isinf(s1.q_i)) and np.all(np.isinf(s1.q_e))
+        assert np.all(np.isfinite(s1.n)) and np.all(np.isfinite(s1.phi))
+    else:
+        assert s1 is s0
+    # a run stops at that step with the step's note
+    inject_fault(fault, monkeypatch)
+    res = run_simulation("ap", cfg, grid, field, s0)
+    assert (res.steps, res.diverged_step, res.note) == (1, 1, note)
 
 
 def test_step_residuals_on_stationary_pair():

@@ -14,9 +14,9 @@ from driftlimit.classical import stable_dt, step_classical
 from driftlimit.diffusion import SolverError
 from driftlimit.grid import Grid
 from driftlimit.harness import ConvergenceTable, ManufacturedDiffusion, \
-    RunConfig, boundary_band_mask, config_hash, div_aligned_flux, fit_slope, \
-    make_two_fluid_setup, parse_config, run_diffusion_validation, \
-    run_two_fluid, write_meta
+    BAND_FRAC, RunConfig, boundary_band_mask, config_hash, div_aligned_flux, \
+    fit_slope, make_two_fluid_setup, parse_config, run_c_study, \
+    run_diffusion_validation, run_two_fluid, write_meta
 from driftlimit.cli import main as cli_main
 
 
@@ -30,16 +30,19 @@ def test_defaults_match_reference_preset():
     assert cfg.C == 1e-2
     assert cfg.alpha == pytest.approx(2 * math.pi / 3)
     assert cfg.eta == 80.0
-    assert (cfg.x0, cfg.y0, cfg.n0, cfg.phi0) == (1.5, 1.5, 1.0, 0.0)
+    assert (cfg.x0, cfg.y0, cfg.n0) == (1.5, 1.5, 1.0)
     assert cfg.dt == 5e-9
     assert cfg.t_end == 6e-6
 
 
 def test_config_rejects_unknown_keys(tmp_path):
     doc = tmp_path / "cfg.json"
-    doc.write_text(json.dumps({"tua": 1e-3}))
-    with pytest.raises(ValueError, match="unknown config key"):
-        parse_config(doc)
+    for key, value in (("tua", 1e-3), ("phi0", 0.0), ("band_frac", 0.08)):
+        doc.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            parse_config(doc)
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            parse_config(overrides=[f"{key}={value}"])
 
 
 def test_config_rejects_invalid_values(tmp_path):
@@ -451,6 +454,18 @@ def test_cli_simulate_and_errors(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_cli_stable_classical_run_ignores_dt(capsys):
+    # a classical-only run at classical_dt = "stable" never takes dt, so a
+    # t_end below dt passes parse time, and the run takes one CFL step
+    argv = ["simulate"]
+    for item in ("nx=8", "ny=8", "scheme=classical", "classical_dt=stable",
+                 "t_end=1e-9"):
+        argv += ["--override", item]
+    assert cli_main(argv) == 0
+    assert "classical: 1 steps (dt=3.608e-06), completed" in \
+        capsys.readouterr().out
+
+
 @pytest.mark.parametrize("T_e", ["0", "-1"])
 def test_cli_rejects_nonpositive_te(T_e, capsys):
     assert cli_main(["simulate", "--override", f"T_e={T_e}"]) == 2
@@ -496,3 +511,37 @@ def test_cli_c_study_minimal(tmp_path, capsys):
     lines = (tmp_path / "stability_map.csv").read_text().strip().split("\n")
     assert lines[0] == "C,dt,verdict"
     assert len(lines) == 3
+
+
+def test_c_study_writes_boundary_artifacts(tmp_path):
+    cfg = RunConfig(nx=32, ny=32, c_values=(1e-4, 1e-5),
+                    dt_values=(1e-5, 1e-6, 1e-7), c_horizons=(6e-5, 2e-5),
+                    out_dir=str(tmp_path)).validate()
+    out = run_c_study(cfg)
+    runs = out["runs"]
+    grid, _, initial = make_two_fluid_setup(cfg)
+    band = boundary_band_mask(grid, BAND_FRAC)
+
+    def over_threshold(C, dt):
+        """The classifier's band deviation over its threshold."""
+        ref = runs[(C, min(cfg.dt_values))].final_state.q("i")[0]
+        dev = runs[(C, dt)].final_state.q("i")[0] - ref
+        return float(np.linalg.norm(dev[band])
+                     / (0.5 * np.linalg.norm(ref - initial.q("i")[0])))
+
+    # (1e-5, 1e-5) and (1e-5, 1e-6) read stable only because their
+    # reference run diverged, so nothing was compared: not pinned
+    expected = {(1e-4, 1e-5): "boundary-artifacts",
+                (1e-4, 1e-6): "boundary-artifacts",
+                (1e-4, 1e-7): "stable", (1e-5, 1e-7): "diverged"}
+    for cell, verdict in expected.items():
+        assert out["verdicts"][cell] == verdict, cell
+    assert over_threshold(1e-4, 1e-5) == pytest.approx(1.73, abs=0.01)
+    assert over_threshold(1e-4, 1e-6) == pytest.approx(1.28, abs=0.01)
+    blown = runs[(1e-5, 1e-7)]
+    assert (blown.diverged_step, blown.note) == (95, "blow-up detector")
+    lines = (tmp_path / "stability_map.csv").read_text().splitlines()
+    assert lines[0] == "C,dt,verdict" and len(lines) == 7
+    written = {(float(C), float(dt)): verdict for C, dt, verdict in
+               (line.split(",") for line in lines[1:])}
+    assert {cell: written[cell] for cell in expected} == expected
