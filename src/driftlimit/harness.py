@@ -42,6 +42,9 @@ MAX_CELLS = (2**31 - 1) // 9
 # the complete factor is also the faster preconditioner: at 100^2 a micro
 # solve took 3.7-5.1 ms on it and 8.0-8.4 ms on the incomplete one.
 MAX_FACTORED_NODES = 101 ** 2
+# Every run lives on the square [1,2]^2: the manufactured solution vanishes
+# on its boundary, and the two-fluid test case is posed on it too
+DOMAIN_LO, DOMAIN_HI = (1.0, 1.0), (2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +196,12 @@ class ConvergenceTable:
 _TWO_PI_THIRDS = 2.0 * math.pi / 3.0
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
-
-
-def _is_pair(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) == 2
-
-
 def _matches(value, default) -> bool:
     """True when value has the type of a key's default: a finite number for
     a float, an integer for an int, a list of such for a tuple."""
     if isinstance(default, float):
-        return _is_number(value)
+        return isinstance(value, (int, float)) \
+            and not isinstance(value, bool) and math.isfinite(value)
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, tuple):
@@ -223,7 +218,6 @@ class RunConfig:
     experiment: str = "simulate"
     nx: int = 100
     ny: int = 100
-    domain: tuple = ((1.0, 2.0), (1.0, 2.0))
     tau: float = 1e-8
     eps: float = 1.0
     T_e: float = 3.0
@@ -235,7 +229,6 @@ class RunConfig:
     eta: float = 80.0
     x0: float = 1.5
     y0: float = 1.5
-    n0: float = 1.0
     classical_dt: object = None         # None -> dt, "stable" -> CFL bound
     sigma: float = 0.5
     output_interval: int = 0
@@ -261,17 +254,11 @@ class RunConfig:
         for key in ("nx", "ny", "tau_sweep_grid"):
             if getattr(self, key) < 2:
                 raise ValueError(f"config key {key!r}: need at least 2 cells")
-        if not (_is_pair(self.domain)
-                and all(_is_pair(ax) and ax[0] < ax[1] for ax in self.domain)):
-            raise ValueError("config key 'domain': expected two increasing "
-                             f"pairs [[x0, x1], [y0, y1]], got {self.domain!r}")
         if not 0.0 < self.sigma <= 1.0:
             raise ValueError("config key 'sigma': must lie in (0, 1]")
-        if not (self.classical_dt in (None, "stable")
-                or (_is_number(self.classical_dt) and self.classical_dt > 0.0)):
-            raise ValueError("config key 'classical_dt': expected null, "
-                             f"\"stable\" or a positive number, got "
-                             f"{self.classical_dt!r}")
+        if self.classical_dt not in (None, "stable"):
+            raise ValueError("config key 'classical_dt': expected null or "
+                             f"\"stable\", got {self.classical_dt!r}")
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ValueError("config key 'out_dir': expected a path string "
                              f"or null, got {self.out_dir!r}")
@@ -310,7 +297,7 @@ class RunConfig:
                              f"{self.experiment!r}")
         if self.scheme not in ("ap", "classical", "both"):
             raise ValueError(f"config key 'scheme': unknown value {self.scheme!r}")
-        for key in ("t_end", "n0", "scale", "lam"):
+        for key in ("t_end", "scale", "lam"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"config key {key!r}: must be positive")
 
@@ -340,19 +327,12 @@ class RunConfig:
         for key in ("eta", "output_interval"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r}: must be nonnegative")
-        # the steps of a simulate run known at parse time: dt for the AP
-        # scheme, and for the classical one dt when classical_dt is null
-        # and classical_dt when it is a number; a "stable" step is known
-        # only at run time
-        steps = {}
-        if self.scheme != "classical" or self.classical_dt is None:
-            steps["dt"] = self.dt
-        if self.scheme != "ap" and _is_number(self.classical_dt):
-            steps["classical_dt"] = self.classical_dt
-        for key, step in steps.items():
-            if self.experiment == "simulate" and self.t_end < step:
-                raise ValueError(f"config key 't_end': {self.t_end!r} is "
-                                 f"shorter than one step {key}={step!r}")
+        # a simulate run takes steps of dt, except a classical-only run at
+        # classical_dt = "stable", whose CFL step is known only at run time
+        takes_dt = self.scheme != "classical" or self.classical_dt is None
+        if self.experiment == "simulate" and takes_dt and self.t_end < self.dt:
+            raise ValueError(f"config key 't_end': {self.t_end!r} is shorter "
+                             f"than one step dt={self.dt!r}")
         try:
             params = self.phys_params()
         except ValueError as exc:
@@ -375,8 +355,7 @@ class RunConfig:
         return max(4, round(n * self.scale))
 
     def build_grid(self) -> Grid:
-        (x0, x1), (y0, y1) = self.domain
-        return Grid((x0, y0), (x1, y1),
+        return Grid(DOMAIN_LO, DOMAIN_HI,
                     (self.scaled_cells(self.nx), self.scaled_cells(self.ny)))
 
     def as_dict(self) -> dict:
@@ -459,7 +438,7 @@ def make_two_fluid_setup(cfg: RunConfig):
     x, y = grid.cell_coords()
     bump = np.maximum(0.0, 1.0 - cfg.eta * (x - cfg.x0) ** 2
                       - cfg.eta * (y - cfg.y0) ** 2)
-    n = cfg.n0 + cfg.tau * bump
+    n = 1.0 + cfg.tau * bump            # densities in units of the background
     q = np.broadcast_to(np.asarray(B)[:, None, None],
                         (3,) + grid.shape_cells).copy()
     state = PlasmaState(n=n, q_i_planes=q, q_e_planes=q.copy(),
@@ -481,8 +460,8 @@ class SimulationResult:
 def _num_steps(t_end: float, dt: float) -> int:
     """Steps to reach t_end, the last one ending at or past it.
 
-    Parse time rejects a t_end shorter than a step it knows, so the floor
-    of one step only applies to classical_dt = "stable", whose CFL step
+    Parse time rejects a t_end shorter than dt, so the floor of one step
+    only applies to classical_dt = "stable", whose CFL step
     is known at run time and can exceed t_end; that run then ends one
     step past t_end.
     """
@@ -578,10 +557,9 @@ def run_two_fluid(cfg: RunConfig) -> dict:
     results = {}
     for scheme in (("ap", "classical") if cfg.scheme == "both" else (cfg.scheme,)):
         run_cfg = cfg
-        if scheme == "classical" and cfg.classical_dt is not None:
-            dt = (stable_dt(state0, cfg.phys_params(), grid, cfg.sigma)
-                  if cfg.classical_dt == "stable" else float(cfg.classical_dt))
-            run_cfg = dataclasses.replace(cfg, dt=dt)
+        if scheme == "classical" and cfg.classical_dt == "stable":
+            run_cfg = dataclasses.replace(cfg, dt=stable_dt(
+                state0, cfg.phys_params(), grid, cfg.sigma))
         results[scheme] = run_simulation(scheme, run_cfg, grid, field, state0,
                                          dump_dir=cfg.out_dir)
 
@@ -606,7 +584,7 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
     def solve_on(n):
         """Every solve of the grid with n cells per side; its problem goes
         when this returns, before the next grid is built."""
-        grid = Grid((1.0, 1.0), (2.0, 2.0), (n, n))
+        grid = Grid(DOMAIN_LO, DOMAIN_HI, (n, n))
         m = ManufacturedDiffusion(grid, cfg.lam)
         if n in ladder:
             for tau, table in h_tables.items():
@@ -640,11 +618,12 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
 BAND_FRAC = 0.08
 
 
-def boundary_band_mask(grid: Grid, frac: float) -> np.ndarray:
-    """Cells whose center lies within frac * extent of the domain boundary."""
+def boundary_band_mask(grid: Grid) -> np.ndarray:
+    """Cells whose center lies within BAND_FRAC * extent of the domain
+    boundary."""
     x, y = grid.cell_coords()
     (x0, y0), (x1, y1) = grid.lo, grid.hi
-    w = frac * min(x1 - x0, y1 - y0)
+    w = BAND_FRAC * min(x1 - x0, y1 - y0)
     return ((x - x0 < w) | (x1 - x < w) | (y - y0 < w) | (y1 - y < w))
 
 
@@ -653,7 +632,7 @@ def classify_boundary_artifacts(state: PlasmaState, reference: PlasmaState,
     """True when the q_i,x deviation from the reference run in the
     BAND_FRAC boundary band exceeds half the reference run's deviation
     from the initial state."""
-    band = boundary_band_mask(grid, BAND_FRAC)
+    band = boundary_band_mask(grid)
     dev = state.q("i")[0] - reference.q("i")[0]
     pert = reference.q("i")[0] - initial.q("i")[0]
     scale = float(np.linalg.norm(pert))

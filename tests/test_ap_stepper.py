@@ -58,8 +58,8 @@ def test_step_requires_positive_tau():
         APStepper(PhysParams(**dict(PARAMS, tau=0.0)), grid, field)
 
 
-def stationary_setup(nx=12, tau=1e-8, dt=1e-6, n0=1.0):
-    cfg = RunConfig(nx=nx, ny=nx, eta=0.0, tau=tau, dt=dt, n0=n0)
+def stationary_setup(nx=12, tau=1e-8, dt=1e-6):
+    cfg = RunConfig(nx=nx, ny=nx, eta=0.0, tau=tau, dt=dt)
     grid, field, state = make_two_fluid_setup(cfg)
     return cfg, grid, field, state
 
@@ -74,7 +74,7 @@ def parallel_and_fv(s, field, grid, dt):
 
 
 def test_assemble_R_stationary_value():
-    # eta = 0 leaves n at the constant n0 + tau; only the density term of
+    # eta = 0 leaves n at the constant 1 + tau; only the density term of
     # R survives since every stencil annihilates the constant state
     cfg, grid, field, s = stationary_setup()
     p = cfg.phys_params()
@@ -329,6 +329,21 @@ def test_step_flags_a_diverged_result(fault, note, monkeypatch):
     assert (res.steps, res.diverged_step, res.note) == (1, 1, note)
 
 
+def test_step_flags_a_macro_part_outside_the_kernel(monkeypatch):
+    # a zero macro potential leaves pi = rhs/lam, whose dh is not 0 on the
+    # perturbed state, so the solve's kernel check raises and the step
+    # records divergence
+    def zero_potential(g, field, grid, lu):
+        return np.zeros(grid.shape_nodes), 0, 0.0
+
+    monkeypatch.setattr(diffusion, "macro_potential", zero_potential)
+    cfg = RunConfig(nx=12, ny=12, dt=1e-6)
+    grid, field, s0 = make_two_fluid_setup(cfg)
+    s1, diag = APStepper(cfg.phys_params(), grid, field).step(s0)
+    assert s1 is s0 and diag.diverged
+    assert diag.note.startswith("macro part escaped the discrete kernel")
+
+
 def test_step_residuals_on_stationary_pair():
     cfg, grid, field, s0 = stationary_setup()
     p = cfg.phys_params()
@@ -459,15 +474,16 @@ def test_steps_share_one_macro_factor(monkeypatch):
     monkeypatch.setattr(diffusion, "_factor_spd", counting)
     # at 100^2, dt = 1e-6 puts both solves below regime 1, where the
     # stepper factors N1 and N1 + tau*lam2; at dt = 5e-9 (regimes ~2500
-    # and ~40) both are shift-dominated and it factors nothing.  n0 = 2
-    # doubles phi's coefficient: at dt = 2.5e-8 its regime, tau*lam2 over
-    # the operator scale at unit coefficient, stays above 1, as does the
-    # branch it picks.  Every factor is of an interior-node operator, and
-    # no step factors anything
+    # and ~40) both are shift-dominated and it factors nothing.  A density
+    # of 2 + tau doubles phi's coefficient: at dt = 2.5e-8 its regime,
+    # tau*lam2 over the operator scale at unit coefficient, stays above 1,
+    # as does the branch it picks.  Every factor is of an interior-node
+    # operator, and no step factors anything
     for dt, n0, factors in ((1e-6, 1.0, 2), (5e-9, 1.0, 0),
                             (2.5e-8, 2.0, 0)):
         factored.clear()
-        cfg, grid, field, s0 = stationary_setup(nx=100, dt=dt, n0=n0)
+        cfg, grid, field, s0 = stationary_setup(nx=100, dt=dt)
+        s0.n[...] = n0 + cfg.tau
         stepper = APStepper(cfg.phys_params(), grid, field)
         n_int = int(grid.interior_node_mask.sum())
         assert factored == [(n_int, n_int)] * factors

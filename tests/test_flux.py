@@ -238,6 +238,19 @@ def test_divergence_flags_invalid_state():
         vector_divergence(n, np.zeros(g.shape_cells + (3,)), f, g)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_flux_vector_rejects_nonpositive_density(bad):
+    # fv_divergence checks the state first, so only a direct call reaches
+    # the flux's own guard
+    n = np.ones((4, 4))
+    n[1, 2] = bad
+    q = np.zeros((3, 4, 4))
+    b = np.zeros((3, 4, 4))
+    b[0] = 1.0
+    with pytest.raises(FloatingPointError, match="non-positive density"):
+        explicit_flux_vector(n, q, b, 0)
+
+
 def test_pressure_flux_and_bound_options():
     # a number c2 selects the classical full flux: mass flux q_a, pressure
     # c2 * n on the axis momentum row and speed |u_a| + sqrt(c2); the AP

@@ -49,6 +49,16 @@ def test_node_average_affine_exact():
     assert np.max(np.abs(w[inner] - xn[inner])) < 1e-14
 
 
+def test_averages_reject_the_other_location():
+    # a node field is one larger per axis than a cell field; either average
+    # would otherwise return a field of the wrong shape without an error
+    g = Grid((1, 1), (2, 2), (4, 4))
+    with pytest.raises(ValueError, match="expected cell field"):
+        node_average(np.zeros(g.shape_nodes), g)
+    with pytest.raises(ValueError, match="expected node field"):
+        cell_from_nodes(np.zeros(g.shape_cells), g)
+
+
 def test_cell_from_nodes_constant_affine_and_hat():
     g = Grid((1, 1), (2, 2), (4, 4))
     assert np.all(cell_from_nodes(np.full(g.shape_nodes, 2.0), g) == 2.0)
