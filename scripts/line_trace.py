@@ -3,7 +3,7 @@
 
     scripts/line_trace.py
 
-Runs the four runs of scripts/reference_outputs.sh in this process, with
+Runs the five runs of scripts/reference_outputs.sh in this process, with
 the package imported from this checkout's src/ and the outputs written to a
 temporary directory, under ``sys.settrace``.  It then prints, per module of
 the package, each statement that no run executed, with its line number.
@@ -36,6 +36,7 @@ REFERENCE_RUNS = (
                      "--override", "t_end=1.2e-5", "--override", "scheme=ap"]),
     ("diffusion_validate", ["diffusion-validate", "--scale", "0.5"]),
     ("c_study", ["c-study", "--scale", "0.5"]),
+    ("diffusion_validate_full", ["diffusion-validate"]),
 )
 
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Run the four reference runs of this checkout into OUT, one directory each,
+# Run the five reference runs of this checkout into OUT, one directory each,
 # with the printed lines of each run in its stdout.txt:
 #
 #     scripts/reference_outputs.sh OUT
@@ -30,3 +30,6 @@ run simulate_ap simulate --override dt=1e-6 --override t_end=1.2e-5 \
     --override scheme=ap
 run diffusion_validate diffusion-validate --scale 0.5
 run c_study c-study --scale 0.5
+# the default sweep: its 200^2 grid is the one run that builds the
+# incomplete factor
+run diffusion_validate_full diffusion-validate

@@ -38,9 +38,10 @@ MAX_CELLS = (2**31 - 1) // 9
 # Measured fill of its curved-field factor: 0.76M nonzeros and +11 MB peak
 # RSS at 100^2 cells (101^2 nodes); 4.27M nonzeros and +53 MB at 200^2,
 # which would raise the sweep's peak RSS by about 55%, so larger grids
-# build an incomplete factor (0.67M nonzeros at 200^2).  Below the bound
-# the complete factor is also the faster preconditioner: at 100^2 a micro
-# solve took 3.7-5.1 ms on it and 8.0-8.4 ms on the incomplete one.
+# build an incomplete factor (1.82M nonzeros at 200^2).  Below the bound
+# the complete factor is also the faster preconditioner: at 100^2 it
+# builds in 32-49 ms and a micro solve takes 2.1-4.2 ms on it, against
+# 58-59 ms and 5.4-8.4 ms (4 iterations) for the incomplete one.
 MAX_FACTORED_NODES = 101 ** 2
 # Every run lives on the square [1,2]^2: the manufactured solution vanishes
 # on its boundary, and the two-fluid test case is posed on it too
@@ -122,10 +123,12 @@ class ManufacturedDiffusion:
     The problem builds one factor of N1, ``macro_lu``: complete on grids
     of at most MAX_FACTORED_NODES nodes, incomplete on larger ones.  It
     preconditions the PCGs of both potentials (one iteration each on a
-    complete factor, 9 at 200^2 on the incomplete one) and every micro
+    complete factor, 4 at 200^2 on the incomplete one) and every micro
     solve (``diffusion.solve_micro``, for the node potential of the micro
     part), which then converges in a few iterations because tau*lam is
-    tiny against the spectrum of the micro node operator.
+    tiny against the spectrum of the micro node operator.  ``record``
+    keeps the factor's kind and stored nonzeros and each PCG's iteration
+    count and achieved residual; the sweep writes it to ``meta.json``.
     """
 
     def __init__(self, grid: Grid, lam: float = 1.0):
@@ -136,23 +139,40 @@ class ManufacturedDiffusion:
         xn, yn = grid.node_coords()
         self.H_nodes = coeff_H(xn, yn)
         if grid.num_nodes <= MAX_FACTORED_NODES:
+            kind = "complete"
             self.macro_lu = node_factor(self.field, grid, 0.0)
         else:
+            kind = "incomplete"
             self.macro_lu = incomplete_macro_factor(self.field, grid)
+        # how the grid was solved, with one entry per PCG in the order they
+        # ran; the factor's nnz is SuperLU's own count, where L.nnz + U.nnz
+        # would copy both triangles
+        self.record = {"cells": grid.shape_cells[0], "factor": kind,
+                       "factor_nnz": self.macro_lu.nnz, "pcgs": []}
         x, y = grid.cell_coords()
         self.p1 = p1_exact(x, y)
         g = -div_aligned_flux(x, y)
-        self.h_g = macro_potential(g, self.field, grid, self.macro_lu)[0]
-        self.h_p = macro_potential(self.p1, self.field, grid,
-                                   self.macro_lu)[0]
+        self.h_g = self._log_pcg("macro h_g", *macro_potential(
+            g, self.field, grid, self.macro_lu))
+        self.h_p = self._log_pcg("macro h_p", *macro_potential(
+            self.p1, self.field, grid, self.macro_lu))
         # kernel projection of the density part
         self.p1_kernel = self.p1 + apply_dhstar(self.h_p, self.field, grid)
+
+    def _log_pcg(self, solve: str, x: np.ndarray, iterations: int,
+                residual: float) -> np.ndarray:
+        """Keep a PCG's iteration count and achieved ||r|| / ||b||;
+        returns its solution x."""
+        self.record["pcgs"].append({"solve": solve, "iterations": iterations,
+                                    "residual": residual})
+        return x
 
     def solve_deviation(self, tau: float) -> np.ndarray:
         """p_app - p0 by superposition; every term scales exactly with tau."""
         shift = tau * self.lam
-        w = solve_micro(shift * self.h_p + self.h_g, self.field, self.grid,
-                        self.H_nodes, shift, lu=self.macro_lu)[0]
+        w = self._log_pcg(f"micro tau={tau:g}", *solve_micro(
+            shift * self.h_p + self.h_g, self.field, self.grid,
+            self.H_nodes, shift, lu=self.macro_lu))
         return tau * self.p1_kernel + tau * w
 
 
@@ -581,6 +601,8 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
     ladder = [cfg.scaled_cells(nc) for nc in cfg.grids]
     tau_grid = cfg.scaled_cells(cfg.tau_sweep_grid)
 
+    records = []
+
     def solve_on(n):
         """Every solve of the grid with n cells per side; its problem goes
         when this returns, before the next grid is built."""
@@ -596,13 +618,14 @@ def run_diffusion_validation(cfg: RunConfig) -> dict:
                 # deviation-form solution is exactly p_app - p0
                 tau_table.add(tau,
                               discrete_norms(m.solve_deviation(tau), grid))
+        records.append(m.record)
 
     for n in ladder if tau_grid in ladder else ladder + [tau_grid]:
         solve_on(n)
 
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        write_meta(cfg, cfg.out_dir)
+        write_meta(cfg, cfg.out_dir, extra={"grids": records})
         for tau, table in h_tables.items():
             table.write_csv(os.path.join(cfg.out_dir,
                                          f"convergence_h_tau{tau:.0e}.csv"))

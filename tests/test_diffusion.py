@@ -451,9 +451,10 @@ def test_incomplete_macro_factor_is_symmetric_and_positive():
         assert x @ ilu.solve(x) > 0.0
 
 
-def test_incomplete_manufactured_solves_take_a_few_iterations(monkeypatch):
-    # with no grid factored, both potentials and every micro solve run PCG
-    # on the incomplete N1 factor; measured here: 4-5 iterations each
+def incomplete_manufactured_iterations(n, monkeypatch) -> list:
+    """PCG iteration counts of both potentials and the micro solves at
+    taus 1e-2, 1e-5 and 1e-9 of an n^2 manufactured problem, with no grid
+    factored, so that every PCG runs on the incomplete N1 factor."""
     monkeypatch.setattr(harness, "MAX_FACTORED_NODES", 0)
     iterations = []
 
@@ -468,12 +469,26 @@ def test_incomplete_manufactured_solves_take_a_few_iterations(monkeypatch):
                         recording(diffusion.macro_potential))
     monkeypatch.setattr(harness, "solve_micro",
                         recording(diffusion.solve_micro))
-    m = ManufacturedDiffusion(Grid((1, 1), (2, 2), (20, 20)), lam=1.5)
+    m = ManufacturedDiffusion(Grid((1, 1), (2, 2), (n, n)), lam=1.5)
     assert isinstance(m.macro_lu, diffusion._SymmetricILU)
     for tau in (1e-2, 1e-5, 1e-9):
         m.solve_deviation(tau)
     assert len(iterations) == 5
+    # the problem keeps the same counts for its output record
+    assert [pcg["iterations"] for pcg in m.record["pcgs"]] == iterations
+    return iterations
+
+
+def test_incomplete_manufactured_solves_take_a_few_iterations(monkeypatch):
+    # measured: 3-4 iterations each
+    iterations = incomplete_manufactured_iterations(20, monkeypatch)
     assert all(0 < it <= 5 for it in iterations), iterations
+
+
+def test_incomplete_factor_keeps_its_quality_on_a_finer_grid(monkeypatch):
+    # measured: 3-4 iterations each
+    iterations = incomplete_manufactured_iterations(40, monkeypatch)
+    assert all(0 < it <= 4 for it in iterations), iterations
 
 
 def test_macro_part_insensitive_to_solver_path():
