@@ -103,9 +103,9 @@ iterates are scipy's, bit for bit), stopped when ||r|| < SOLVER_RTOL
 iteration count.
 
 Both Krylov operators live on the interior nodes and come from the cached
-interior block DE of the assembled dhstar: N1 = DE^T DE, a nine-point
-stencil stored on its diagonals (``dia_from_csr``), whose products read no
-column indices, and the node operator on the same diagonals.  The cell
+interior block DE of dhstar, built from the cells' corner weights: N1 =
+DE^T DE, a nine-point stencil stored on its diagonals, whose products read
+no column indices, and the node operator on the same diagonals.  The cell
 operator A_H = DE diag(H) DE^T is never formed.  Factors take ``.tocsc()``
 of the node operator.  The data dh(f), of a macro or a shift-dominated
 solve, and the kernel check dh(pi) stay on the matrix-free stencil: it

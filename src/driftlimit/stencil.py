@@ -26,13 +26,13 @@ part of the raw stencils: the time stepper imposes it by zeroing the flux
 on boundary nodes, the assembled operators by keeping only the interior
 node columns of dhstar.
 
-Only dhstar is assembled, as a sum of two Kronecker products of 1D
-difference/average factors.  Its interior-column block DE determines the
-rest: by the SBP identity the interior rows of dh are exactly -DE^T, so
-the masked cell operator -dhstar(H dh(.)) is DE diag(H) DE^T (which only
-the tests' direct oracle assembles) and the macro normal operator is
-N1 = DE^T DE, a nine-point stencil that ``dia_from_csr`` stores on its
-diagonals for the Krylov solves.
+Only DE, the interior-node columns of dhstar, is assembled.  By the SBP
+identity the interior rows of dh are exactly -DE^T, so the masked cell
+operator -dhstar(H dh(.)) is DE diag(H) DE^T (which only the tests' direct
+oracle assembles) and the macro normal operator is N1 = DE^T DE, a
+nine-point stencil kept on its diagonals for the Krylov solves.  Both are
+built from the four corner weights of each cell without a sparse product,
+bit for bit equal to the tests' Kronecker-product oracle.
 """
 
 from __future__ import annotations
@@ -120,59 +120,63 @@ def apply_dhstar(w: np.ndarray, field: MagneticField, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sparse assembly: 1D factors combined with Kronecker products.
+# Assembly in closed form from the corner weights of the cells.
 # ---------------------------------------------------------------------------
 
-def _diff_matrix(m: int, d: float) -> sp.csr_matrix:
-    """(m-1) x m forward difference / d."""
-    return sp.diags([-np.ones(m - 1) / d, np.ones(m - 1) / d], [0, 1],
-                    shape=(m - 1, m), format="csr")
+def _interior_block(S: np.ndarray, D: np.ndarray) -> sp.csr_matrix:
+    """DE, the interior-node columns of dhstar, as CSR from the node
+    planes S, D: per cell its interior corners in column order, exact
+    zeros dropped."""
+    nx, ny = S.shape[0] - 1, S.shape[1] - 1
+    col = np.full(S.shape, -1, dtype=np.int32)
+    col[1:-1, 1:-1] = np.arange((nx - 1) * (ny - 1)).reshape(nx - 1, ny - 1)
+    w = np.empty((nx, ny, 4))
+    cols = np.empty((nx, ny, 4), dtype=np.int32)
+    for k, (p, q, plane) in enumerate(((0, 0, -S), (0, 1, -D), (1, 0, D),
+                                       (1, 1, S))):
+        w[..., k] = plane[p:p + nx, q:q + ny]
+        cols[..., k] = col[p:p + nx, q:q + ny]
+    keep = (cols >= 0) & (w != 0.0)
+    indptr = np.concatenate(([0], keep.sum(axis=2).cumsum()), dtype=np.int32)
+    return sp.csr_matrix((w[keep], cols[keep], indptr),
+                         shape=(nx * ny, (nx - 1) * (ny - 1)))
 
 
-def _avg_matrix(m: int) -> sp.csr_matrix:
-    """(m-1) x m midpoint average."""
-    return sp.diags([0.5 * np.ones(m - 1), 0.5 * np.ones(m - 1)], [0, 1],
-                    shape=(m - 1, m), format="csr")
-
-
-def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
-    """Node -> cell matrix of the b-aligned flux divergence."""
-    bx, by, _ = field.b_node_planes
-    (mx, my), (dx, dy) = grid.shape_nodes, grid.spacing
-    x = sp.kron(_diff_matrix(mx, dx), _avg_matrix(my), format="csr")
-    y = sp.kron(_avg_matrix(mx), _diff_matrix(my, dy), format="csr")
-    return (x @ sp.diags(bx.ravel()) + y @ sp.diags(by.ravel())).tocsr()
-
-
-def dia_from_csr(A: sp.csr_matrix) -> sp.dia_matrix:
-    """A square CSR matrix without duplicate entries, stored on its
-    diagonals.
-
-    A present-offset table over the offset range picks the diagonals, so
-    no sort runs (scipy's ``todia`` sums duplicates and sorts the offsets
-    with ``np.unique``, which costs time and peak memory).  data[k, j] is
-    the entry of column j on diagonal k, the layout ``dia_matrix`` reads.
-    """
-    n = A.shape[0]
-    key = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
-    lo = key.min(initial=0)
-    key -= lo
-    present = np.zeros(key.max(initial=0) + 1, dtype=bool)
-    present[key] = True
-    slot = np.cumsum(present) - 1
-    data = np.zeros((slot[-1] + 1, n))
-    data[slot[key], A.indices] = A.data
-    return sp.dia_matrix((data, np.flatnonzero(present) + lo), shape=A.shape)
+def _normal_operator(s: np.ndarray, d: np.ndarray) -> sp.dia_matrix:
+    """N1 = DE^T DE from the interior planes s, d of S, D, on its nonzero
+    diagonals.  The coupling of two nodes sums the products of their
+    weights over the cells they share, from 0 in ascending cell index,
+    as the CSR product does; each coupling array is indexed by the pair's
+    lower row and column, and the pair (a, b) apart sits on diagonal
+    a*mj + b at the column of its second node."""
+    mi, mj = s.shape
+    pairs = (((0, 0), ((s * s + d * d) + d * d) + s * s),
+             ((0, 1), d[:, :-1] * s[:, 1:] + s[:, :-1] * d[:, 1:]),
+             ((1, 0), -(d[:-1] * s[1:] + s[:-1] * d[1:])),
+             ((1, 1), -(s[:-1, :-1] * s[1:, 1:])),
+             ((1, -1), -(d[:-1, 1:] * d[1:, :-1])))
+    placed = [(A, B, c) for (a, b), c in pairs for A, B in {(a, b), (-a, -b)}]
+    # on an interior at most 2 nodes wide, offsets of distinct pairs
+    # coincide; their entries sit in distinct columns, so they add
+    offsets, slot = np.unique([A * mj + B for A, B, _ in placed],
+                              return_inverse=True)
+    data = np.zeros((offsets.size, mi, mj))
+    for k, (A, B, c) in zip(slot, placed):
+        data[k, max(A, 0):mi + min(A, 0), max(B, 0):mj + min(B, 0)] += c
+    keep = data.any(axis=(1, 2))
+    return sp.dia_matrix((data[keep].reshape(-1, mi * mj), offsets[keep]),
+                         shape=(mi * mj,) * 2)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """Immutable assembly cache of a static (field, grid); factors of its
-    operators belong to the callers of the solvers.  N1, the one square
-    operator, is kept on its diagonals: CG applies it once per iteration."""
+    """Immutable assembly cache of a static (field, grid), built from the
+    cells' corner weights; factors of its operators belong to the callers
+    of the solvers.  N1, the one square operator, is kept on its
+    diagonals: CG applies it once per iteration."""
 
     interior: np.ndarray   # flat indices of the interior nodes
-    DE: sp.csr_matrix      # interior-node block of the assembled dhstar
+    DE: sp.csr_matrix      # interior-node columns of dhstar
     N1: sp.dia_matrix      # macro normal operator DE^T DE, nine diagonals
 
 
@@ -184,9 +188,15 @@ def get_operator_set(field: MagneticField, grid: Grid) -> OperatorSet:
     ops = per_field.get(grid)
     if ops is None:
         interior = np.flatnonzero(grid.interior_node_mask.ravel())
-        DE = assemble_dhstar(field, grid)[:, interior].tocsr()
+        # a node's weight in the row of a cell is -S, -D, D or S as it is
+        # the cell's (0,0), (0,1), (1,0) or (1,1) corner; P and Q round as
+        # the 1D difference and average factors scaled by b do
+        (dx, dy), (bx, by, _) = grid.spacing, field.b_node_planes
+        P, Q = ((1.0 / dx) * 0.5) * bx, ((1.0 / dy) * 0.5) * by
+        S, D = P + Q, P - Q
+        DE = _interior_block(S, D)
         # -dh(dhstar(.)) on interior nodes, SPD form
-        N1 = dia_from_csr((DE.T @ DE).tocsr())
+        N1 = _normal_operator(S[1:-1, 1:-1], D[1:-1, 1:-1])
         ops = OperatorSet(interior=interior, DE=DE, N1=N1)
         per_field[grid] = ops
     return ops

@@ -1,5 +1,13 @@
 """Test-only oracles.
 
+``assemble_dhstar`` is the b-aligned flux divergence assembled the way
+the package assembled it before it built its operators from the corner
+weights: Kronecker products of 1D difference and average factors, scaled
+by b on diagonal matrices.  Its interior-column block, the CSR product of
+that block's transpose with it and ``dia_from_csr`` of that product are
+the references that ``stencil.get_operator_set``'s DE and N1 equal bit
+for bit.
+
 The micro-macro solver never assembles the cell operator; the first two
 helpers do, and solve the tau > 0 cell system with a sparse LU, so the
 decomposition can be checked against an independent direct solve.
@@ -55,6 +63,48 @@ from driftlimit.grid import Grid, _avg_pairs, _check_cell_shape, \
     _check_node_shape, _diff_pairs, cell_from_nodes, node_average, pad_cells
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
     get_operator_set
+
+
+def _diff_matrix(m: int, d: float) -> sp.csr_matrix:
+    """(m-1) x m forward difference / d."""
+    return sp.diags([-np.ones(m - 1) / d, np.ones(m - 1) / d], [0, 1],
+                    shape=(m - 1, m), format="csr")
+
+
+def _avg_matrix(m: int) -> sp.csr_matrix:
+    """(m-1) x m midpoint average."""
+    return sp.diags([0.5 * np.ones(m - 1), 0.5 * np.ones(m - 1)], [0, 1],
+                    shape=(m - 1, m), format="csr")
+
+
+def assemble_dhstar(field: MagneticField, grid: Grid) -> sp.csr_matrix:
+    """Node -> cell matrix of the b-aligned flux divergence."""
+    bx, by, _ = field.b_node_planes
+    (mx, my), (dx, dy) = grid.shape_nodes, grid.spacing
+    x = sp.kron(_diff_matrix(mx, dx), _avg_matrix(my), format="csr")
+    y = sp.kron(_avg_matrix(mx), _diff_matrix(my, dy), format="csr")
+    return (x @ sp.diags(bx.ravel()) + y @ sp.diags(by.ravel())).tocsr()
+
+
+def dia_from_csr(A: sp.csr_matrix) -> sp.dia_matrix:
+    """A square CSR matrix without duplicate entries, stored on its
+    diagonals.
+
+    A present-offset table over the offset range picks the diagonals, so
+    no sort runs (scipy's ``todia`` sums duplicates and sorts the offsets
+    with ``np.unique``, which costs time and peak memory).  data[k, j] is
+    the entry of column j on diagonal k, the layout ``dia_matrix`` reads.
+    """
+    n = A.shape[0]
+    key = A.indices - np.repeat(np.arange(n), np.diff(A.indptr))
+    lo = key.min(initial=0)
+    key -= lo
+    present = np.zeros(key.max(initial=0) + 1, dtype=bool)
+    present[key] = True
+    slot = np.cumsum(present) - 1
+    data = np.zeros((slot[-1] + 1, n))
+    data[slot[key], A.indices] = A.data
+    return sp.dia_matrix((data, np.flatnonzero(present) + lo), shape=A.shape)
 
 
 def assemble_operator(field: MagneticField, coeff: np.ndarray,

@@ -368,3 +368,25 @@ def test_criterion_9_property_suite(resolved_ap, resolved_classical,
            f"q_perp.b at stated tolerances; {checked} accepted steps, worst "
            f"momentum residual {worst_mom:.2e}, worst continuity vs "
            f"max(1e-6, 8*float64-floor): {worst_cont_margin:.2f}")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: with light electrons (eps = 1e-2) the resolved AP "
+    "run's worst electron continuity residual is 3.5 times criterion 9's "
+    "bound (measured at 682638f). Hypothesis, not tested: the electron "
+    "equation carries the two eliminations' error times about 1/eps, "
+    "since an ulp of n ~ 1 enters phi through assemble_S and returns "
+    "times C_e/dt, a channel the float64 floor does not count "
+    "(item 4 step two removes that ulp)"))
+def test_criterion_9_electron_continuity_with_light_electrons(desk_setup):
+    # criterion 9's continuity check, bound unchanged, on the resolved
+    # AP run of the 50^2 reference preset at electron mass ratio 1e-2
+    cfg, grid, field, s0 = desk_setup
+    res = run_simulation("ap", dataclasses.replace(cfg, eps=1e-2), grid,
+                         field, s0)
+    worst = max(row["continuity_e"]
+                / max(1e-6, 8.0 * row["continuity_floor_e"])
+                for row in res.diag_rows if not row.get("diverged"))
+    report(f"criterion 9 at eps = 1e-2 (informational): worst electron "
+           f"continuity vs max(1e-6, 8*float64-floor): {worst:.2f}")
+    assert worst <= 1.0

@@ -8,8 +8,8 @@ from driftlimit.diffusion import node_operator
 from driftlimit.grid import Grid
 from driftlimit.harness import fit_slope
 from driftlimit.stencil import MagneticField, apply_dh, apply_dhstar, \
-    apply_grad_star, assemble_dhstar, get_operator_set
-from oracles import assemble_operator
+    apply_grad_star, get_operator_set
+from oracles import assemble_dhstar, assemble_operator, dia_from_csr
 
 
 def circular_field(grid):
@@ -151,8 +151,8 @@ def test_summation_by_parts(small_grid):
 
 
 def test_assembled_matches_matrix_free(small_grid):
-    # only dhstar is assembled; its interior block DE stands in for dh too,
-    # whose interior rows are exactly -DE^T
+    # the oracle assembles all of dhstar; the package assembles its interior
+    # block DE, which stands in for dh too, whose interior rows are -DE^T
     rng = np.random.default_rng(5)
     g = small_grid
     f = circular_field(g)
@@ -226,13 +226,28 @@ def test_sbp_property_random_fields(nx, ny, angle):
     assert abs(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(w) * np.linalg.norm(p))
 
 
-@pytest.mark.parametrize("cells", [(12, 9), (2, 2)])
+def assert_operator_set_is_the_oracle_bit_for_bit(f, g):
+    # DE and N1 are built from the corner weights; the Kronecker-product
+    # assembly, its CSR product and its diagonal storage are the reference
+    ops = get_operator_set(f, g)
+    DE = assemble_dhstar(f, g)[:, ops.interior].tocsr()
+    N1 = dia_from_csr((DE.T @ DE).tocsr())
+    assert ops.DE.shape == DE.shape and ops.DE.has_canonical_format
+    assert ops.DE.indices.dtype == ops.DE.indptr.dtype == np.int32
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ops.DE, name), getattr(DE, name)), name
+    assert np.array_equal(ops.N1.offsets, N1.offsets)
+    assert np.array_equal(ops.N1.data, N1.data)
+
+
+@pytest.mark.parametrize("cells", [(12, 9), (2, 2), (3, 3), (2, 9), (9, 3)])
 def test_diagonal_operators_equal_their_csr_products(cells):
     # both square operators are stored on at most nine diagonals: N1 bit
     # for bit the CSR product it comes from, and the micro node operator,
     # N1 shifted on its main diagonal, entry for entry
-    # DE^T DE + diag(shift / H); on 2 x 2 cells the stencil offsets +-1,
-    # +-(ny - 1) collide
+    # DE^T DE + diag(shift / H); while the interior is at most 2 nodes
+    # wide, stencil offsets of distinct neighbours collide (+-1 and
+    # +-(ny - 1) on 2 x 2 cells)
     g = Grid((1, 1), (2, 2), cells)
     f = circular_field(g)
     ops = get_operator_set(f, g)
@@ -247,3 +262,32 @@ def test_diagonal_operators_equal_their_csr_products(cells):
     assert np.array_equal(ops.N1.toarray(), (ops.DE.T @ ops.DE).toarray())
     assert np.allclose(A.toarray(), A_ref, rtol=0.0,
                        atol=1e-14 * np.abs(A_ref).max())
+    assert_operator_set_is_the_oracle_bit_for_bit(f, g)
+
+
+RECTANGLE = Grid((0, 0), (3, 1), (12, 7))     # dx = 0.25, dy = 1/7
+DX, DY = RECTANGLE.spacing
+
+
+@pytest.mark.parametrize("B", [
+    (np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3), 0.0),
+    (np.cos(np.pi / 2), np.sin(np.pi / 2), 0.0),
+    # axis-aligned: the y factor's products vanish and are dropped
+    (1.0, 0.0, 0.0),
+    # along a cell diagonal, bx/dx = +-by/dy: two corner weights of each
+    # cell are exactly 0 and dropped, and N1 keeps 3 of its 9 diagonals
+    (DX, DY, 0.0),
+    (DX, -DY, 0.0),
+    (0.3, -0.5, 0.8),
+], ids=["2pi/3", "pi/2", "axis", "diagonal", "antidiagonal", "bz"])
+def test_uniform_field_operator_set_is_the_oracle_bit_for_bit(B):
+    assert_operator_set_is_the_oracle_bit_for_bit(
+        MagneticField.uniform(RECTANGLE, B), RECTANGLE)
+
+
+@pytest.mark.parametrize("hi, cells", [((2, 2), (25, 25)),
+                                       ((2, 3), (11, 17))],
+                         ids=["25x25", "11x17"])
+def test_circular_field_operator_set_is_the_oracle_bit_for_bit(hi, cells):
+    g = Grid((1, 1), hi, cells)     # 11x17 on [1,2]x[1,3]: dx != dy
+    assert_operator_set_is_the_oracle_bit_for_bit(circular_field(g), g)
